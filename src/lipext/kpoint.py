@@ -18,7 +18,6 @@ from enum import Enum
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize, nnls
 
 from .errors import NoCertifiedSubset, QueryCoincidesWithSample
 from .geometry import (
@@ -29,6 +28,23 @@ from .geometry import (
     is_simplex,
     solve_biquadratic,
 )
+
+
+# scipy.optimize adds about 0.3 s to `import lipext`, and only the oracle
+# and the hull certificates need it: import it on first use.
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+def nnls(*args, **kwargs):
+    """scipy.optimize.nnls."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    return scipy_nnls(*args, **kwargs)
+
 
 # Certificate tolerances, stated once: equality and domination are checked
 # to CERT_TOL relative to lam * max distance, with an absolute floor of

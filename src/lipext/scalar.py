@@ -17,6 +17,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     InvalidPath,
@@ -25,10 +27,20 @@ from .errors import (
     NotConverged,
     ValidationError,
 )
-from .graph import Graph, VertexFunction, geodesic_distances_from, validate
+from .graph import (  # noqa: F401  (perfbench/tracing.py wraps geodesic_distances_from here)
+    Graph,
+    VertexFunction,
+    edge_arrays,
+    geodesic_distances_from,
+    validate,
+)
 from .kpoint import pairwise_optimum
 
 log = logging.getLogger("lipext.scalar")
+
+# Sources per multi-source Dijkstra call: bounds each distance block at
+# SOURCE_BLOCK x 2|V| floats.
+SOURCE_BLOCK = 64
 
 
 @dataclass
@@ -140,56 +152,112 @@ def _single_edge_candidates(g: Graph, state: SubgraphState) -> list[ConnectingPa
     return out
 
 
-def _best_interior_path(g: Graph, state: SubgraphState) -> ConnectingPath | None:
+@dataclass(frozen=True)
+class _SearchIndex:
+    """Edge keys and edge arrays of a graph, both in sorted key order;
+    built once per solve."""
+
+    keys: list[tuple[str, str]]
+    heads: np.ndarray
+    tails: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def of(cls, g: Graph) -> "_SearchIndex":
+        return cls(sorted(g.lengths), *edge_arrays(g))
+
+
+def _steepest_pair(graph: csr_array, src: np.ndarray, dst: np.ndarray, f: np.ndarray,
+                   rows: np.ndarray) -> tuple[float, int, int]:
+    """First largest |f[c] - f[r]| / d(src[r], dst[c]) in row-major order
+    over reachable pairs r < c with r in rows, as (slope, r, c); slope is
+    -1 when there is no such pair.  The rows go through one multi-source
+    Dijkstra call per SOURCE_BLOCK of them."""
+    best = (-1.0, -1, -1)
+    cols = np.arange(f.size)
+    for start in range(0, rows.size, SOURCE_BLOCK):
+        r = rows[start:start + SOURCE_BLOCK]
+        dist = dijkstra(graph, directed=True, indices=src[r])[:, dst]
+        with np.errstate(invalid="ignore"):  # 0 / 0 on the masked diagonal
+            slope = np.abs(f - f[r, None]) / dist
+        slope[(cols <= r[:, None]) | np.isinf(dist)] = -1.0
+        i, c = divmod(int(np.argmax(slope)), f.size)
+        if slope[i, c] > best[0]:
+            best = (float(slope[i, c]), int(r[i]), c)
+    return best
+
+
+def _best_interior_path(g: Graph, state: SubgraphState,
+                        index: _SearchIndex) -> ConnectingPath | None:
     """Steepest connecting path with at least one interior vertex.
 
-    One lexicographic shortest-path search per labeled vertex: heap entries
-    carry the path itself so equal-length ties resolve to the smallest
-    vertex sequence.
+    The distances come from a split graph: each labeled vertex keeps its
+    node as a source copy with arcs only to unlabeled neighbours, and gets
+    a sink copy with arcs only from them, so no labeled vertex is ever a
+    transit vertex.  With the labeled ids in sorted order, the first
+    maximum of |f(b) - f(a)| / d(a, b) over pairs a < b is the pair that
+    `_rank` puts first; `_lexicographic_path` then recovers its interior.
+    """
+    labeled, used = state.labeled, state.used_edges
+    n = len(g.ids)
+    is_lab = np.fromiter(map(labeled.__contains__, g.ids), bool, n)
+    free = ~np.fromiter(map(used.__contains__, index.keys), bool, len(index.keys))
+    heads, tails, lengths = index.heads[free], index.tails[free], index.lengths[free]
+    lab_h, lab_t = is_lab[heads], is_lab[tails]
+    keep = ~(lab_h & lab_t)  # single edges are handled separately
+    heads, tails, lengths = heads[keep], tails[keep], lengths[keep]
+    # an arc into labeled vertex v enters its sink copy n + v
+    rows = np.concatenate([heads, tails])
+    cols = np.concatenate([tails + n * lab_t[keep], heads + n * lab_h[keep]])
+    graph = csr_array((np.concatenate([lengths, lengths]), (rows, cols)), shape=(2 * n, 2 * n))
+    lab = np.flatnonzero(is_lab)
+    has_arc = np.zeros(n, dtype=bool)
+    has_arc[rows] = True
+    f = np.array([labeled[g.ids[i]] for i in lab])
+    slope, r, c = _steepest_pair(graph, lab, n + lab, f, np.flatnonzero(has_arc[lab]))
+    if slope < 0.0:
+        return None
+    return _lexicographic_path(g, state, g.ids[lab[r]], g.ids[lab[c]])
+
+
+def _lexicographic_path(g: Graph, state: SubgraphState, a: str, b: str) -> ConnectingPath:
+    """Shortest interior route from labeled a to labeled b.
+
+    Heap entries carry the path itself, so equal-length ties resolve to
+    the smallest vertex sequence.
     """
     labeled = state.labeled
     used = state.used_edges
-    best = None
-    best_rank = None
-    for a in sorted(labeled):
-        if not any(
-            w not in labeled and _edge_key(a, w) not in used for w, _ in g.neighbors(a)
-        ):
+    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (a,))]
+    closed: set[str] = set()
+    lengths: dict[tuple[str, ...], tuple[float, ...]] = {(a,): ()}
+    while heap:
+        dist, path = heapq.heappop(heap)
+        v = path[-1]
+        if v in closed:
+            lengths.pop(path, None)
             continue
-        heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (a,))]
-        closed: set[str] = set()
-        lengths: dict[tuple[str, ...], tuple[float, ...]] = {(a,): ()}
-        while heap:
-            dist, path = heapq.heappop(heap)
-            v = path[-1]
-            if v in closed:
-                lengths.pop(path, None)
+        closed.add(v)
+        plens = lengths.pop(path)
+        if v == b:
+            return _oriented(path, plens, labeled)
+        if v != a and v in labeled:
+            continue
+        for w, ln in g.neighbors(v):
+            if w in closed or _edge_key(v, w) in used:
                 continue
-            closed.add(v)
-            plens = lengths.pop(path)
-            if v != a and v in labeled:
-                b = v
-                if b > a:
-                    cand = _oriented(path, plens, labeled)
-                    rank = _rank(cand)
-                    if best_rank is None or rank < best_rank:
-                        best, best_rank = cand, rank
-                continue
-            for w, ln in g.neighbors(v):
-                if w in closed or _edge_key(v, w) in used:
-                    continue
-                if w in labeled and v == a:
-                    continue  # single edges are handled separately
-                np_path = path + (w,)
-                heapq.heappush(heap, (dist + ln, np_path))
-                lengths[np_path] = plens + (ln,)
-    return best
+            if w in labeled and v == a:
+                continue  # single edges are handled separately
+            np_path = path + (w,)
+            heapq.heappush(heap, (dist + ln, np_path))
+            lengths[np_path] = plens + (ln,)
+    raise InvalidPath(f"no interior route from {a!r} to {b!r}")
 
 
 def find_max_slope_connecting_path(g: Graph, state: SubgraphState) -> ConnectingPath | None:
     """Steepest connecting path over all labeled pairs, or None."""
     cands = _single_edge_candidates(g, state)
-    interior = _best_interior_path(g, state)
+    interior = _best_interior_path(g, state, _SearchIndex.of(g))
     if interior is not None:
         cands.append(interior)
     if not cands:
@@ -266,9 +334,10 @@ def solve_scalar(g: Graph) -> ExtensionResult:
     if g.value_dim() != 1:
         raise MethodUnavailable("the connecting-path solver requires scalar values")
     state = initial_state(g)
+    index = _SearchIndex.of(g)
     # single labeled-labeled edges neither move values nor relabel anything,
     # so the steepest interior path stays valid while they are drained
-    interior = _best_interior_path(g, state)
+    interior = _best_interior_path(g, state, index)
     pending = _single_edge_candidates(g, state)
     pending.sort(key=_rank)
     while True:
@@ -290,7 +359,7 @@ def solve_scalar(g: Graph) -> ExtensionResult:
             p for p in _single_edge_candidates(g, state) if p.edges[0] not in have
         )
         pending.sort(key=_rank)
-        interior = _best_interior_path(g, state)
+        interior = _best_interior_path(g, state, index)
     values = finalize_components(g, state)
     vf: VertexFunction = {v: np.array([val]) for v, val in values.items()}
     report = verify_extension(g, vf)
@@ -370,23 +439,25 @@ def verify_extension(g: Graph, u: VertexFunction, tol: float = 1e-9) -> VerifyRe
             mp_ok, mp_witness = False, x
             break
 
-    boundary_ratio = 0.0
-    interior_ratio = 0.0
-    geo_witness = None
-    omega = sorted(g.omega)
-    for x in g.ids:
-        dists = geodesic_distances_from(g, x)
-        ux = float(u[x][0])
-        for y, d in dists.items():
-            if y <= x or d == 0.0:
-                continue
-            r = abs(ux - float(u[y][0])) / d
-            if r > interior_ratio:
-                interior_ratio, geo_witness = r, (x, y)
-            if x in g.omega and y in g.omega:
-                fx = float(g.boundary_values[x][0])
-                fy = float(g.boundary_values[y][0])
-                boundary_ratio = max(boundary_ratio, abs(fx - fy) / d)
+    # the steepest edge bounds every pair: along a shortest path the value
+    # difference is at most the sum of the edge differences
+    ids = g.ids
+    heads, tails, lengths = edge_arrays(g)
+    interior_ratio, geo_witness = 0.0, None
+    if lengths.size:
+        uvals = np.array([float(u[x][0]) for x in ids])
+        ratios = np.abs(uvals[heads] - uvals[tails]) / lengths
+        k = int(np.argmax(ratios))
+        interior_ratio, geo_witness = float(ratios[k]), (ids[heads[k]], ids[tails[k]])
+    # d(x, y) for x < y is read from source x: the two directions can
+    # differ in the last bit
+    omega = np.array([i for i, x in enumerate(ids) if x in g.omega], dtype=np.intp)
+    f = np.array([float(g.boundary_values[ids[i]][0]) for i in omega])
+    n = len(ids)
+    graph = csr_array((np.concatenate([lengths, lengths]),
+                       (np.concatenate([heads, tails]), np.concatenate([tails, heads]))),
+                      shape=(n, n))
+    boundary_ratio = max(0.0, _steepest_pair(graph, omega, omega, f, np.arange(omega.size))[0])
     geodesic_ok = interior_ratio <= boundary_ratio * (1.0 + tol) + (0.0 if span > 0.0 else tol)
     if geodesic_ok:
         geo_witness = None

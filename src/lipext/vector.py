@@ -13,11 +13,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import NotConverged, ValidationError
 from .graph import Graph, VertexFunction, as_vertex_function, is_tighter, validate
-from .kpoint import CERT_TOL, minimax_kernel
+from .kpoint import CERT_TOL, minimax_kernel, nnls
 
 log = logging.getLogger("lipext.vector")
 

@@ -132,6 +132,28 @@ def test_solve_invalid_graph(tmp_path, capsys):
     assert "Disconnected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["pos", "value", "length"])
+def test_solve_rejects_non_finite(tmp_path, capsys, field):
+    doc = {
+        "vertices": [{"id": "a", "pos": [0.0]}, {"id": "m", "pos": [1.0]},
+                     {"id": "b", "pos": [2.0]}],
+        "edges": [["a", "m", 1.0], ["m", "b", 1.0]],
+        "boundary": {"a": [0.0], "b": [1.0]},
+    }
+    if field == "pos":
+        doc["vertices"][1]["pos"] = [float("nan")]
+    elif field == "value":
+        doc["boundary"]["b"] = [float("nan")]
+    else:
+        doc["edges"][1][2] = float("inf")
+    f = write_json(tmp_path / "bad.json", doc)
+    out = tmp_path / "x.json"
+    assert run("solve", "--input", f, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "NonFinite" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # kpoint
 # ---------------------------------------------------------------------------
@@ -201,6 +223,19 @@ def test_verify_flags_corruption(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["passed"] is False
     assert out["residual_witness"] in {"v1", "v2"}
+
+
+@pytest.mark.parametrize("value", [float("nan"), "x"])
+def test_verify_rejects_unusable_value(tmp_path, capsys, value):
+    g = tmp_path / "g.json"
+    r = tmp_path / "r.json"
+    assert run("gen", "path", "--size", 4, "--output", g) == 0
+    assert run("solve", "--input", g, "--output", r) == 0
+    doc = json.loads(r.read_text())
+    doc["values"]["v1"] = [value]
+    write_json(r, doc)
+    assert run("verify", g, r) == 1
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_verify_vector_result(tmp_path, vector_graph_file, capsys):

@@ -230,6 +230,18 @@ def test_validate_zero_length_edge():
     assert validate(ok) == []
 
 
+def test_validate_non_finite():
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        Graph({"a": [nan], "b": [1.0]}, [("a", "b", 1.0)], ["a"], {"a": 1.0}),
+        Graph({"a": [0.0], "b": [1.0]}, [("a", "b")], ["a"], {"a": -inf}),
+        Graph({"a": [0.0], "b": [1.0]}, [("a", "b", inf)], ["a"], {"a": 1.0}),
+        Graph({"a": [0.0], "b": [1.0]}, [("a", "b", nan)], ["a"], {"a": 1.0}),
+    ]
+    for g in cases:
+        assert [v.code for v in validate(g)] == ["NonFinite"]
+
+
 def test_constructor_rejects_bad_edges():
     with pytest.raises(UnknownVertex):
         Graph({"a": [0.0]}, [("a", "zzz")], ["a"], {"a": 0.0})

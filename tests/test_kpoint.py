@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +49,19 @@ def random_instance(rng):
 # ---------------------------------------------------------------------------
 # lip_constant
 # ---------------------------------------------------------------------------
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the oracle and the hull certificates load scipy.optimize,
+    # on first use
+    import lipext
+
+    src = os.path.dirname(os.path.dirname(lipext.__file__))
+    code = "import sys, lipext, lipext.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
 
 def test_duplicate_positions_rejected():
     with pytest.raises(ValueError):

@@ -1,12 +1,19 @@
+import heapq
+
 import numpy as np
 import pytest
 
 from conftest import grid_graph, path_graph, random_graph
 from lipext.errors import InvalidPath, NotConverged
-from lipext.graph import Graph
+from lipext.graph import Graph, geodesic_distances_from, lipschitz_ratio
+from lipext import scalar
 from lipext.kpoint import pairwise_optimum
 from lipext.scalar import (
     ConnectingPath,
+    _edge_key,
+    _oriented,
+    _rank,
+    _single_edge_candidates,
     apply_path,
     finalize_components,
     find_max_slope_connecting_path,
@@ -377,3 +384,119 @@ def test_shift_scale_random_tolerant():
     for v in g.ids:
         assert rs.values[v][0] == pytest.approx(res.values[v][0] + c, abs=1e-12)
         assert rc.values[v][0] == pytest.approx(res.values[v][0] * s, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the slow ones they replace
+# ---------------------------------------------------------------------------
+
+def _reference_interior_path(g, state):
+    """Per-source search: one lexicographic shortest-path search from every
+    labeled vertex, heap entries carrying the path itself."""
+    labeled = state.labeled
+    used = state.used_edges
+    best = None
+    for a in sorted(labeled):
+        heap = [(0.0, (a,))]
+        closed = set()
+        lengths = {(a,): ()}
+        while heap:
+            dist, path = heapq.heappop(heap)
+            v = path[-1]
+            if v in closed:
+                lengths.pop(path, None)
+                continue
+            closed.add(v)
+            plens = lengths.pop(path)
+            if v != a and v in labeled:
+                if v > a:
+                    cand = _oriented(path, plens, labeled)
+                    if best is None or _rank(cand) < _rank(best):
+                        best = cand
+                continue
+            for w, ln in g.neighbors(v):
+                if w in closed or _edge_key(v, w) in used:
+                    continue
+                if w in labeled and v == a:
+                    continue
+                heapq.heappush(heap, (dist + ln, path + (w,)))
+                lengths[path + (w,)] = plens + (ln,)
+    return best
+
+
+def _reference_path(g, state):
+    cands = _single_edge_candidates(g, state)
+    interior = _reference_interior_path(g, state)
+    if interior is not None:
+        cands.append(interior)
+    return min(cands, key=_rank) if cands else None
+
+
+def _fast_path_graphs():
+    rng = np.random.default_rng(2718)
+    graphs = [random_graph(rng, max_vertices=40) for _ in range(12)]
+    # linear data on a lattice: every stage has many equally steep paths
+    graphs += [grid_graph(n, boundary_fn=lambda x, y: x) for n in (5, 7)]
+    graphs += [grid_graph(6, boundary_fn=lambda x, y: x + 0.5 * y)]
+    return graphs
+
+
+@pytest.mark.parametrize("block", [3, None])
+def test_search_matches_per_source_reference(monkeypatch, block):
+    if block is not None:  # several Dijkstra calls per stage
+        monkeypatch.setattr(scalar, "SOURCE_BLOCK", block)
+    for g in _fast_path_graphs():
+        state = initial_state(g)
+        while True:
+            path = find_max_slope_connecting_path(g, state)
+            assert path == _reference_path(g, state)
+            if path is None:
+                break
+            if path.vertices[1:-1]:
+                state = apply_path(state, path)
+            else:
+                state.used_edges.update(path.edges)
+                state.stage_slopes.append(path.slope)
+        res = solve_scalar(g)
+        assert res.stage_slopes == state.stage_slopes
+        values = finalize_components(g, state)
+        assert all(res.values[v][0] == values[v] for v in g.ids)
+
+
+def _all_pairs_ratios(g, u, pairs_in=None):
+    """Largest |u(x) - u(y)| / d(x, y) over x < y, d read from source x."""
+    best = 0.0
+    for x in g.ids:
+        for y, d in geodesic_distances_from(g, x).items():
+            if y > x and (pairs_in is None or (x in pairs_in and y in pairs_in)):
+                best = max(best, float(np.linalg.norm(u[x] - u[y])) / d)
+    return best
+
+
+def test_edge_ratios_match_all_pairs():
+    rng = np.random.default_rng(1618)
+    for k in range(12):
+        g = random_graph(rng, max_vertices=30)
+        if k % 2:
+            u = solve_scalar(g).values
+        else:
+            u = {v: g.boundary_values.get(v, rng.uniform(0, 1, 1)) for v in g.ids}
+        brute = _all_pairs_ratios(g, u)
+        rep = verify_extension(g, u)
+        assert rep.interior_ratio == pytest.approx(brute, rel=1e-12, abs=0.0)
+        assert lipschitz_ratio(g, u) == pytest.approx(brute, rel=1e-12, abs=0.0)
+        assert rep.boundary_ratio == _all_pairs_ratios(g, u, pairs_in=g.omega)
+        vec = {v: rng.uniform(0, 1, 2) for v in g.ids}
+        assert lipschitz_ratio(g, vec) == pytest.approx(_all_pairs_ratios(g, vec),
+                                                        rel=1e-12, abs=0.0)
+
+
+def test_geodesic_witness_is_steepest_edge():
+    g = path_graph(values=(0.0, 3.0))
+    # two edges tie at ratio 2.5; the first in sorted order is the witness
+    u = {"v0": np.array([0.0]), "v1": np.array([2.5]), "v2": np.array([5.0]),
+         "v3": np.array([3.0])}
+    rep = verify_extension(g, u)
+    assert not rep.geodesic_ok
+    assert rep.geodesic_witness == ("v0", "v1")
+    assert rep.interior_ratio == 2.5
