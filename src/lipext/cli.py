@@ -28,13 +28,7 @@ from .errors import (
 )
 from .graph import Graph, lipschitz_ratio, validate
 from .kpoint import LabeledPointSet, kpoint_oracle, kpoint_vector
-from .scalar import (
-    ExtensionResult,
-    VerifyReport,
-    gauss_seidel_scalar,
-    solve_scalar,
-    verify_extension,
-)
+from .scalar import ExtensionResult, gauss_seidel_scalar, solve_scalar, verify_extension
 from .vector import boundary_hull_gap, iterate_tight, residual
 
 log = logging.getLogger("lipext.cli")
@@ -229,20 +223,13 @@ def _require_valid(g: Graph) -> None:
         raise ValidationError("; ".join(f"{v.code}: {v.message}" for v in violations))
 
 
-def _result_doc(g: Graph, values, report, *, residual_val, max_principle, stage_slopes,
-                converged) -> dict:
-    """Result file contents; a scalar solver's VerifyReport already carries
-    the geodesic ratio, any other report needs it computed."""
-    if isinstance(report, VerifyReport):
-        ratio = report.interior_ratio
-    else:
-        ratio = lipschitz_ratio(g, values)
+def _result_doc(g: Graph, values, *, residual_val, max_principle, stage_slopes, converged) -> dict:
     return {
         "values": {v: list(values[v]) for v in g.ids},
         "report": {
             "residual": residual_val,
             "max_principle": max_principle,
-            "geodesic_lip_ratio": ratio,
+            "geodesic_lip_ratio": lipschitz_ratio(g, values),
             "stage_slopes": stage_slopes,
             "converged": converged,
         },
@@ -258,7 +245,7 @@ def cmd_solve(args) -> int:
             raise MethodUnavailable("method 'path' requires scalar boundary values")
         res: ExtensionResult = solve_scalar(g)
         doc = _result_doc(
-            g, res.values, res.report,
+            g, res.values,
             residual_val=res.report.residual,
             max_principle=res.report.max_principle_ok,
             stage_slopes=res.stage_slopes,
@@ -270,8 +257,7 @@ def cmd_solve(args) -> int:
     try:
         if m == 1:
             res = gauss_seidel_scalar(g, tol=args.tol, max_iter=args.max_iter)
-            values, report = res.values, res.report
-            resid, mp = report.residual, report.max_principle_ok
+            values, resid, mp = res.values, res.report.residual, res.report.max_principle_ok
         else:
             values, report = iterate_tight(g, tol=args.tol, max_iter=args.max_iter)
             resid, mp = report.final_residual, None
@@ -279,11 +265,11 @@ def cmd_solve(args) -> int:
         log.warning("solve did not converge: %s", exc)
         resid = exc.report.residual if hasattr(exc.report, "residual") else exc.report.final_residual
         mp = getattr(exc.report, "max_principle_ok", None)
-        doc = _result_doc(g, exc.values, exc.report, residual_val=resid, max_principle=mp,
+        doc = _result_doc(g, exc.values, residual_val=resid, max_principle=mp,
                           stage_slopes=None, converged=False)
         emit(doc, args.output)
         return 2
-    doc = _result_doc(g, values, report, residual_val=resid, max_principle=mp,
+    doc = _result_doc(g, values, residual_val=resid, max_principle=mp,
                       stage_slopes=None, converged=True)
     emit(doc, args.output)
     return 0

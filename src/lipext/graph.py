@@ -145,29 +145,42 @@ def as_vertex_function(values) -> VertexFunction:
     return {str(k): np.atleast_1d(np.asarray(v, dtype=float)) for k, v in dict(values).items()}
 
 
-def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges as index arrays into g.ids: (heads, tails, lengths), in sorted
-    key order, with heads < tails."""
+def edge_arrays(g: Graph) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray, np.ndarray]:
+    """Edges in sorted key order as (keys, heads, tails, lengths); heads and
+    tails index g.ids, with heads < tails."""
     index = {v: i for i, v in enumerate(g.ids)}
     keys = sorted(g.lengths)
     heads = np.array([index[a] for a, _ in keys], dtype=np.intp)
     tails = np.array([index[b] for _, b in keys], dtype=np.intp)
     lengths = np.array([g.lengths[k] for k in keys], dtype=float)
-    return heads, tails, lengths
+    return keys, heads, tails, lengths
+
+
+def steepest_edge(edges, vals: np.ndarray) -> tuple[float, int]:
+    """Largest value distance to length ratio over the edges of
+    `edge_arrays`, with vals[i] the value at g.ids[i]: (ratio, k) for the
+    first steepest edge k, or (0.0, -1) if there is none.
+
+    Along a shortest path the value distance is at most the sum of the edge
+    differences, so on a graph that passes `validate` no vertex pair is
+    steeper than this edge.  Zero-length edges are skipped.
+    """
+    _, heads, tails, lengths = edges
+    if not lengths.size:
+        return 0.0, -1
+    diff = np.linalg.norm(vals[heads] - vals[tails], axis=1)
+    ratios = np.divide(diff, lengths, out=np.zeros_like(diff), where=lengths > 0.0)
+    k = int(np.argmax(ratios))
+    return float(ratios[k]), k
 
 
 def lipschitz_ratio(g: Graph, u) -> float:
-    """Largest value distance to geodesic distance ratio over vertex pairs.
-
-    Taken over edges: along a shortest path the value distance is at most
-    the sum of the edge differences, so no pair exceeds the steepest edge.
-    """
+    """Largest value distance to geodesic distance ratio over vertex pairs,
+    taken over edges (see `steepest_edge`)."""
     u = as_vertex_function(u)
-    heads, tails, lengths = edge_arrays(g)
-    if not lengths.size:
+    if not g.ids:
         return 0.0
-    vals = np.array([u[v] for v in g.ids])
-    return float((np.linalg.norm(vals[heads] - vals[tails], axis=1) / lengths).max())
+    return steepest_edge(edge_arrays(g), np.array([u[v] for v in g.ids]))[0]
 
 
 def local_lipschitz(g: Graph, u, x: str) -> float:

@@ -32,6 +32,7 @@ from .graph import (  # noqa: F401  (perfbench/tracing.py wraps geodesic_distanc
     VertexFunction,
     edge_arrays,
     geodesic_distances_from,
+    steepest_edge,
     validate,
 )
 from .kpoint import pairwise_optimum
@@ -152,43 +153,28 @@ def _single_edge_candidates(g: Graph, state: SubgraphState) -> list[ConnectingPa
     return out
 
 
-@dataclass(frozen=True)
-class _SearchIndex:
-    """Edge keys and edge arrays of a graph, both in sorted key order;
-    built once per solve."""
-
-    keys: list[tuple[str, str]]
-    heads: np.ndarray
-    tails: np.ndarray
-    lengths: np.ndarray
-
-    @classmethod
-    def of(cls, g: Graph) -> "_SearchIndex":
-        return cls(sorted(g.lengths), *edge_arrays(g))
-
-
 def _steepest_pair(graph: csr_array, src: np.ndarray, dst: np.ndarray, f: np.ndarray,
                    rows: np.ndarray) -> tuple[float, int, int]:
     """First largest |f[c] - f[r]| / d(src[r], dst[c]) in row-major order
     over reachable pairs r < c with r in rows, as (slope, r, c); slope is
-    -1 when there is no such pair.  The rows go through one multi-source
-    Dijkstra call per SOURCE_BLOCK of them."""
+    -1 when there is no such pair.  Pairs at distance 0 are skipped.  The
+    rows go through one multi-source Dijkstra call per SOURCE_BLOCK of
+    them."""
     best = (-1.0, -1, -1)
     cols = np.arange(f.size)
     for start in range(0, rows.size, SOURCE_BLOCK):
         r = rows[start:start + SOURCE_BLOCK]
         dist = dijkstra(graph, directed=True, indices=src[r])[:, dst]
-        with np.errstate(invalid="ignore"):  # 0 / 0 on the masked diagonal
+        with np.errstate(divide="ignore", invalid="ignore"):  # masked below
             slope = np.abs(f - f[r, None]) / dist
-        slope[(cols <= r[:, None]) | np.isinf(dist)] = -1.0
+        slope[(cols <= r[:, None]) | np.isinf(dist) | (dist == 0.0)] = -1.0
         i, c = divmod(int(np.argmax(slope)), f.size)
         if slope[i, c] > best[0]:
             best = (float(slope[i, c]), int(r[i]), c)
     return best
 
 
-def _best_interior_path(g: Graph, state: SubgraphState,
-                        index: _SearchIndex) -> ConnectingPath | None:
+def _best_interior_path(g: Graph, state: SubgraphState, edges) -> ConnectingPath | None:
     """Steepest connecting path with at least one interior vertex.
 
     The distances come from a split graph: each labeled vertex keeps its
@@ -197,12 +183,14 @@ def _best_interior_path(g: Graph, state: SubgraphState,
     transit vertex.  With the labeled ids in sorted order, the first
     maximum of |f(b) - f(a)| / d(a, b) over pairs a < b is the pair that
     `_rank` puts first; `_lexicographic_path` then recovers its interior.
+    `edges` is `edge_arrays(g)`, built once per solve.
     """
     labeled, used = state.labeled, state.used_edges
     n = len(g.ids)
     is_lab = np.fromiter(map(labeled.__contains__, g.ids), bool, n)
-    free = ~np.fromiter(map(used.__contains__, index.keys), bool, len(index.keys))
-    heads, tails, lengths = index.heads[free], index.tails[free], index.lengths[free]
+    keys, heads, tails, lengths = edges
+    free = ~np.fromiter(map(used.__contains__, keys), bool, len(keys))
+    heads, tails, lengths = heads[free], tails[free], lengths[free]
     lab_h, lab_t = is_lab[heads], is_lab[tails]
     keep = ~(lab_h & lab_t)  # single edges are handled separately
     heads, tails, lengths = heads[keep], tails[keep], lengths[keep]
@@ -257,7 +245,7 @@ def _lexicographic_path(g: Graph, state: SubgraphState, a: str, b: str) -> Conne
 def find_max_slope_connecting_path(g: Graph, state: SubgraphState) -> ConnectingPath | None:
     """Steepest connecting path over all labeled pairs, or None."""
     cands = _single_edge_candidates(g, state)
-    interior = _best_interior_path(g, state, _SearchIndex.of(g))
+    interior = _best_interior_path(g, state, edge_arrays(g))
     if interior is not None:
         cands.append(interior)
     if not cands:
@@ -334,10 +322,10 @@ def solve_scalar(g: Graph) -> ExtensionResult:
     if g.value_dim() != 1:
         raise MethodUnavailable("the connecting-path solver requires scalar values")
     state = initial_state(g)
-    index = _SearchIndex.of(g)
+    edges = edge_arrays(g)
     # single labeled-labeled edges neither move values nor relabel anything,
     # so the steepest interior path stays valid while they are drained
-    interior = _best_interior_path(g, state, index)
+    interior = _best_interior_path(g, state, edges)
     pending = _single_edge_candidates(g, state)
     pending.sort(key=_rank)
     while True:
@@ -359,7 +347,7 @@ def solve_scalar(g: Graph) -> ExtensionResult:
             p for p in _single_edge_candidates(g, state) if p.edges[0] not in have
         )
         pending.sort(key=_rank)
-        interior = _best_interior_path(g, state, index)
+        interior = _best_interior_path(g, state, edges)
     values = finalize_components(g, state)
     vf: VertexFunction = {v: np.array([val]) for v, val in values.items()}
     report = verify_extension(g, vf)
@@ -439,16 +427,11 @@ def verify_extension(g: Graph, u: VertexFunction, tol: float = 1e-9) -> VerifyRe
             mp_ok, mp_witness = False, x
             break
 
-    # the steepest edge bounds every pair: along a shortest path the value
-    # difference is at most the sum of the edge differences
     ids = g.ids
-    heads, tails, lengths = edge_arrays(g)
-    interior_ratio, geo_witness = 0.0, None
-    if lengths.size:
-        uvals = np.array([float(u[x][0]) for x in ids])
-        ratios = np.abs(uvals[heads] - uvals[tails]) / lengths
-        k = int(np.argmax(ratios))
-        interior_ratio, geo_witness = float(ratios[k]), (ids[heads[k]], ids[tails[k]])
+    edges = edge_arrays(g)
+    _, heads, tails, lengths = edges
+    interior_ratio, k = steepest_edge(edges, np.array([u[x] for x in ids], dtype=float))
+    geo_witness = edges[0][k] if k >= 0 else None
     # d(x, y) for x < y is read from source x: the two directions can
     # differ in the last bit
     omega = np.array([i for i, x in enumerate(ids) if x in g.omega], dtype=np.intp)

@@ -500,3 +500,17 @@ def test_geodesic_witness_is_steepest_edge():
     assert not rep.geodesic_ok
     assert rep.geodesic_witness == ("v0", "v1")
     assert rep.interior_ratio == 2.5
+
+
+@pytest.mark.parametrize("fb", [0.0, 0.5])
+def test_ratios_skip_zero_length_edges(fb):
+    # fails validate(): pairs at distance 0 and zero-length edges are
+    # skipped instead of turning a maximum into nan or inf (the edge pass
+    # then sees only b-c, so it no longer bounds the pair a-c)
+    g = Graph({"a": [0.0], "b": [0.0], "c": [1.0]}, [("a", "b", 0.0), ("b", "c", 1.0)],
+              ["a", "b", "c"], {"a": 0.0, "b": fb, "c": 1.0})
+    u = {v: g.boundary_values[v] for v in g.ids}
+    rep = verify_extension(g, u)
+    assert rep.boundary_ratio == 1.0
+    assert rep.interior_ratio == 1.0 - fb
+    assert lipschitz_ratio(g, u) == 1.0 - fb
