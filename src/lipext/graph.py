@@ -178,8 +178,6 @@ def lipschitz_ratio(g: Graph, u) -> float:
     """Largest value distance to geodesic distance ratio over vertex pairs,
     taken over edges (see `steepest_edge`)."""
     u = as_vertex_function(u)
-    if not g.ids:
-        return 0.0
     return steepest_edge(edge_arrays(g), np.array([u[v] for v in g.ids]))[0]
 
 
