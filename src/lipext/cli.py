@@ -24,11 +24,11 @@ from .errors import (
     MethodUnavailable,
     NotConverged,
     ParseError,
-    ValidationError,
 )
-from .graph import Graph, lipschitz_ratio, validate
+# perfbench/tracing.py wraps validate and gauss_seidel_scalar here
+from .graph import Graph, lipschitz_ratio, require_valid, validate  # noqa: F401
 from .kpoint import LabeledPointSet, kpoint_oracle, kpoint_vector
-from .scalar import ExtensionResult, gauss_seidel_scalar, solve_scalar, verify_extension
+from .scalar import gauss_seidel_scalar, solve_scalar, verify_extension  # noqa: F401
 from .vector import boundary_hull_gap, iterate_tight, residual
 
 log = logging.getLogger("lipext.cli")
@@ -217,12 +217,6 @@ def generate(kind: str, size: int, seed: int | None, boundary: str) -> Graph:
 # commands
 # ---------------------------------------------------------------------------
 
-def _require_valid(g: Graph) -> None:
-    violations = validate(g)
-    if violations:
-        raise ValidationError("; ".join(f"{v.code}: {v.message}" for v in violations))
-
-
 def _result_doc(g: Graph, values, *, residual_val, max_principle, stage_slopes, converged) -> dict:
     return {
         "values": {v: list(values[v]) for v in g.ids},
@@ -238,41 +232,26 @@ def _result_doc(g: Graph, values, *, residual_val, max_principle, stage_slopes, 
 
 def cmd_solve(args) -> int:
     g = load_graph_file(args.input)
-    _require_valid(g)
+    require_valid(g)
     m = g.value_dim()
     if args.method == "path":
         if m != 1:
             raise MethodUnavailable("method 'path' requires scalar boundary values")
-        res: ExtensionResult = solve_scalar(g)
-        doc = _result_doc(
-            g, res.values,
-            residual_val=res.report.residual,
-            max_principle=res.report.max_principle_ok,
-            stage_slopes=res.stage_slopes,
-            converged=True,
-        )
-        emit(doc, args.output)
-        return 0
-    # iterate
-    try:
-        if m == 1:
-            res = gauss_seidel_scalar(g, tol=args.tol, max_iter=args.max_iter)
-            values, resid, mp = res.values, res.report.residual, res.report.max_principle_ok
-        else:
+        res = solve_scalar(g)
+        values, resid, slopes, converged = res.values, res.report.residual, res.stage_slopes, True
+        mp = res.report.max_principle_ok
+    else:
+        try:
             values, report = iterate_tight(g, tol=args.tol, max_iter=args.max_iter)
-            resid, mp = report.final_residual, None
-    except NotConverged as exc:
-        log.warning("solve did not converge: %s", exc)
-        resid = exc.report.residual if hasattr(exc.report, "residual") else exc.report.final_residual
-        mp = getattr(exc.report, "max_principle_ok", None)
-        doc = _result_doc(g, exc.values, residual_val=resid, max_principle=mp,
-                          stage_slopes=None, converged=False)
-        emit(doc, args.output)
-        return 2
+        except NotConverged as exc:
+            log.warning("solve did not converge: %s", exc)
+            values, report = exc.values, exc.report
+        resid, slopes, converged = report.final_residual, None, report.converged
+        mp = verify_extension(g, values).max_principle_ok if m == 1 else None
     doc = _result_doc(g, values, residual_val=resid, max_principle=mp,
-                      stage_slopes=None, converged=True)
+                      stage_slopes=slopes, converged=converged)
     emit(doc, args.output)
-    return 0
+    return 0 if converged else 2
 
 
 def cmd_kpoint(args) -> int:
@@ -302,7 +281,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     g = load_graph_file(args.graph)
-    _require_valid(g)
+    require_valid(g)
     doc = load_result_file(args.result)
     raw = doc["values"]
     if set(raw) != set(g.ids):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryMismatch, BoundaryVertex, UnknownVertex
+from .errors import BoundaryMismatch, BoundaryVertex, UnknownVertex, ValidationError
 
 # A vertex function assigns an m-vector to every vertex id.
 VertexFunction = dict[str, np.ndarray]
@@ -255,3 +255,10 @@ def validate(g: Graph) -> list[Violation]:
         if len(seen) != len(g.ids):
             out.append(Violation("Disconnected", f"{len(g.ids) - len(seen)} vertices unreachable"))
     return out
+
+
+def require_valid(g: Graph) -> None:
+    """Raise ValidationError listing every violation `validate` finds."""
+    violations = validate(g)
+    if violations:
+        raise ValidationError("; ".join(f"{v.code}: {v.message}" for v in violations))

@@ -5,9 +5,10 @@ connecting path between two labeled vertices (through unlabeled interior
 vertices and unused edges, single-edge paths allowed), interpolates
 linearly along it, and finally floods any remaining dead-end components
 with the value of their unique labeled attachment.  A Gauss-Seidel sweep
-solver over the same local replacement is provided as an independent
-cross-check, and a verifier re-derives the defining equation, the maximum
-principle and the geodesic ratio bound for any candidate solution.
+solver (the sweep loop of `vector` on scalar data) is provided as an
+independent cross-check, and a verifier re-derives the defining equation,
+the maximum principle and the geodesic ratio bound for any candidate
+solution.
 """
 
 from __future__ import annotations
@@ -20,22 +21,20 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import (
-    InvalidPath,
-    MethodUnavailable,
-    MultipleAttachments,
-    NotConverged,
-    ValidationError,
-)
-from .graph import (  # noqa: F401  (perfbench/tracing.py wraps geodesic_distances_from here)
+from .errors import InvalidPath, MethodUnavailable, MultipleAttachments, NotConverged
+# perfbench/tracing.py wraps geodesic_distances_from, pairwise_optimum and
+# validate here
+from .graph import (  # noqa: F401
     Graph,
     VertexFunction,
     edge_arrays,
     geodesic_distances_from,
+    require_valid,
     steepest_edge,
     validate,
 )
-from .kpoint import pairwise_optimum
+from .kpoint import pairwise_optimum  # noqa: F401
+from .vector import _sweep, _worst_move
 
 log = logging.getLogger("lipext.scalar")
 
@@ -90,18 +89,11 @@ class VerifyReport:
     boundary_ratio: float
     geodesic_ok: bool
     geodesic_witness: tuple[str, str] | None
-    hull_ok: bool | None = None
-    hull_witness: str | None = None
     tol: float = 1e-9
 
     @property
     def passed(self) -> bool:
-        return (
-            self.residual_ok
-            and self.max_principle_ok is not False
-            and self.geodesic_ok
-            and self.hull_ok is not False
-        )
+        return self.residual_ok and self.max_principle_ok is not False and self.geodesic_ok
 
 
 @dataclass(frozen=True)
@@ -316,9 +308,7 @@ def finalize_components(g: Graph, state: SubgraphState) -> dict[str, float]:
 
 def solve_scalar(g: Graph) -> ExtensionResult:
     """Exact extension of scalar boundary data on a connected graph."""
-    violations = validate(g)
-    if violations:
-        raise ValidationError("; ".join(f"{v.code}: {v.message}" for v in violations))
+    require_valid(g)
     if g.value_dim() != 1:
         raise MethodUnavailable("the connecting-path solver requires scalar values")
     state = initial_state(g)
@@ -360,54 +350,16 @@ def gauss_seidel_scalar(g: Graph, tol: float = 1e-10, max_iter: int = 100_000) -
     Initializes the interior at the mean of the boundary data and stops
     once no value moves by more than tol in a sweep.
     """
-    violations = validate(g)
-    if violations:
-        raise ValidationError("; ".join(f"{v.code}: {v.message}" for v in violations))
+    require_valid(g)
     if g.value_dim() != 1:
         raise MethodUnavailable("gauss_seidel_scalar requires scalar values")
-    ids = g.ids
-    index = {v: i for i, v in enumerate(ids)}
-    u = [0.0] * len(ids)
-    mean = float(np.mean([v[0] for v in g.boundary_values.values()]))
-    for v in ids:
-        u[index[v]] = float(g.boundary_values[v][0]) if v in g.omega else mean
-    interior = [v for v in ids if v not in g.omega]
-    nbrs = {
-        v: ([index[w] for w, _ in g.neighbors(v)], [ln for _, ln in g.neighbors(v)])
-        for v in interior
-    }
-    converged = False
-    for sweep in range(max_iter):
-        delta = 0.0
-        for v in interior:
-            idxs, lens = nbrs[v]
-            new, _, _ = pairwise_optimum([u[i] for i in idxs], lens)
-            delta = max(delta, abs(new - u[index[v]]))
-            u[index[v]] = new
-        if delta < tol:
-            log.debug("converged after %d sweeps (delta %.3g)", sweep + 1, delta)
-            converged = True
-            break
-    vf: VertexFunction = {v: np.array([u[index[v]]]) for v in ids}
-    report = verify_extension(g, vf)
+    values, _, converged = _sweep(g, tol, max_iter)
+    report = verify_extension(g, values)
     if not converged:
         raise NotConverged(
-            f"displacement above {tol} after {max_iter} sweeps", values=vf, report=report
+            f"displacement above {tol} after {max_iter} sweeps", values=values, report=report
         )
-    return ExtensionResult(vf, report, None, True)
-
-
-def residual_scalar(g: Graph, u: VertexFunction) -> tuple[float, str | None]:
-    """Largest deviation of u from its local pairwise optimum, with witness."""
-    worst, witness = 0.0, None
-    for x in g.interior():
-        vals = [float(u[w][0]) for w, _ in g.neighbors(x)]
-        lens = [ln for _, ln in g.neighbors(x)]
-        k, _, _ = pairwise_optimum(vals, lens)
-        r = abs(float(u[x][0]) - k)
-        if r > worst:
-            worst, witness = r, x
-    return worst, witness
+    return ExtensionResult(values, report, None, True)
 
 
 def verify_extension(g: Graph, u: VertexFunction, tol: float = 1e-9) -> VerifyReport:
@@ -416,7 +368,7 @@ def verify_extension(g: Graph, u: VertexFunction, tol: float = 1e-9) -> VerifyRe
     span = max(fvals) - min(fvals) if fvals else 0.0
     scaled = tol * span if span > 0.0 else tol
 
-    worst, witness = residual_scalar(g, u)
+    worst, witness = _worst_move(g, u)
     residual_ok = worst <= scaled
 
     lo, hi = min(fvals), max(fvals)

@@ -1,7 +1,10 @@
-"""Vector-valued extension by iterated local replacement.
+"""Extension by iterated local replacement, for scalar and vector data.
 
 Each sweep replaces every interior value with the minimax point of its
-neighborhood.  Every replacement tightens the local Lipschitz profile, and
+neighborhood: the pair formula for scalar data, the kernel for vector
+data.  `iterate_tight` and `scalar.gauss_seidel_scalar` run this one sweep
+loop, and `residual` and `scalar.verify_extension` share one residual
+pass.  Every replacement tightens the local Lipschitz profile, and
 a fixed point of all replacements is an extension in the defining sense;
 no convergence rate is guaranteed, so the iteration certifies whatever
 limit it reaches through its residual.
@@ -14,9 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConverged, ValidationError
-from .graph import Graph, VertexFunction, as_vertex_function, is_tighter, validate
-from .kpoint import CERT_TOL, minimax_kernel, nnls
+from .errors import NotConverged
+from .graph import (  # noqa: F401  (perfbench/tracing.py wraps validate here)
+    Graph,
+    VertexFunction,
+    as_vertex_function,
+    is_tighter,
+    require_valid,
+    validate,
+)
+from .kpoint import CERT_TOL, minimax_kernel, nnls, pairwise_optimum
 
 log = logging.getLogger("lipext.vector")
 
@@ -29,16 +39,52 @@ class IterationReport:
     converged: bool
 
 
-def _neighbor_tables(g: Graph, ids: list[str]):
+def _local_rule(m: int):
+    """(step, dist) of the local replacement for m-vector values, held as
+    plain floats when m == 1 and as 1-d arrays otherwise: step(values,
+    lens) is the minimax point of a neighbourhood (the pair formula for
+    scalars, the kernel for vectors), dist(d) the length of a move d."""
+    if m == 1:
+        return (lambda values, lens: pairwise_optimum(values, lens)[0]), abs
+    return ((lambda values, lens: minimax_kernel(values, lens)[1]),
+            (lambda d: float(np.linalg.norm(d))))
+
+
+def _sweep(g: Graph, tol: float, max_iter: int):
+    """Gauss-Seidel sweeps of local replacement, in id order, until no value
+    moves by tol or more; at most max_iter sweeps.
+
+    Interior values start at the centroid of the boundary data over sorted
+    omega.  Returns (values, history, converged), history holding each
+    sweep's largest move.  The graph is not validated here.
+    """
+    ids = g.ids
     index = {v: i for i, v in enumerate(ids)}
-    return {
-        v: (
-            np.array([index[w] for w, _ in g.neighbors(v)], dtype=int),
-            np.array([ln for _, ln in g.neighbors(v)]),
-        )
+    centroid = np.mean([g.boundary_values[b] for b in sorted(g.omega)], axis=0)
+    step, dist = _local_rule(centroid.size)
+    u = [g.boundary_values[v] if v in g.omega else centroid for v in ids]
+    if centroid.size == 1:
+        u = [float(x[0]) for x in u]
+    table = [
+        (index[v], [index[w] for w, _ in g.neighbors(v)], [ln for _, ln in g.neighbors(v)])
         for v in ids
         if v not in g.omega
-    }
+    ]
+    history: list[float] = []
+    converged = False
+    for _ in range(max_iter):
+        delta = 0.0
+        for i, idxs, lens in table:
+            new = step([u[j] for j in idxs], lens)
+            delta = max(delta, dist(new - u[i]))
+            u[i] = new
+        history.append(delta)
+        if delta < tol:
+            converged = True
+            break
+    log.debug("%d sweeps, converged=%s", len(history), converged)
+    values: VertexFunction = {v: np.array(u[i], dtype=float, ndmin=1) for i, v in enumerate(ids)}
+    return values, history, converged
 
 
 def iterate_tight(g: Graph, tol: float = 1e-10, max_iter: int = 100_000):
@@ -48,36 +94,9 @@ def iterate_tight(g: Graph, tol: float = 1e-10, max_iter: int = 100_000):
     when the sweep budget runs out.  Interior values start at the centroid
     of the boundary data, so they remain inside its convex hull throughout.
     """
-    violations = validate(g)
-    if violations:
-        raise ValidationError("; ".join(f"{v.code}: {v.message}" for v in violations))
-    ids = g.ids
-    index = {v: i for i, v in enumerate(ids)}
-    m = g.value_dim()
-    vals = np.zeros((len(ids), m))
-    centroid = np.mean([g.boundary_values[b] for b in sorted(g.omega)], axis=0)
-    for v in ids:
-        vals[index[v]] = g.boundary_values[v] if v in g.omega else centroid
-    interior = [v for v in ids if v not in g.omega]
-    tables = _neighbor_tables(g, ids)
-    history: list[float] = []
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_iter + 1):
-        delta = 0.0
-        for v in interior:
-            idxs, lens = tables[v]
-            _, point, _, _, _ = minimax_kernel(vals[idxs], lens)
-            delta = max(delta, float(np.linalg.norm(point - vals[index[v]])))
-            vals[index[v]] = point
-        history.append(delta)
-        if delta < tol:
-            converged = True
-            break
-    values: VertexFunction = {v: vals[index[v]].copy() for v in ids}
-    final = residual(g, values)
-    report = IterationReport(sweeps, final, history, converged)
-    log.debug("%d sweeps, residual %.3g, converged=%s", sweeps, final, converged)
+    require_valid(g)
+    values, history, converged = _sweep(g, tol, max_iter)
+    report = IterationReport(len(history), residual(g, values), history, converged)
     if not converged:
         raise NotConverged(
             f"displacement above {tol} after {max_iter} sweeps",
@@ -86,16 +105,25 @@ def iterate_tight(g: Graph, tol: float = 1e-10, max_iter: int = 100_000):
     return values, report
 
 
+def _worst_move(g: Graph, u: VertexFunction) -> tuple[float, str | None]:
+    """Largest distance between an interior value of u and its neighbourhood
+    optimum, with the first vertex in id order that attains it."""
+    m = g.value_dim()
+    step, dist = _local_rule(m)
+    if m == 1:
+        u = {v: float(x[0]) for v, x in u.items()}
+    worst, witness = 0.0, None
+    for x in g.interior():
+        nbrs = g.neighbors(x)
+        r = dist(step([u[w] for w, _ in nbrs], [ln for _, ln in nbrs]) - u[x])
+        if r > worst:
+            worst, witness = r, x
+    return worst, witness
+
+
 def residual(g: Graph, u) -> float:
     """Largest distance between a value and its neighborhood optimum."""
-    u = as_vertex_function(u)
-    worst = 0.0
-    for x in g.interior():
-        nv = np.array([u[w] for w, _ in g.neighbors(x)])
-        lens = np.array([ln for _, ln in g.neighbors(x)])
-        _, point, _, _, _ = minimax_kernel(nv, lens)
-        worst = max(worst, float(np.linalg.norm(u[x] - point)))
-    return worst
+    return _worst_move(g, as_vertex_function(u))[0]
 
 
 def local_replacement_tightens(g: Graph, u, x: str, tol: float = CERT_TOL) -> bool:

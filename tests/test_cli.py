@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +121,18 @@ def test_solve_exit_2_on_budget(tmp_path, path_graph_file):
                "--tol", 1e-14, "--max-iter", 1, "--output", out) == 2
     doc = json.loads(out.read_text())
     assert doc["report"]["converged"] is False
+
+
+def test_readme_file_format_examples(tmp_path):
+    # the README's graph file solves, and gives its result file example
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### File formats"):]
+    graph_doc, result_doc = re.findall(r"```json\n(.*?)```", section, re.S)[:2]
+    graph_file = tmp_path / "readme.json"
+    graph_file.write_text(graph_doc)
+    out = tmp_path / "res.json"
+    assert run("solve", "--input", graph_file, "--output", out) == 0
+    assert json.loads(out.read_text()) == json.loads(result_doc)
 
 
 def test_solve_invalid_graph(tmp_path, capsys):

@@ -7,7 +7,7 @@ from conftest import grid_graph, path_graph, random_graph
 from lipext.errors import InvalidPath, NotConverged
 from lipext.graph import Graph, geodesic_distances_from, lipschitz_ratio
 from lipext import scalar
-from lipext.kpoint import pairwise_optimum
+from lipext.kpoint import minimax_kernel, pairwise_optimum
 from lipext.scalar import (
     ConnectingPath,
     _edge_key,
@@ -22,6 +22,7 @@ from lipext.scalar import (
     solve_scalar,
     verify_extension,
 )
+from lipext.vector import iterate_tight, residual
 
 
 # ---------------------------------------------------------------------------
@@ -514,3 +515,79 @@ def test_ratios_skip_zero_length_edges(fb):
     assert rep.boundary_ratio == 1.0
     assert rep.interior_ratio == 1.0 - fb
     assert lipschitz_ratio(g, u) == 1.0 - fb
+
+
+# ---------------------------------------------------------------------------
+# the shared sweep engine against the scalar loop it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_gauss_seidel(g, tol):
+    """The former scalar sweep loop, on plain floats: returns (values by id,
+    sweeps), the sweep count being None when max_iter ran out."""
+    ids = g.ids
+    index = {v: i for i, v in enumerate(ids)}
+    u = [0.0] * len(ids)
+    mean = float(np.mean([v[0] for v in g.boundary_values.values()]))
+    for v in ids:
+        u[index[v]] = float(g.boundary_values[v][0]) if v in g.omega else mean
+    interior = [v for v in ids if v not in g.omega]
+    nbrs = {
+        v: ([index[w] for w, _ in g.neighbors(v)], [ln for _, ln in g.neighbors(v)])
+        for v in interior
+    }
+    for sweep in range(100_000):
+        delta = 0.0
+        for v in interior:
+            idxs, lens = nbrs[v]
+            new, _, _ = pairwise_optimum([u[i] for i in idxs], lens)
+            delta = max(delta, abs(new - u[index[v]]))
+            u[index[v]] = new
+        if delta < tol:
+            return {v: u[index[v]] for v in ids}, sweep + 1
+    return {v: u[index[v]] for v in ids}, None
+
+
+def _sweep_graphs():
+    rng = np.random.default_rng(31415)
+    # random_graph lists the boundary in random order, not sorted
+    graphs = [random_graph(rng, max_vertices=30) for _ in range(12)]
+    graphs += [grid_graph(n, boundary_fn=lambda x, y: x * x - y) for n in (4, 6, 8)]
+    graphs += [grid_graph(7, boundary_fn=lambda x, y: np.sin(3.0 * x) + y * y)]
+    return graphs
+
+
+def test_gauss_seidel_matches_reference_loop():
+    for g in _sweep_graphs():
+        ref, sweeps = _reference_gauss_seidel(g, tol=1e-12)
+        assert sweeps is not None
+        res = gauss_seidel_scalar(g, tol=1e-12)
+        assert all(res.values[v][0] == ref[v] for v in g.ids)
+        # the same sweep count: the budget of `sweeps` suffices, one less does not
+        gauss_seidel_scalar(g, tol=1e-12, max_iter=sweeps)
+        with pytest.raises(NotConverged):
+            gauss_seidel_scalar(g, tol=1e-12, max_iter=sweeps - 1)
+        values, report = iterate_tight(g, tol=1e-12)
+        assert report.sweeps == sweeps
+        assert all(values[v][0] == ref[v] for v in g.ids)
+
+
+def _kernel_residual(g, u):
+    """Residual by the minimax kernel, as for vector data."""
+    worst = 0.0
+    for x in g.interior():
+        nv = np.array([u[w] for w, _ in g.neighbors(x)])
+        lens = np.array([ln for _, ln in g.neighbors(x)])
+        _, point, _, _, _ = minimax_kernel(nv, lens)
+        worst = max(worst, float(np.linalg.norm(u[x] - point)))
+    return worst
+
+
+def test_scalar_residual_matches_kernel_residual():
+    rng = np.random.default_rng(2178)
+    for k, g in enumerate(_sweep_graphs()):
+        if k % 2:
+            u = solve_scalar(g).values
+        else:
+            u = {v: g.boundary_values.get(v, rng.uniform(-1, 2, 1)) for v in g.ids}
+        assert abs(residual(g, u) - _kernel_residual(g, u)) <= 1e-12
+        assert verify_extension(g, u).residual == residual(g, u)
