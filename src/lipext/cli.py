@@ -28,7 +28,12 @@ from .errors import (
 # perfbench/tracing.py wraps validate and gauss_seidel_scalar here
 from .graph import Graph, lipschitz_ratio, require_valid, validate  # noqa: F401
 from .kpoint import LabeledPointSet, kpoint_oracle, kpoint_vector
-from .scalar import gauss_seidel_scalar, solve_scalar, verify_extension  # noqa: F401
+from .scalar import (  # noqa: F401
+    gauss_seidel_scalar,
+    maximum_principle,
+    solve_scalar,
+    verify_extension,
+)
 from .vector import boundary_hull_gap, iterate_tight, residual
 
 log = logging.getLogger("lipext.cli")
@@ -247,7 +252,7 @@ def cmd_solve(args) -> int:
             log.warning("solve did not converge: %s", exc)
             values, report = exc.values, exc.report
         resid, slopes, converged = report.final_residual, None, report.converged
-        mp = verify_extension(g, values).max_principle_ok if m == 1 else None
+        mp = maximum_principle(g, values)[0] if m == 1 else None
     doc = _result_doc(g, values, residual_val=resid, max_principle=mp,
                       stage_slopes=slopes, converged=converged)
     emit(doc, args.output)

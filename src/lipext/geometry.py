@@ -165,24 +165,33 @@ def solve_sphere_intersection(centers, radii, tol: float = HULL_TOL,
     scale = max(_config_scale(ctr, ctr[0]), float(rad.max(initial=0.0)))
     if k == 1:
         return ctr[0].copy() if rad[0] <= tol * max(scale, 1e-300) else None
-    base = ctr[0]
-    b = ctr[1:] - base  # (k-1, m)
-    gram = 2.0 * (b @ b.T)
-    rhs = np.einsum("ij,ij->i", b, b) + rad[0] ** 2 - rad[1:] ** 2
-    s = np.linalg.solve(gram, rhs)
-    y = base + s @ b
-    resid = abs(float(np.linalg.norm(y - base)) - float(rad[0]))
+    _, y = sphere_point(ctr, rad)
+    resid = abs(float(np.linalg.norm(y - ctr[0])) - float(rad[0]))
     if resid > tol * max(scale, 1e-300):
         return None
     return y
+
+
+def sphere_point(centers: np.ndarray, rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Affine coordinates s and the point y = c_0 + s @ (c_l - c_0) of the
+    affine hull of k >= 2 centers c_l at distance rad[l] from each.
+
+    Subtracting the sphere equations pairwise leaves a linear system in s;
+    it raises LinAlgError when singular.  y also satisfies the first
+    sphere equation only if such a point exists, which the caller checks.
+    """
+    base = centers[0]
+    b = centers[1:] - base  # (k-1, m)
+    rhs = np.einsum("ij,ij->i", b, b) + rad[0] ** 2 - rad[1:] ** 2
+    s = np.linalg.solve(2.0 * (b @ b.T), rhs)
+    return s, base + s @ b
 
 
 def biquadratic_coefficients(values, dists) -> Biquadratic:
     """Even-quartic coefficients of the substituted bordered determinant.
 
     The unknown point's squared distances to the k data values are replaced
-    by mu * dists**2 with mu = lam**2; the resulting determinant is an exact
-    quadratic in mu, recovered by evaluation at mu = 0, 1, 2.
+    by mu * dists**2 with mu = lam**2; see bordered_determinants.
     """
     vals = np.atleast_2d(np.asarray(values, dtype=float))
     d = np.asarray(dists, dtype=float)
@@ -192,19 +201,41 @@ def biquadratic_coefficients(values, dists) -> Biquadratic:
     if np.any(d <= 0.0):
         raise ValueError("distances must be positive")
     vsq = SquaredDistanceMatrix.from_points(vals).d2
-    m = np.ones((k + 2, k + 2))
-    m[0, 0] = 0.0
-    m[1, 1] = 0.0
-    m[2:, 2:] = vsq
+    _, bq = bordered_determinants(vsq[None], (d**2)[None])
+    return Biquadratic(*(float(coef[0]) for coef in bq))
 
-    def det_at(mu: float) -> float:
-        m[1, 2:] = mu * d**2
-        m[2:, 1] = mu * d**2
-        return float(np.linalg.det(m))
 
-    d0, d1, d2 = det_at(0.0), det_at(1.0), det_at(2.0)
-    a = 0.5 * (d2 - 2.0 * d1 + d0)
-    return Biquadratic(a=a, b=d1 - d0 - a, c=d0)
+def bordered_determinants(d2, r2) -> tuple[np.ndarray, Biquadratic]:
+    """Cayley-Menger determinants and substituted biquadratics, batched.
+
+    d2 stacks the squared-distance matrices of K configurations of k
+    points, shape (K, k, k); r2 holds K rows of k squared radii.  Returns
+    gamma, the K Cayley-Menger determinants, and a Biquadratic of (K,)
+    coefficient arrays: the bordered determinant with an unknown point
+    whose squared distances to the k points are mu * r2, an exact quadratic
+    in mu = lam**2 recovered by evaluation at mu = 0, 1, 2.  All 4K
+    determinants go through one det call; the Cayley-Menger matrix is
+    padded with a unit diagonal entry to the common order k + 2.
+    """
+    d2 = np.asarray(d2, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    count, k = r2.shape
+    stack = np.zeros((count, 4, k + 2, k + 2))
+    cm = stack[:, 0]
+    cm[:, 0, 1:-1] = 1.0
+    cm[:, 1:-1, 0] = 1.0
+    cm[:, 1:-1, 1:-1] = d2
+    cm[:, -1, -1] = 1.0
+    for slot, mu in ((1, 0.0), (2, 1.0), (3, 2.0)):
+        sub = stack[:, slot]
+        sub[:, 0, 1:] = 1.0
+        sub[:, 1:, 0] = 1.0
+        sub[:, 1, 2:] = mu * r2
+        sub[:, 2:, 1] = mu * r2
+        sub[:, 2:, 2:] = d2
+    gamma, d0, d1, dd2 = np.linalg.det(stack).T
+    a = 0.5 * (dd2 - 2.0 * d1 + d0)
+    return gamma, Biquadratic(a=a, b=d1 - d0 - a, c=d0)
 
 
 def solve_biquadratic(bq: Biquadratic) -> list[float]:

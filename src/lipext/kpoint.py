@@ -24,9 +24,11 @@ from .geometry import (
     HULL_TOL,
     SIMPLEX_TOL,
     Biquadratic,
+    bordered_determinants,
     in_convex_hull,
     is_simplex,
     solve_biquadratic,
+    sphere_point,
 )
 
 
@@ -137,19 +139,49 @@ def _canonical_order(s: LabeledPointSet) -> list[int]:
     return sorted(range(s.size), key=lambda i: (tuple(s.points[i]), tuple(s.values[i])))
 
 
-def _value_spread(values: np.ndarray) -> float:
-    diff = values[:, None, :] - values[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+def _spread(rows: list[list[float]]) -> tuple[float, bool]:
+    """Largest distance between two rows, and whether the rows count as
+    constant: spread at most CONSTANT_TOL times the value magnitude.
+
+    The squares are taken of differences scaled by the power of two that
+    brings the magnitude into [0.5, 1): exact for normal inputs, and free
+    of the overflow (values beyond ~1e154) and underflow (below ~1e-162)
+    that would make any data look constant.
+    """
+    vmag = max([abs(x) for row in rows for x in row])
+    shift = min(-math.frexp(vmag)[1], 1022)
+    sc = math.ldexp(1.0, shift)
+    top = 0.0
+    for i, ri in enumerate(rows):
+        for rj in rows[i + 1:]:
+            sq = 0.0
+            for a, b in zip(ri, rj):
+                t = (a - b) * sc
+                sq += t * t
+            if sq > top:
+                top = sq
+    spread = math.sqrt(top)
+    return math.ldexp(spread, -shift), spread <= CONSTANT_TOL * max(vmag * sc, spread)
+
+
+def _float_list(x) -> list[float]:
+    """x flattened to a list of floats; a flat list skips numpy."""
+    if type(x) is list:
+        try:
+            return list(map(float, x))
+        except TypeError:
+            pass
+    return np.asarray(x, dtype=float).reshape(-1).tolist()
 
 
 def pairwise_optimum(values, dists) -> tuple[float, float, tuple[int, int]]:
     """Scalar closed form: the pair maximizing |u_i - u_j| / (d_i + d_j).
 
     Returns (value, ratio, (i, j)).  Plain-float loops: this sits in the
-    inner loop of the graph solvers.
+    inner loop of the graph solvers, which pass lists of floats.
     """
-    u = [float(v) for v in np.asarray(values, dtype=float).reshape(-1)]
-    d = [float(v) for v in np.asarray(dists, dtype=float).reshape(-1)]
+    u = _float_list(values)
+    d = _float_list(dists)
     n = len(u)
     if n == 1:
         return u[0], 0.0, (0, 0)
@@ -192,115 +224,118 @@ def minimax_kernel(values, dists, tol: float = CERT_TOL):
     Sizes ascend from 2 to min(m + 1, N); within a size subsets are tested
     lexicographically and the first certified candidate wins.  Raises
     NoCertifiedSubset if nothing certifies (numerical failure).
+
+    The constant test and the pair phase run on plain floats, and each
+    call does only the work its exit needs: pairs are scanned in row-major
+    order up to the first certified one, a pair is dropped at its first
+    violated sample, and the determinants of a subset size are computed
+    only when the enumeration reaches it.
     """
-    raw_values = np.atleast_2d(np.asarray(values, dtype=float))
-    raw_dists = np.asarray(dists, dtype=float)
-    vmag = float(np.abs(raw_values).max())
-    spread = _value_spread(raw_values)
-    if spread <= CONSTANT_TOL * max(vmag, spread):
+    raw_values = np.asarray(values, dtype=float)
+    if raw_values.ndim < 2:
+        raw_values = np.atleast_2d(raw_values)
+    rows = raw_values.tolist()
+    spread, constant = _spread(rows)
+    if constant:
         return 0.0, raw_values[0].copy(), (0,), np.array([1.0]), 0.0
     # center and rescale: the bordered determinants mix squared value
     # distances with squared sample distances, and mismatched scales drown
     # the small coefficients in cancellation noise
-    center = raw_values.mean(axis=0)
-    dscale = float(raw_dists.max())
-    values = (raw_values - center) / spread
-    dists = raw_dists / dscale
-    n, m = values.shape
-    dmax = float(dists.max())
+    n, m = raw_values.shape
+    center = (np.add.reduce(raw_values, axis=0) / n).tolist()
+    vals = [[(x - c) / spread for x, c in zip(row, center)] for row in rows]
+    raw_dists = list(map(float, dists))
+    dscale = max(raw_dists)
+    d = [x / dscale for x in raw_dists]
+    dmax = max(d)
     noise = NOISE_TOL  # rounding-noise floor on the unit value scale
 
     def denorm(lam, point, active, coords, viol):
         return (
             lam * spread / dscale,
-            center + point * spread,
+            np.array([c + p * spread for c, p in zip(center, point)]),
             active,
             coords,
             viol * spread,
         )
 
-    # pair phase, vectorized: lam_ij, candidate points, worst violation
-    diff = values[:, None, :] - values[None, :, :]
-    vdist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    dsum = dists[:, None] + dists[None, :]
-    lam_ij = vdist / dsum
-    cand = (dists[None, :, None] * values[:, None, :] + dists[:, None, None] * values[None, :, :]) / dsum[:, :, None]
-    gap = cand[:, :, None, :] - values[None, None, :, :]
-    viol_ij = np.max(
-        np.sqrt(np.einsum("ijkl,ijkl->ijk", gap, gap)) - lam_ij[:, :, None] * dists[None, None, :],
-        axis=2,
-    )
-    ok = viol_ij <= tol * lam_ij * dmax + noise
-    ok[np.tril_indices(n)] = False
-    if ok.any():
-        flat = int(np.flatnonzero(ok.ravel())[0])
-        i, j = divmod(flat, n)
-        lam = float(lam_ij[i, j])
-        point = cand[i, j].copy()
-        coords = np.array([dists[j], dists[i]]) / (dists[i] + dists[j])
-        return denorm(lam, point, (i, j), coords, float(viol_ij[i, j]))
+    # pair phase: lam_ij = ||f_i - f_j|| / (d_i + d_j) for every pair
+    pairs = []
+    lam_max = span = -1.0
+    for i in range(n):
+        vi, di = vals[i], d[i]
+        for j in range(i + 1, n):
+            sq = 0.0
+            for a, b in zip(vi, vals[j]):
+                t = a - b
+                sq += t * t
+            dist = math.sqrt(sq)
+            ds = di + d[j]
+            lam = dist / ds
+            pairs.append((lam, i, j, dist))
+            if lam > lam_max:
+                lam_max, span = lam, ds
+    # A certified pair's candidate y has ||y - f_k|| <= lam d_k + thr for
+    # every k, so at the steepest pair (k, l) the triangle inequality gives
+    # lam >= lam_max - 2 thr / (d_k + d_l).  With thr at its largest and
+    # the bound doubled (rounding stays below 1e-15 on the unit scale,
+    # against thr >= NOISE_TOL), pairs below the floor cannot certify.
+    floor = lam_max - 4.0 * (tol * lam_max * dmax + noise) / span
+    for lam, i, j, _ in pairs:
+        if lam < floor:
+            continue
+        di, dj = d[i], d[j]
+        ds = di + dj
+        point = [(dj * a + di * b) / ds for a, b in zip(vals[i], vals[j])]
+        thr = tol * lam * dmax + noise
+        worst = -math.inf
+        for vk, dk in zip(vals, d):
+            sq = 0.0
+            for a, b in zip(point, vk):
+                t = a - b
+                sq += t * t
+            gap = math.sqrt(sq) - lam * dk
+            if not gap <= thr:
+                break
+            if gap > worst:
+                worst = gap
+        else:
+            return denorm(lam, point, (i, j), np.array([dj / ds, di / ds]), worst)
 
     # strict pass with the relative simplex threshold, then one relaxed pass
     # accepting any subset with exactly nonzero bordered determinant (near-
-    # threshold simplices can carry the only certificate).  Determinants for
-    # a whole size class go through one batched det call; the sphere system
-    # is solved in affine coordinates whose coefficients are exactly the
-    # hull coordinates of the candidate, so no separate hull solve is needed.
-    vsq = vdist * vdist
-    by_size: dict[int, tuple[list[tuple[int, ...]], np.ndarray]] = {}
-    for size in range(3, min(m + 1, n) + 1):
-        subsets = list(combinations(range(n), size))
-        stack = np.zeros((len(subsets), 4, size + 2, size + 2))
-        for si, subset in enumerate(subsets):
-            js = list(subset)
-            block = vsq[np.ix_(js, js)]
-            dj2 = dists[js] ** 2
-            # slot 0: bordered distance matrix of the values, padded with a
-            # unit diagonal entry so all four determinants share one shape
-            mm = stack[si, 0]
-            mm[0, 1:-1] = 1.0
-            mm[1:-1, 0] = 1.0
-            mm[1:-1, 1:-1] = block
-            mm[-1, -1] = 1.0
-            # slots 1..3: the substituted matrix at mu = 0, 1, 2
-            for slot, mu in ((1, 0.0), (2, 1.0), (3, 2.0)):
-                mm = stack[si, slot]
-                mm[0, 1:] = 1.0
-                mm[1:, 0] = 1.0
-                mm[1, 2:] = mu * dj2
-                mm[2:, 1] = mu * dj2
-                mm[2:, 2:] = block
-        by_size[size] = (subsets, np.linalg.det(stack))
-
+    # threshold simplices can carry the only certificate).  The sphere
+    # system is solved in affine coordinates whose coefficients are exactly
+    # the hull coordinates of the candidate, so no separate hull solve is
+    # needed.
+    values = np.array(vals)
+    dists = np.array(d)
+    vsq = np.zeros((n, n))
+    for _, i, j, dist in pairs:
+        vsq[i, j] = vsq[j, i] = dist * dist
+    classes: dict[int, tuple] = {}
     for simplex_tol in (SIMPLEX_TOL, 0.0):
         for size in range(3, min(m + 1, n) + 1):
-            subsets, dets = by_size[size]
+            if size not in classes:
+                classes[size] = _size_class(vsq, dists, size)
+            subsets, gamma, bq, scales = classes[size]
             for si, subset in enumerate(subsets):
-                js = list(subset)
-                gamma, d0, d1, d2 = dets[si]
-                scale = float(vsq[np.ix_(js, js)].max())
-                if scale == 0.0 or not abs(gamma) > simplex_tol * scale ** (size - 1):
+                scale = float(scales[si])
+                if scale == 0.0 or not abs(gamma[si]) > simplex_tol * scale ** (size - 1):
                     continue
-                a = 0.5 * (d2 - 2.0 * d1 + d0)
-                bq = Biquadratic(a=a, b=d1 - d0 - a, c=d0)
-                vals_j = values[js]
-                base = vals_j[0]
-                bmat = vals_j[1:] - base
-                gram = 2.0 * (bmat @ bmat.T)
-                bnorm2 = np.einsum("ij,ij->i", bmat, bmat)
+                js = list(subset)
+                centers = values[js]
                 dj = dists[js]
-                for lam in solve_biquadratic(bq):
+                for lam in solve_biquadratic(Biquadratic(bq.a[si], bq.b[si], bq.c[si])):
                     if lam <= 0.0:
                         continue
                     rad = lam * dj
-                    rhs = bnorm2 + rad[0] ** 2 - rad[1:] ** 2
                     try:
-                        coef = np.linalg.solve(gram, rhs)
+                        coef, y = sphere_point(centers, rad)
                     except np.linalg.LinAlgError:
                         continue
-                    y = base + coef @ bmat
                     lscale = max(float(rad.max()), math.sqrt(scale))
-                    if abs(float(np.linalg.norm(y - base)) - rad[0]) > CERT_TOL * lscale:
+                    if abs(float(np.linalg.norm(y - centers[0])) - rad[0]) > CERT_TOL * lscale:
                         continue
                     coords = np.concatenate([[1.0 - coef.sum()], coef])
                     if coords.min() < -HULL_TOL:
@@ -309,6 +344,17 @@ def minimax_kernel(values, dists, tol: float = CERT_TOL):
                     if viol <= tol * lam * dmax + noise:
                         return denorm(lam, y, subset, coords, viol)
     raise NoCertifiedSubset(f"no certified subset among {n} samples (m = {m})")
+
+
+def _size_class(vsq: np.ndarray, dists: np.ndarray, size: int):
+    """(subsets, gamma, biquadratics, scales) for every subset of the given
+    size in lexicographic order, scale being the largest squared value
+    distance within the subset."""
+    subsets = list(combinations(range(dists.size), size))
+    idx = np.array(subsets)
+    block = vsq[idx[:, :, None], idx[:, None, :]]
+    gamma, bq = bordered_determinants(block, dists[idx] ** 2)
+    return subsets, gamma, bq, block.max(axis=(1, 2))
 
 
 def kpoint_vector(s: LabeledPointSet, x, tol: float = CERT_TOL) -> KPointResult:
@@ -487,8 +533,8 @@ def kpoint_oracle(s: LabeledPointSet, x, tol: float = 1e-7) -> KPointResult:
     d = _distances(s, x)
     values = s.values
     n, m = values.shape
-    spread = _value_spread(values)
-    if n == 1 or spread <= CONSTANT_TOL * max(float(np.abs(values).max()), spread):
+    spread, constant = _spread(values.tolist())
+    if n == 1 or constant:
         point = values[0].copy()
         return KPointResult(0.0, point, (0,), 0.0, np.array([1.0]))
     lip = lip_constant(s)

@@ -103,7 +103,6 @@ class ExtensionResult:
     values: VertexFunction
     report: VerifyReport
     stage_slopes: list[float] | None
-    converged: bool
 
 
 def _edge_key(a: str, b: str) -> tuple[str, str]:
@@ -135,9 +134,13 @@ def _oriented(vertices: tuple[str, ...], lengths: tuple[float, ...],
     return ConnectingPath(tuple(reversed(vertices)), tuple(reversed(lengths)), slope)
 
 
-def _single_edge_candidates(g: Graph, state: SubgraphState) -> list[ConnectingPath]:
+def _single_edge_candidates(g: Graph, state: SubgraphState, at=None) -> list[ConnectingPath]:
+    """Unused edges between labeled vertices as one-edge paths: every such
+    edge, or only those at the vertices in `at`."""
+    edges = g.lengths if at is None else {
+        _edge_key(v, w): ln for v in at for w, ln in g.neighbors(v)}
     out = []
-    for (a, b), ln in g.lengths.items():
+    for (a, b), ln in edges.items():
         if (a, b) in state.used_edges:
             continue
         if a in state.labeled and b in state.labeled:
@@ -332,16 +335,14 @@ def solve_scalar(g: Graph) -> ExtensionResult:
         log.debug("stage %d: slope %.6g through %s",
                   len(state.stage_slopes) + 1, interior.slope, interior.vertices)
         state = apply_path(state, interior)
-        have = {p.edges[0] for p in pending}
-        pending.extend(
-            p for p in _single_edge_candidates(g, state) if p.edges[0] not in have
-        )
+        # only edges at the newly labeled vertices can have become single
+        pending.extend(_single_edge_candidates(g, state, interior.vertices[1:-1]))
         pending.sort(key=_rank)
         interior = _best_interior_path(g, state, edges)
     values = finalize_components(g, state)
     vf: VertexFunction = {v: np.array([val]) for v, val in values.items()}
     report = verify_extension(g, vf)
-    return ExtensionResult(vf, report, list(state.stage_slopes), True)
+    return ExtensionResult(vf, report, list(state.stage_slopes))
 
 
 def gauss_seidel_scalar(g: Graph, tol: float = 1e-10, max_iter: int = 100_000) -> ExtensionResult:
@@ -359,25 +360,38 @@ def gauss_seidel_scalar(g: Graph, tol: float = 1e-10, max_iter: int = 100_000) -
         raise NotConverged(
             f"displacement above {tol} after {max_iter} sweeps", values=values, report=report
         )
-    return ExtensionResult(values, report, None, True)
+    return ExtensionResult(values, report, None)
+
+
+def _boundary_range(g: Graph, tol: float) -> tuple[float, float, float]:
+    """(lo, hi, slack): the range of the scalar boundary data and the
+    checks' tolerance, tol times its span (tol for constant data)."""
+    fvals = [float(v[0]) for v in g.boundary_values.values()]
+    lo, hi = min(fvals), max(fvals)
+    return lo, hi, tol * (hi - lo) if hi > lo else tol
+
+
+def maximum_principle(g: Graph, u: VertexFunction, tol: float = 1e-9) -> tuple[bool, str | None]:
+    """Whether every value of the scalar candidate u lies in the range of
+    the boundary data, widened by tol times its span (by tol for constant
+    data), with the first vertex in id order that does not."""
+    lo, hi, scaled = _boundary_range(g, tol)
+    for x in g.ids:
+        val = float(u[x][0])
+        if val < lo - scaled or val > hi + scaled:
+            return False, x
+    return True, None
 
 
 def verify_extension(g: Graph, u: VertexFunction, tol: float = 1e-9) -> VerifyReport:
     """Re-derive the defining checks for a scalar candidate extension."""
-    fvals = [float(v[0]) for v in g.boundary_values.values()]
-    span = max(fvals) - min(fvals) if fvals else 0.0
-    scaled = tol * span if span > 0.0 else tol
+    lo, hi, scaled = _boundary_range(g, tol)
+    span = hi - lo
 
     worst, witness = _worst_move(g, u)
     residual_ok = worst <= scaled
 
-    lo, hi = min(fvals), max(fvals)
-    mp_ok, mp_witness = True, None
-    for x in g.ids:
-        val = float(u[x][0])
-        if val < lo - scaled or val > hi + scaled:
-            mp_ok, mp_witness = False, x
-            break
+    mp_ok, mp_witness = maximum_principle(g, u, tol)
 
     ids = g.ids
     edges = edge_arrays(g)

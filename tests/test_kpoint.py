@@ -2,12 +2,19 @@ import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from lipext.errors import QueryCoincidesWithSample
+from conftest import random_graph
+from lipext import vector
+from lipext.errors import NoCertifiedSubset, QueryCoincidesWithSample
+from lipext.geometry import HULL_TOL, SIMPLEX_TOL, Biquadratic, is_simplex, solve_biquadratic
 from lipext.kpoint import (
+    CERT_TOL,
+    CONSTANT_TOL,
+    NOISE_TOL,
     Feasibility,
     LabeledPointSet,
     _project_cycles,
@@ -17,6 +24,7 @@ from lipext.kpoint import (
     kpoint_scalar,
     kpoint_vector,
     lip_constant,
+    minimax_kernel,
     pairwise_optimum,
     pair_candidate,
 )
@@ -341,6 +349,20 @@ def test_extreme_scales_and_offsets():
         assert np.allclose(shifted.point - offset, base.point, atol=1e-6)
 
 
+def test_extreme_magnitudes():
+    # squared differences of values near 1e160 overflow and near 1e-170
+    # underflow; neither may make the data look constant
+    rng = np.random.default_rng(59)
+    for factor in (1e-200, 1e-160, 1e160, 1e200):
+        for _ in range(25):
+            s, x = random_instance(rng)
+            base = kpoint_vector(s, x)
+            scaled = kpoint_vector(LabeledPointSet(s.points, s.values * factor), x)
+            assert scaled.lam == pytest.approx(base.lam * factor, rel=1e-9)
+            assert np.allclose(scaled.point, base.point * factor,
+                               rtol=1e-9, atol=1e-9 * factor)
+
+
 def test_permutation_invariance():
     rng = np.random.default_rng(41)
     for _ in range(40):
@@ -379,3 +401,187 @@ def test_result_invariants():
         for i in r.active:
             gap = abs(np.linalg.norm(r.point - s.values[i]) - r.lam * d[i])
             assert gap <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# minimax_kernel against the fully vectorised kernel it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_kernel(values, dists, tol=CERT_TOL):
+    """The former kernel: every pair evaluated at once in numpy, and the
+    determinant stacks of every subset size built before any is tested."""
+    raw_values = np.atleast_2d(np.asarray(values, dtype=float))
+    raw_dists = np.asarray(dists, dtype=float)
+    vmag = float(np.abs(raw_values).max())
+    rdiff = raw_values[:, None, :] - raw_values[None, :, :]
+    spread = float(np.sqrt(np.einsum("ijk,ijk->ij", rdiff, rdiff).max()))
+    if spread <= CONSTANT_TOL * max(vmag, spread):
+        return 0.0, raw_values[0].copy(), (0,), np.array([1.0]), 0.0
+    center = raw_values.mean(axis=0)
+    dscale = float(raw_dists.max())
+    values = (raw_values - center) / spread
+    dists = raw_dists / dscale
+    n, m = values.shape
+    dmax = float(dists.max())
+    noise = NOISE_TOL
+
+    def denorm(lam, point, active, coords, viol):
+        return lam * spread / dscale, center + point * spread, active, coords, viol * spread
+
+    diff = values[:, None, :] - values[None, :, :]
+    vdist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dsum = dists[:, None] + dists[None, :]
+    lam_ij = vdist / dsum
+    cand = (dists[None, :, None] * values[:, None, :]
+            + dists[:, None, None] * values[None, :, :]) / dsum[:, :, None]
+    gap = cand[:, :, None, :] - values[None, None, :, :]
+    viol_ij = np.max(
+        np.sqrt(np.einsum("ijkl,ijkl->ijk", gap, gap)) - lam_ij[:, :, None] * dists[None, None, :],
+        axis=2,
+    )
+    ok = viol_ij <= tol * lam_ij * dmax + noise
+    ok[np.tril_indices(n)] = False
+    if ok.any():
+        i, j = divmod(int(np.flatnonzero(ok.ravel())[0]), n)
+        coords = np.array([dists[j], dists[i]]) / (dists[i] + dists[j])
+        return denorm(float(lam_ij[i, j]), cand[i, j].copy(), (i, j), coords,
+                      float(viol_ij[i, j]))
+
+    vsq = vdist * vdist
+    by_size = {}
+    for size in range(3, min(m + 1, n) + 1):
+        subsets = list(combinations(range(n), size))
+        stack = np.zeros((len(subsets), 4, size + 2, size + 2))
+        for si, subset in enumerate(subsets):
+            js = list(subset)
+            block = vsq[np.ix_(js, js)]
+            dj2 = dists[js] ** 2
+            mm = stack[si, 0]
+            mm[0, 1:-1] = 1.0
+            mm[1:-1, 0] = 1.0
+            mm[1:-1, 1:-1] = block
+            mm[-1, -1] = 1.0
+            for slot, mu in ((1, 0.0), (2, 1.0), (3, 2.0)):
+                mm = stack[si, slot]
+                mm[0, 1:] = 1.0
+                mm[1:, 0] = 1.0
+                mm[1, 2:] = mu * dj2
+                mm[2:, 1] = mu * dj2
+                mm[2:, 2:] = block
+        by_size[size] = (subsets, np.linalg.det(stack))
+
+    for simplex_tol in (SIMPLEX_TOL, 0.0):
+        for size in range(3, min(m + 1, n) + 1):
+            subsets, dets = by_size[size]
+            for si, subset in enumerate(subsets):
+                js = list(subset)
+                gamma, d0, d1, d2 = dets[si]
+                scale = float(vsq[np.ix_(js, js)].max())
+                if scale == 0.0 or not abs(gamma) > simplex_tol * scale ** (size - 1):
+                    continue
+                a = 0.5 * (d2 - 2.0 * d1 + d0)
+                bq = Biquadratic(a=a, b=d1 - d0 - a, c=d0)
+                vals_j = values[js]
+                base = vals_j[0]
+                bmat = vals_j[1:] - base
+                gram = 2.0 * (bmat @ bmat.T)
+                bnorm2 = np.einsum("ij,ij->i", bmat, bmat)
+                dj = dists[js]
+                for lam in solve_biquadratic(bq):
+                    if lam <= 0.0:
+                        continue
+                    rad = lam * dj
+                    rhs = bnorm2 + rad[0] ** 2 - rad[1:] ** 2
+                    try:
+                        coef = np.linalg.solve(gram, rhs)
+                    except np.linalg.LinAlgError:
+                        continue
+                    y = base + coef @ bmat
+                    lscale = max(float(rad.max()), math.sqrt(scale))
+                    if abs(float(np.linalg.norm(y - base)) - rad[0]) > CERT_TOL * lscale:
+                        continue
+                    coords = np.concatenate([[1.0 - coef.sum()], coef])
+                    if coords.min() < -HULL_TOL:
+                        continue
+                    viol = float(np.max(np.linalg.norm(y - values, axis=1) - lam * dists))
+                    if viol <= tol * lam * dmax + noise:
+                        return denorm(lam, y, subset, coords, viol)
+    raise NoCertifiedSubset(f"no certified subset among {n} samples (m = {m})")
+
+
+def _assert_matches_reference(values, dists):
+    """Bit-identical results for m <= 2; for m = 3 the sums of squares may
+    round differently, so lam and the point agree to 1e-12 relative.  The
+    active set is the same in both cases."""
+    ref = _reference_kernel(values, dists)
+    got = minimax_kernel(values, dists)
+    assert got[2] == ref[2]
+    if np.atleast_2d(np.asarray(values)).shape[1] <= 2:
+        assert got[0] == ref[0] and got[4] == ref[4]
+        assert np.array_equal(got[1], ref[1]) and np.array_equal(got[3], ref[3])
+    else:
+        assert got[0] == pytest.approx(ref[0], rel=1e-12)
+        assert np.linalg.norm(got[1] - ref[1]) <= 1e-12 * np.linalg.norm(ref[1])
+    return got
+
+
+def test_kernel_matches_reference_on_c06_corpus():
+    rng = np.random.default_rng(20260810)
+    for _ in range(500):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
+        size = int(rng.integers(1, 9))
+        points, values = rng.uniform(-1, 1, (size, n)), rng.uniform(-1, 1, (size, m))
+        x = rng.uniform(-1, 1, n)
+        while min(np.linalg.norm(points - x, axis=1)) < 1e-3:
+            x = rng.uniform(-1, 1, n)
+        d = np.linalg.norm(points - x, axis=1)
+        _assert_matches_reference(values, d)
+
+
+def test_kernel_matches_reference_in_sweeps(monkeypatch):
+    """Every kernel call iterate_tight makes on the C09 graphs."""
+    calls = []
+
+    def recording(values, dists, *args):
+        calls.append(([np.array(v) for v in values], list(dists)))
+        return minimax_kernel(values, dists, *args)
+
+    monkeypatch.setattr(vector, "minimax_kernel", recording)
+    rng = np.random.default_rng(909)
+    for _ in range(50):
+        vector.iterate_tight(random_graph(rng, max_vertices=24, m=2), tol=1e-10)
+    exits = {1: 0, 2: 0, 3: 0}
+    for values, dists in calls:
+        exits[len(_assert_matches_reference(values, dists)[2])] += 1
+    assert min(exits.values()) > 0, exits
+
+
+def test_kernel_matches_reference_near_a_tie():
+    # the pair (0, 1) certifies within the tolerance although (0, 2) is
+    # steeper by a fraction of it: pruning must not skip the first pair
+    for gap in (1e-10, 5e-10, 9e-10, 3e-9):
+        values = np.array([[0.0], [2.0], [2.001 + gap]])
+        got = _assert_matches_reference(values, np.array([1.0, 1.0, 1.001]))
+        assert got[2] == ((0, 1) if gap < 1e-9 else (0, 2))
+
+
+def test_kernel_matches_reference_in_relaxed_pass():
+    # a needle triangle: the optimum needs all three samples, and their
+    # bordered determinant is below the strict simplex threshold
+    values = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 2.5e-8]])
+    dists = np.array([1.0, 1.0, 7.5e-9])
+    got = _assert_matches_reference(values, dists)
+    assert got[2] == (0, 1, 2)
+    assert not is_simplex(values)
+
+
+def test_kernel_matches_reference_at_degree_64():
+    rng = np.random.default_rng(64)
+    angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    radii = rng.uniform(0.3, 1.0, 64)
+    offsets = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    # linear data around the query: one steepest pair certifies
+    got = _assert_matches_reference(offsets @ np.array([[2.0, 0.5], [-1.0, 1.5]]), radii)
+    assert len(got[2]) == 2
+    _assert_matches_reference(rng.uniform(-1, 1, (64, 1)), rng.uniform(0.2, 1.0, 64))
