@@ -164,24 +164,14 @@ def _spread(rows: list[list[float]]) -> tuple[float, bool]:
     return math.ldexp(spread, -shift), spread <= CONSTANT_TOL * max(vmag * sc, spread)
 
 
-def _float_list(x) -> list[float]:
-    """x flattened to a list of floats; a flat list skips numpy."""
-    if type(x) is list:
-        try:
-            return list(map(float, x))
-        except TypeError:
-            pass
-    return np.asarray(x, dtype=float).reshape(-1).tolist()
-
-
 def pairwise_optimum(values, dists) -> tuple[float, float, tuple[int, int]]:
     """Scalar closed form: the pair maximizing |u_i - u_j| / (d_i + d_j).
 
     Returns (value, ratio, (i, j)).  Plain-float loops: this sits in the
     inner loop of the graph solvers, which pass lists of floats.
     """
-    u = _float_list(values)
-    d = _float_list(dists)
+    u = list(map(float, values))
+    d = list(map(float, dists))
     n = len(u)
     if n == 1:
         return u[0], 0.0, (0, 0)
@@ -280,6 +270,8 @@ def minimax_kernel(values, dists, tol: float = CERT_TOL):
     # lam >= lam_max - 2 thr / (d_k + d_l).  With thr at its largest and
     # the bound doubled (rounding stays below 1e-15 on the unit scale,
     # against thr >= NOISE_TOL), pairs below the floor cannot certify.
+    # Skipping them costs less than testing them, even at degree 3 to 6,
+    # and is what keeps a pair exit cheap at high degree.
     floor = lam_max - 4.0 * (tol * lam_max * dmax + noise) / span
     for lam, i, j, _ in pairs:
         if lam < floor:

@@ -134,11 +134,10 @@ def _oriented(vertices: tuple[str, ...], lengths: tuple[float, ...],
     return ConnectingPath(tuple(reversed(vertices)), tuple(reversed(lengths)), slope)
 
 
-def _single_edge_candidates(g: Graph, state: SubgraphState, at=None) -> list[ConnectingPath]:
-    """Unused edges between labeled vertices as one-edge paths: every such
-    edge, or only those at the vertices in `at`."""
-    edges = g.lengths if at is None else {
-        _edge_key(v, w): ln for v in at for w, ln in g.neighbors(v)}
+def _single_edge_candidates(g: Graph, state: SubgraphState, at) -> list[ConnectingPath]:
+    """Unused edges between labeled vertices, at least one of them in `at`,
+    as one-edge paths."""
+    edges = {_edge_key(v, w): ln for v in at for w, ln in g.neighbors(v)}
     out = []
     for (a, b), ln in edges.items():
         if (a, b) in state.used_edges:
@@ -239,7 +238,7 @@ def _lexicographic_path(g: Graph, state: SubgraphState, a: str, b: str) -> Conne
 
 def find_max_slope_connecting_path(g: Graph, state: SubgraphState) -> ConnectingPath | None:
     """Steepest connecting path over all labeled pairs, or None."""
-    cands = _single_edge_candidates(g, state)
+    cands = _single_edge_candidates(g, state, state.labeled)
     interior = _best_interior_path(g, state, edge_arrays(g))
     if interior is not None:
         cands.append(interior)
@@ -319,7 +318,7 @@ def solve_scalar(g: Graph) -> ExtensionResult:
     # single labeled-labeled edges neither move values nor relabel anything,
     # so the steepest interior path stays valid while they are drained
     interior = _best_interior_path(g, state, edges)
-    pending = _single_edge_candidates(g, state)
+    pending = _single_edge_candidates(g, state, state.labeled)
     pending.sort(key=_rank)
     while True:
         take_single = bool(pending) and (

@@ -559,8 +559,9 @@ def test_kernel_matches_reference_in_sweeps(monkeypatch):
 
 def test_kernel_matches_reference_near_a_tie():
     # the pair (0, 1) certifies within the tolerance although (0, 2) is
-    # steeper by a fraction of it: pruning must not skip the first pair
-    for gap in (1e-10, 5e-10, 9e-10, 3e-9):
+    # steeper by a fraction of it: the first certified pair wins, not the
+    # steepest
+    for gap in (1e-10, 5e-10, 9e-10, 1.2e-9, 2e-9, 3e-9):
         values = np.array([[0.0], [2.0], [2.001 + gap]])
         got = _assert_matches_reference(values, np.array([1.0, 1.0, 1.001]))
         assert got[2] == ((0, 1) if gap < 1e-9 else (0, 2))

@@ -426,7 +426,7 @@ def _reference_interior_path(g, state):
 
 
 def _reference_path(g, state):
-    cands = _single_edge_candidates(g, state)
+    cands = _single_edge_candidates(g, state, state.labeled)
     interior = _reference_interior_path(g, state)
     if interior is not None:
         cands.append(interior)
