@@ -45,10 +45,6 @@ class SquaredDistanceMatrix:
             raise ValueError("squared distances must be nonnegative")
         object.__setattr__(self, "d2", d2)
 
-    @property
-    def k(self) -> int:
-        return self.d2.shape[0]
-
     @classmethod
     def from_points(cls, points) -> "SquaredDistanceMatrix":
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -106,8 +102,7 @@ def is_simplex(points, tol: float = SIMPLEX_TOL) -> bool:
     return abs(cayley_menger(sq)) > tol * scale ** (k - 1)
 
 
-def barycentric_coordinates(vertices, y, tol: float = HULL_TOL,
-                            simplex_tol: float = SIMPLEX_TOL) -> np.ndarray:
+def barycentric_coordinates(vertices, y, tol: float = HULL_TOL) -> np.ndarray:
     """Coefficients t with sum(t) = 1 and t @ vertices = y.
 
     Raises DegenerateSimplex when the vertices fail the simplex test and
@@ -116,7 +111,7 @@ def barycentric_coordinates(vertices, y, tol: float = HULL_TOL,
     """
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
     y = np.asarray(y, dtype=float)
-    if not is_simplex(verts, simplex_tol):
+    if not is_simplex(verts):
         raise DegenerateSimplex(f"{verts.shape[0]} points do not span a simplex")
     k = verts.shape[0]
     base = verts[-1]
@@ -137,18 +132,16 @@ def barycentric_coordinates(vertices, y, tol: float = HULL_TOL,
     return t
 
 
-def in_convex_hull(vertices, y, tol: float = HULL_TOL,
-                   simplex_tol: float = SIMPLEX_TOL) -> bool:
+def in_convex_hull(vertices, y, tol: float = HULL_TOL) -> bool:
     """Non-strict hull membership: all barycentric coordinates >= -tol."""
     try:
-        t = barycentric_coordinates(vertices, y, tol, simplex_tol)
+        t = barycentric_coordinates(vertices, y, tol)
     except NotInAffineHull:
         return False
     return bool(np.all(t >= -tol))
 
 
-def solve_sphere_intersection(centers, radii, tol: float = HULL_TOL,
-                              simplex_tol: float = SIMPLEX_TOL):
+def solve_sphere_intersection(centers, radii, tol: float = HULL_TOL):
     """Point of the affine hull of the centers at distance radii[l] from each.
 
     Subtracting the sphere equations pairwise leaves a linear system in
@@ -159,7 +152,7 @@ def solve_sphere_intersection(centers, radii, tol: float = HULL_TOL,
     rad = np.atleast_1d(np.asarray(radii, dtype=float))
     if ctr.shape[0] != rad.shape[0]:
         raise ValueError("need one radius per center")
-    if not is_simplex(ctr, simplex_tol):
+    if not is_simplex(ctr):
         raise DegenerateSimplex("sphere centers must span a simplex")
     k = ctr.shape[0]
     scale = max(_config_scale(ctr, ctr[0]), float(rad.max(initial=0.0)))
@@ -201,41 +194,37 @@ def biquadratic_coefficients(values, dists) -> Biquadratic:
     if np.any(d <= 0.0):
         raise ValueError("distances must be positive")
     vsq = SquaredDistanceMatrix.from_points(vals).d2
-    _, bq = bordered_determinants(vsq[None], (d**2)[None])
+    bq = bordered_determinants(vsq[None], (d**2)[None])
     return Biquadratic(*(float(coef[0]) for coef in bq))
 
 
-def bordered_determinants(d2, r2) -> tuple[np.ndarray, Biquadratic]:
-    """Cayley-Menger determinants and substituted biquadratics, batched.
+def bordered_determinants(d2, r2) -> Biquadratic:
+    """Substituted bordered determinants, batched.
 
     d2 stacks the squared-distance matrices of K configurations of k
-    points, shape (K, k, k); r2 holds K rows of k squared radii.  Returns
-    gamma, the K Cayley-Menger determinants, and a Biquadratic of (K,)
-    coefficient arrays: the bordered determinant with an unknown point
-    whose squared distances to the k points are mu * r2, an exact quadratic
-    in mu = lam**2 recovered by evaluation at mu = 0, 1, 2.  All 4K
-    determinants go through one det call; the Cayley-Menger matrix is
-    padded with a unit diagonal entry to the common order k + 2.
+    points, shape (K, k, k); r2 holds K rows of k squared radii.  Returns a
+    Biquadratic of (K,) coefficient arrays: the bordered determinant with an
+    unknown point whose squared distances to the k points are mu * r2, an
+    exact quadratic in mu = lam**2 recovered by evaluation at mu = 0, 1, 2.
+    All 3K determinants go through one det call.  No Cayley-Menger test of
+    the k points comes with them: the kernel certifies each candidate
+    directly, and a degenerate configuration fails that certificate or the
+    sphere solve.
     """
     d2 = np.asarray(d2, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     count, k = r2.shape
-    stack = np.zeros((count, 4, k + 2, k + 2))
-    cm = stack[:, 0]
-    cm[:, 0, 1:-1] = 1.0
-    cm[:, 1:-1, 0] = 1.0
-    cm[:, 1:-1, 1:-1] = d2
-    cm[:, -1, -1] = 1.0
-    for slot, mu in ((1, 0.0), (2, 1.0), (3, 2.0)):
+    stack = np.zeros((count, 3, k + 2, k + 2))
+    for slot, mu in enumerate((0.0, 1.0, 2.0)):
         sub = stack[:, slot]
         sub[:, 0, 1:] = 1.0
         sub[:, 1:, 0] = 1.0
         sub[:, 1, 2:] = mu * r2
         sub[:, 2:, 1] = mu * r2
         sub[:, 2:, 2:] = d2
-    gamma, d0, d1, dd2 = np.linalg.det(stack).T
+    d0, d1, dd2 = np.linalg.det(stack).T
     a = 0.5 * (dd2 - 2.0 * d1 + d0)
-    return gamma, Biquadratic(a=a, b=d1 - d0 - a, c=d0)
+    return Biquadratic(a=a, b=d1 - d0 - a, c=d0)
 
 
 def solve_biquadratic(bq: Biquadratic) -> list[float]:

@@ -95,10 +95,6 @@ class Graph:
         """Sorted (neighbor, edge length) pairs."""
         return self._adj[self._require(x)]
 
-    def edge_length(self, a: str, b: str) -> float:
-        key = (a, b) if a < b else (b, a)
-        return self.lengths[key]
-
     def value_dim(self) -> int:
         return next(iter(self.boundary_values.values())).shape[0] if self.boundary_values else 0
 

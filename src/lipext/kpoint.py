@@ -22,7 +22,6 @@ import numpy as np
 from .errors import NoCertifiedSubset, QueryCoincidesWithSample
 from .geometry import (
     HULL_TOL,
-    SIMPLEX_TOL,
     Biquadratic,
     bordered_determinants,
     in_convex_hull,
@@ -100,14 +99,23 @@ class KPointResult:
 
 
 def lip_constant(s: LabeledPointSet) -> float:
-    """Largest value-to-position distance ratio over sample pairs."""
+    """Largest value-to-position distance ratio over sample pairs.
+
+    The norms are taken of values and positions scaled by powers of two,
+    as in _spread: exact for normal inputs, and free of overflow and
+    underflow at extreme scales.
+    """
+    vshift = _pow2_shift(float(np.abs(s.values).max()))
+    pshift = _pow2_shift(float(np.abs(s.points).max()))
+    vals = np.ldexp(s.values, vshift)
+    pts = np.ldexp(s.points, pshift)
     best = 0.0
     for i in range(s.size):
         for j in range(i + 1, s.size):
-            num = float(np.linalg.norm(s.values[i] - s.values[j]))
-            den = float(np.linalg.norm(s.points[i] - s.points[j]))
+            num = float(np.linalg.norm(vals[i] - vals[j]))
+            den = float(np.linalg.norm(pts[i] - pts[j]))
             best = max(best, num / den)
-    return best
+    return float(np.ldexp(best, pshift - vshift))
 
 
 def pair_candidate(s: LabeledPointSet, i: int, j: int, x) -> tuple[np.ndarray, float]:
@@ -149,7 +157,7 @@ def _spread(rows: list[list[float]]) -> tuple[float, bool]:
     that would make any data look constant.
     """
     vmag = max([abs(x) for row in rows for x in row])
-    shift = min(-math.frexp(vmag)[1], 1022)
+    shift = _pow2_shift(vmag)
     sc = math.ldexp(1.0, shift)
     top = 0.0
     for i, ri in enumerate(rows):
@@ -162,6 +170,11 @@ def _spread(rows: list[list[float]]) -> tuple[float, bool]:
                 top = sq
     spread = math.sqrt(top)
     return math.ldexp(spread, -shift), spread <= CONSTANT_TOL * max(vmag * sc, spread)
+
+
+def _pow2_shift(mag: float) -> int:
+    """Exponent of the power of two that brings mag into [0.5, 1)."""
+    return min(-math.frexp(mag)[1], 1022)
 
 
 def pairwise_optimum(values, dists) -> tuple[float, float, tuple[int, int]]:
@@ -294,59 +307,55 @@ def minimax_kernel(values, dists, tol: float = CERT_TOL):
         else:
             return denorm(lam, point, (i, j), np.array([dj / ds, di / ds]), worst)
 
-    # strict pass with the relative simplex threshold, then one relaxed pass
-    # accepting any subset with exactly nonzero bordered determinant (near-
-    # threshold simplices can carry the only certificate).  The sphere
-    # system is solved in affine coordinates whose coefficients are exactly
-    # the hull coordinates of the candidate, so no separate hull solve is
-    # needed.
+    # simplex phase: sizes ascending, subsets in lexicographic order, roots
+    # ascending, and the first certified candidate wins.  No simplex test
+    # filters the subsets first: the minimax point is unique, so every
+    # subset that certifies yields it within the certificate's tolerance,
+    # and a degenerate subset either makes the sphere system singular
+    # (LinAlgError) or has to pass the same equality, hull and domination
+    # checks as any other.  The sphere system is solved in affine
+    # coordinates whose coefficients are exactly the hull coordinates of
+    # the candidate, so no separate hull solve is needed.
     values = np.array(vals)
     dists = np.array(d)
     vsq = np.zeros((n, n))
     for _, i, j, dist in pairs:
         vsq[i, j] = vsq[j, i] = dist * dist
-    classes: dict[int, tuple] = {}
-    for simplex_tol in (SIMPLEX_TOL, 0.0):
-        for size in range(3, min(m + 1, n) + 1):
-            if size not in classes:
-                classes[size] = _size_class(vsq, dists, size)
-            subsets, gamma, bq, scales = classes[size]
-            for si, subset in enumerate(subsets):
-                scale = float(scales[si])
-                if scale == 0.0 or not abs(gamma[si]) > simplex_tol * scale ** (size - 1):
+    for size in range(3, min(m + 1, n) + 1):
+        subsets, bq, scales = _size_class(vsq, dists, size)
+        for si, subset in enumerate(subsets):
+            js = list(subset)
+            centers = values[js]
+            dj = dists[js]
+            for lam in solve_biquadratic(Biquadratic(bq.a[si], bq.b[si], bq.c[si])):
+                if lam <= 0.0:
                     continue
-                js = list(subset)
-                centers = values[js]
-                dj = dists[js]
-                for lam in solve_biquadratic(Biquadratic(bq.a[si], bq.b[si], bq.c[si])):
-                    if lam <= 0.0:
-                        continue
-                    rad = lam * dj
-                    try:
-                        coef, y = sphere_point(centers, rad)
-                    except np.linalg.LinAlgError:
-                        continue
-                    lscale = max(float(rad.max()), math.sqrt(scale))
-                    if abs(float(np.linalg.norm(y - centers[0])) - rad[0]) > CERT_TOL * lscale:
-                        continue
-                    coords = np.concatenate([[1.0 - coef.sum()], coef])
-                    if coords.min() < -HULL_TOL:
-                        continue
-                    viol = float(np.max(np.linalg.norm(y - values, axis=1) - lam * dists))
-                    if viol <= tol * lam * dmax + noise:
-                        return denorm(lam, y, subset, coords, viol)
+                rad = lam * dj
+                try:
+                    coef, y = sphere_point(centers, rad)
+                except np.linalg.LinAlgError:
+                    continue
+                lscale = max(float(rad.max()), math.sqrt(float(scales[si])))
+                if abs(float(np.linalg.norm(y - centers[0])) - rad[0]) > CERT_TOL * lscale:
+                    continue
+                coords = np.concatenate([[1.0 - coef.sum()], coef])
+                if coords.min() < -HULL_TOL:
+                    continue
+                viol = float(np.max(np.linalg.norm(y - values, axis=1) - lam * dists))
+                if viol <= tol * lam * dmax + noise:
+                    return denorm(lam, y, subset, coords, viol)
     raise NoCertifiedSubset(f"no certified subset among {n} samples (m = {m})")
 
 
 def _size_class(vsq: np.ndarray, dists: np.ndarray, size: int):
-    """(subsets, gamma, biquadratics, scales) for every subset of the given
-    size in lexicographic order, scale being the largest squared value
-    distance within the subset."""
+    """(subsets, biquadratics, scales) for every subset of the given size in
+    lexicographic order, scale being the largest squared value distance
+    within the subset (the length scale of its equality check)."""
     subsets = list(combinations(range(dists.size), size))
     idx = np.array(subsets)
     block = vsq[idx[:, :, None], idx[:, None, :]]
-    gamma, bq = bordered_determinants(block, dists[idx] ** 2)
-    return subsets, gamma, bq, block.max(axis=(1, 2))
+    bq = bordered_determinants(block, dists[idx] ** 2)
+    return subsets, bq, block.max(axis=(1, 2))
 
 
 def kpoint_vector(s: LabeledPointSet, x, tol: float = CERT_TOL) -> KPointResult:
@@ -385,8 +394,8 @@ def certificate_check(s: LabeledPointSet, x, lambda0: float, point0, subset, tol
 # independent oracle: bisection over lam with ball-intersection feasibility
 # ---------------------------------------------------------------------------
 
-# Knobs from the design notes: 80 bisection iterations, 10k projection
-# cycles, convergence threshold tol/10.  Each probe has three outcomes.  It
+# Knobs: 80 bisection iterations, 2500 projection cycles over all probes,
+# convergence threshold tol/10.  Each probe has three outcomes.  It
 # is feasible when cyclic projection reaches a point within the threshold of
 # every ball.  It is proven infeasible only by a dual certificate: weights
 # w >= 0 with sum_i w_i (||c - f_i||^2 - r_i^2) > 0 at the weighted mean c
@@ -401,7 +410,6 @@ def certificate_check(s: LabeledPointSet, x, lambda0: float, point0, subset, tol
 # starting point; the accuracy of the result comes from the epigraph
 # polish, so the patience is short.
 BISECT_ITERS = 80
-CYCLE_CAP = 10_000
 CYCLE_BUDGET = 2_500
 STALL_WINDOW = 20
 STALL_PATIENCE = 100
@@ -444,8 +452,9 @@ def _separated(w, fvals, r2) -> bool:
     return gap > PROOF_REL * scale
 
 
-def _project_cycles(lam, y, fvals, d, tol_lam, cap=CYCLE_CAP):
-    """Cyclic projection of y onto the balls B(f_i, lam * d_i).
+def _project_cycles(lam, y, fvals, d, tol_lam, cap):
+    """Cyclic projection of y onto the balls B(f_i, lam * d_i), for at
+    most cap cycles.
 
     Returns (outcome, point, cycles), outcome a Feasibility.  The weights
     tried as a _separated certificate are the fractions by which the last
@@ -544,7 +553,7 @@ def kpoint_oracle(s: LabeledPointSet, x, tol: float = 1e-7) -> KPointResult:
         if budget <= 0 or mid <= lo or mid >= hi or (hi - lo) <= INTERVAL_REL * hi:
             break
         outcome, ynew, used = _project_cycles(
-            mid, y, fvals, dl, tol / 10.0 * mid, cap=min(CYCLE_CAP, budget)
+            mid, y, fvals, dl, tol / 10.0 * mid, cap=budget
         )
         budget -= used
         if outcome is Feasibility.UNDECIDED:

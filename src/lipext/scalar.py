@@ -71,10 +71,6 @@ class ConnectingPath:
     def edges(self) -> tuple[tuple[str, str], ...]:
         return tuple(_edge_key(a, b) for a, b in zip(self.vertices, self.vertices[1:]))
 
-    @property
-    def total_length(self) -> float:
-        return sum(self.lengths)
-
 
 @dataclass(frozen=True)
 class VerifyReport:

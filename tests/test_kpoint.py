@@ -93,6 +93,20 @@ def test_lip_singleton():
     assert lip_constant(scalar_set([0.0], [7.0])) == 0.0
 
 
+def test_lip_constant_at_extreme_scales():
+    # squared differences near 1e160 overflow and near 1e-160 lose their
+    # digits to underflow
+    rng = np.random.default_rng(61)
+    for _ in range(10):
+        s = random_instance(rng)[0]
+        base = lip_constant(s)
+        for scale in (1e-160, 1e160):
+            scaled = LabeledPointSet(s.points, s.values * scale)
+            assert lip_constant(scaled) == pytest.approx(scale * base, rel=1e-12)
+            moved = LabeledPointSet(s.points / scale, s.values)
+            assert lip_constant(moved) == pytest.approx(scale * base, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # pair_candidate
 # ---------------------------------------------------------------------------
@@ -261,7 +275,7 @@ def test_feasible_probe_never_proven_infeasible():
             continue
         d = [float(v) for v in np.linalg.norm(s.points - x, axis=1)]
         fvals = [tuple(row) for row in s.values]
-        outcome, _, _ = _project_cycles(lam, s.values.mean(axis=0), fvals, d, 1e-8 * lam)
+        outcome, _, _ = _project_cycles(lam, s.values.mean(axis=0), fvals, d, 1e-8 * lam, 10_000)
         assert outcome is not Feasibility.INFEASIBLE, (tested, lam)
         tested += 1
 
@@ -575,6 +589,47 @@ def test_kernel_matches_reference_in_relaxed_pass():
     got = _assert_matches_reference(values, dists)
     assert got[2] == (0, 1, 2)
     assert not is_simplex(values)
+
+
+def test_kernel_matches_reference_on_near_collinear_grid():
+    # values (-1, 0), (1, 0), (offset, eps), distances (1, 1, f * eps): the
+    # needle triangles that the reference certifies only in its relaxed
+    # pass are among them, and so are cases where it certifies nothing
+    certified = raised = needles = 0
+    for offset in (0.0, 0.3, -0.7):
+        for eps in np.logspace(-9, -3, 61)[::3]:
+            for f in np.linspace(0.05, 0.95, 19):
+                values = np.array([[-1.0, 0.0], [1.0, 0.0], [offset, eps]])
+                dists = np.array([1.0, 1.0, f * eps])
+                try:
+                    _reference_kernel(values, dists)
+                except NoCertifiedSubset:
+                    with pytest.raises(NoCertifiedSubset):
+                        minimax_kernel(values, dists)
+                    raised += 1
+                    continue
+                got = _assert_matches_reference(values, dists)
+                certified += 1
+                needles += len(got[2]) == 3 and not is_simplex(values)
+    assert certified + raised >= 300
+    assert min(certified, raised, needles) > 0, (certified, raised, needles)
+
+
+@pytest.mark.xfail(raises=NoCertifiedSubset, strict=True)
+def test_kernel_certifies_a_near_collinear_triple():
+    # the quartic's root is nearly double here: lam = 1 + 2.45e-11 comes
+    # back off by about 1e-8 and fails the certificate
+    eps, f = 1e-5, 0.3
+    values = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, eps]])
+    lam, point, active, _, _ = minimax_kernel(values, np.array([1.0, 1.0, f * eps]))
+    # by symmetry the optimum is (0, t) with t = eps - lam f eps on the
+    # third sphere and sqrt(1 + t^2) = lam on the first two
+    exact = 1.0
+    for _ in range(5):
+        exact = math.hypot(1.0, eps - exact * f * eps)
+    assert active == (0, 1, 2)
+    assert lam == pytest.approx(exact, rel=1e-13)
+    assert point == pytest.approx([0.0, eps - exact * f * eps], abs=1e-15)
 
 
 def test_kernel_matches_reference_at_degree_64():
