@@ -31,15 +31,8 @@ from .geometry import (
 )
 
 
-# scipy.optimize adds about 0.3 s to `import lipext`, and only the oracle
-# and the hull certificates need it: import it on first use.
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
+# scipy.optimize adds about 0.3 s to `import lipext`, and only the oracle's
+# hull coordinates need it here: import it on first use.
 def nnls(*args, **kwargs):
     """scipy.optimize.nnls."""
     from scipy.optimize import nnls as scipy_nnls
@@ -406,9 +399,11 @@ def certificate_check(s: LabeledPointSet, x, lambda0: float, point0, subset, tol
 # threshold would take more than STALL_PATIENCE further cycles (cyclic
 # projections converge sublinearly when active balls touch tangentially).
 # An undecided probe ends the bisection, as do the global cycle budget and
-# an interval below 1e-9 relative.  The bisection supplies only a feasible
-# starting point; the accuracy of the result comes from the epigraph
-# polish, so the patience is short.
+# an interval below 1e-9 relative.  The bisection supplies only a start:
+# its last feasible point ranks the samples for the polish's first working
+# set.  The accuracy comes from the polish (minimize), an exact active-set
+# solve that certifies its point with the KKT conditions, so the patience
+# is short.
 BISECT_ITERS = 80
 CYCLE_BUDGET = 2_500
 STALL_WINDOW = 20
@@ -519,26 +514,170 @@ def _max_ratio(y: np.ndarray, values: np.ndarray, d: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(y - values, axis=1) / d))
 
 
+# ---------------------------------------------------------------------------
+# epigraph polish: active-set Newton on the KKT system of min t s.t.
+# k_i ||y - u_i|| <= t
+# ---------------------------------------------------------------------------
+
+# A working set W is accepted when its multipliers are >= -KKT_TOL and its
+# point satisfies k_i ||y - u_i|| <= t (1 + KKT_TOL) on the samples it must
+# cover; Newton stops when its step in (y, t) is at most STEP_TOL max(1, |t|).
+KKT_TOL = 1e-12
+STEP_TOL = 1e-14
+NEWTON_ITERS = 40
+PIVOT_ITERS = 100
+
+
+def _kkt_newton(u: np.ndarray, k: np.ndarray, y: np.ndarray):
+    """Newton's method on the KKT system of min t s.t. k_i ||y - u_i|| <= t
+    with every row of u active, started at y.
+
+    The unknowns are y, t and the multipliers w; the equations are
+    sum_i w_i k_i n_i = 0 (n_i the unit vector from u_i to y), sum_i w_i = 1
+    and k_i ||y - u_i|| = t.  w starts as the least-squares multipliers at
+    y, clipped to >= 0 and renormalised.  Returns (y, t, w), or None on a
+    singular system, a non-finite value, a zero distance or no convergence.
+    """
+    s, m = u.shape
+    if s == 1:
+        return u[0].copy(), 0.0, np.ones(1)
+    size = m + 1 + s
+    jac = np.zeros((size, size))
+    jac[m, m + 1:] = 1.0
+    jac[m + 1:, m] = -1.0
+    res = np.empty(size)
+    w = t = None
+    try:
+        for _ in range(NEWTON_ITERS):
+            diff = y - u
+            r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            if not r.min() > 0.0:
+                return None
+            g = diff * (k / r)[:, None]  # k_i n_i
+            if w is None:
+                # least squares for sum_i w_i k_i n_i = 0, sum_i w_i = 1
+                e = np.zeros(m + 1)
+                e[m] = 1.0
+                w = np.linalg.lstsq(np.vstack([g.T, np.ones(s)]), e, rcond=None)[0]
+                w = np.maximum(w, 0.0)
+                w = w / w.sum() if w.sum() > 0.0 else np.full(s, 1.0 / s)
+                t = float(np.max(k * r))
+            # d/dy of sum_i w_i k_i n_i is sum_i (w_i k_i / r_i) (I - n_i n_i^T)
+            h = -(g.T * (w / (k * r))) @ g
+            h.flat[::m + 1] += float(np.dot(w, k / r))
+            jac[:m, :m] = h
+            jac[:m, m + 1:] = g.T
+            jac[m + 1:, :m] = g
+            res[:m] = g.T @ w
+            res[m] = w.sum() - 1.0
+            res[m + 1:] = k * r - t
+            step = np.linalg.solve(jac, res)
+            y = y - step[:m]
+            t -= float(step[m])
+            w = w - step[m + 1:]
+            dyt = step[:m + 1]
+            if float(dyt @ dyt) <= (STEP_TOL * max(1.0, abs(t))) ** 2:
+                break
+        else:
+            return None
+    except np.linalg.LinAlgError:
+        return None
+    if not (math.isfinite(t) and np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
+        return None
+    return y, t, w
+
+
+def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> np.ndarray | None:
+    """Epigraph polish: the point y minimizing max_i k_i ||y - u_i|| (the
+    rows of unit), by an active-set pivot from y0, or None if no working
+    set certifies.
+
+    Each working set W of at most m + 1 samples is solved exactly by
+    _kkt_newton from the current point, and again from the k-weighted
+    centroid of W (the exact optimum of a pair) when that fails or gives a
+    negative multiplier.  The first W is
+    the shortest prefix of size 2 ... m + 1 of the samples ranked by their
+    ratio at y0 whose solution is a KKT point that covers the prefix, and
+    else the top sample alone (y = u_i, t = 0).  While some sample j
+    violates the solution, W becomes the first subset of W + {j} holding j,
+    by ascending size, whose solution is a KKT point covering W + {j} with
+    t no lower than before; the optimum over W + {j} is such a subset, and
+    t never decreases, so the pivot cannot cycle.  The returned point is
+    certified: a KKT point of W that covers every sample.
+    """
+    if not (np.all(np.isfinite(unit)) and np.all(np.isfinite(k)) and np.all(np.isfinite(y0))):
+        return None
+    n, m = unit.shape
+
+    def ratios(y, idx=slice(None)):
+        diff = y - unit[idx]
+        return k[idx] * np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+    def solve(ws, y, cover, floor):
+        uw, kw = unit[ws], k[ws]
+        sol = _kkt_newton(uw, kw, y)
+        if sol is None or sol[2].min() < -KKT_TOL:
+            sol = _kkt_newton(uw, kw, kw @ uw / kw.sum())
+        if (sol is not None and sol[1] >= floor and sol[2].min() >= -KKT_TOL
+                and ratios(sol[0], cover).max() <= sol[1] * (1.0 + KKT_TOL)):
+            return sol
+        return None
+
+    rank = np.argsort(-ratios(y0), kind="stable")
+    for size in range(2, min(n, m + 1) + 1):
+        ws = rank[:size].tolist()
+        sol = solve(ws, y0, ws, -math.inf)
+        if sol is not None:
+            y, t = sol[0], sol[1]
+            break
+    else:
+        ws = rank[:1].tolist()
+        y, t = unit[ws[0]].copy(), 0.0
+    for _ in range(PIVOT_ITERS):
+        r = ratios(y)
+        j = int(np.argmax(r))
+        if r[j] <= t * (1.0 + KKT_TOL):
+            return y
+        cover = ws + [j]
+        subsets = (list(rest) + [j] for size in range(1, min(len(ws), m) + 1)
+                   for rest in combinations(ws, size))
+        for cand in subsets:
+            sol = solve(cand, y, cover, t)
+            if sol is not None:
+                break
+        else:
+            return None
+        ws, y, t = cand, sol[0], sol[1]
+    return None
+
+
 def kpoint_oracle(s: LabeledPointSet, x, tol: float = 1e-7) -> KPointResult:
-    """Minimax value by bisection on lam with ball-feasibility tests.
+    """Minimax value by bisection on lam with ball-feasibility tests, then
+    an exact epigraph polish.
 
     Bisection sets hi at probes that cyclic projection shows feasible and
     moves lo only at probes proven infeasible by a dual certificate (see
     _separated).  The first undecided probe, the cycle budget or a 1e-9
-    relative interval ends it, so its last feasible point may still be far
-    from the optimum.  That point is polished by solving min t s.t.
-    ||y - f_i|| <= t * d_i, and the polish, not the bisection, supplies the
-    final accuracy.  The polish is kept only when it does not worsen the
-    minimax ratio of that point.
+    relative interval ends it, so its last feasible point is only a start.
+    The polish (minimize) solves min t s.t. ||y - f_i|| <= t * d_i from that
+    start and certifies its point with the KKT conditions; it supplies the
+    accuracy.  Its point is kept only when it does not worsen the minimax
+    ratio of the bisection's point.  Values and distances are scaled by
+    powers of two on entry and back on exit, so no square overflows or
+    underflows at extreme scales.
     """
     d = _distances(s, x)
-    values = s.values
-    n, m = values.shape
-    spread, constant = _spread(values.tolist())
+    n, m = s.values.shape
+    spread, constant = _spread(s.values.tolist())
     if n == 1 or constant:
-        point = values[0].copy()
+        point = s.values[0].copy()
         return KPointResult(0.0, point, (0,), 0.0, np.array([1.0]))
-    lip = lip_constant(s)
+    vshift = _pow2_shift(float(np.abs(s.values).max()))
+    dshift = _pow2_shift(float(d.max()))
+    values = np.ldexp(s.values, vshift)
+    d = np.ldexp(d, dshift)
+    spread = math.ldexp(spread, vshift)
+    lip = math.ldexp(lip_constant(s), vshift - dshift)
     # the bisection works relative to the mean value, which keeps the
     # certificates' rounding error on the scale of the spread
     center = values.mean(axis=0)
@@ -569,43 +708,14 @@ def kpoint_oracle(s: LabeledPointSet, x, tol: float = 1e-7) -> KPointResult:
 
     # the polish works in units where every quantity is of order one: the
     # point as (y - center) / spread, and t as a multiple of ratio_b, so
-    # constraint i reads t >= ||y - f_i|| / (ratio_b * d_i).  In raw units a
-    # query near a sample makes t large against y, and SLSQP can spend its
-    # whole iteration limit on that scale alone.
-    unit = (values - center) / spread
-    k = spread / (ratio_b * d)
-
-    def scaled_ratios(u):
-        return k * np.linalg.norm(u - unit, axis=1)
-
-    def con(z):
-        return z[m] - scaled_ratios(z[:m])
-
-    def con_jac(z):
-        diff = z[:m] - unit
-        dist = np.linalg.norm(diff, axis=1)
-        g = np.empty((n, m + 1))
-        # a zero distance has a zero difference, so its gradient row is 0
-        g[:, :m] = -(k / np.where(dist > 0.0, dist, 1.0))[:, None] * diff
-        g[:, m] = 1.0
-        return g
-
-    cons = ({"type": "ineq", "fun": con, "jac": con_jac},)
-    obj_jac = np.zeros(m + 1)
-    obj_jac[m] = 1.0
-    # two passes: the restart converges much closer to the minimizer in the
-    # nearly flat directions once the active constraints have settled
-    z = np.concatenate([(yb - center) / spread, [1.0]])
-    for _ in range(2):
-        res = minimize(lambda v: v[m], z, jac=lambda v: obj_jac, constraints=cons,
-                       method="SLSQP", options={"maxiter": 120, "ftol": 1e-16})
-        z = np.concatenate([res.x[:m], [float(scaled_ratios(res.x[:m]).max())]])
-    yp = center + spread * z[:m]
-    ratio_p = _max_ratio(yp, values, d)
-    if ratio_p <= ratio_b * (1.0 + 1e-9):
-        lam, point = ratio_p, yp
-    else:
-        lam, point = ratio_b, yb
+    # constraint i reads t >= k_i ||y - u_i|| with k_i = spread / (ratio_b d_i)
+    lam, point = ratio_b, yb
+    z = minimize((values - center) / spread, spread / (ratio_b * d), (yb - center) / spread)
+    if z is not None:
+        yp = center + spread * z
+        ratio_p = _max_ratio(yp, values, d)
+        if ratio_p <= ratio_b * (1.0 + 1e-9):
+            lam, point = ratio_p, yp
 
     ratios = np.linalg.norm(point - values, axis=1) / d
     active = tuple(int(i) for i in np.flatnonzero(ratios >= lam * (1.0 - 1e-6)))
@@ -613,7 +723,8 @@ def kpoint_oracle(s: LabeledPointSet, x, tol: float = 1e-7) -> KPointResult:
         active = (int(np.argmax(ratios)),)
     viol = float(np.max(np.linalg.norm(point - values, axis=1) - lam * d))
     hull = _nnls_hull_coords(values[list(active)], point)
-    return KPointResult(lam, point, active, viol, hull)
+    return KPointResult(math.ldexp(lam, dshift - vshift), np.ldexp(point, -vshift), active,
+                        math.ldexp(viol, -vshift), hull)
 
 
 def _nnls_hull_coords(vertices: np.ndarray, y: np.ndarray) -> np.ndarray | None:

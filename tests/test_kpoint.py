@@ -25,6 +25,7 @@ from lipext.kpoint import (
     kpoint_vector,
     lip_constant,
     minimax_kernel,
+    minimize,
     pairwise_optimum,
     pair_candidate,
 )
@@ -52,6 +53,20 @@ def random_instance(rng):
     while min(np.linalg.norm(points - x, axis=1)) < 1e-3:
         x = rng.uniform(-1, 1, size=n)
     return LabeledPointSet(points, values), x
+
+
+def c06_instances():
+    """The 500 (points, values, query) instances of acceptance criterion C06."""
+    rng = np.random.default_rng(20260810)
+    for _ in range(500):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
+        size = int(rng.integers(1, 9))
+        points, values = rng.uniform(-1, 1, (size, n)), rng.uniform(-1, 1, (size, m))
+        x = rng.uniform(-1, 1, n)
+        while min(np.linalg.norm(points - x, axis=1)) < 1e-3:
+            x = rng.uniform(-1, 1, n)
+        yield points, values, x
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +293,92 @@ def test_feasible_probe_never_proven_infeasible():
         outcome, _, _ = _project_cycles(lam, s.values.mean(axis=0), fvals, d, 1e-8 * lam, 10_000)
         assert outcome is not Feasibility.INFEASIBLE, (tested, lam)
         tested += 1
+
+
+def _max_ratio(values, d, y):
+    return float(np.max(np.linalg.norm(y - values, axis=1) / d))
+
+
+def test_polish_pivots_to_the_optimal_working_set():
+    # C06 instances whose top-ranked samples are not the optimal active set,
+    # with the polish started far from the optimum: the pivot has to swap
+    # samples out of the working set
+    instances = list(c06_instances())
+    for index, active in ((117, (0, 1, 2)), (487, (1, 2, 5))):
+        points, values, x = instances[index]
+        d = np.linalg.norm(points - x, axis=1)
+        kernel = kpoint_vector(LabeledPointSet(points, values), x)
+        assert kernel.active == active
+        far = np.full(values.shape[1], 10.0)
+        top = np.argsort(-np.linalg.norm(far - values, axis=1) / d)[:len(active)]
+        assert set(top.tolist()) != set(active)
+        y = minimize(values, 1.0 / d, far)
+        assert y is not None
+        assert _max_ratio(values, d, y) == pytest.approx(kernel.lam, rel=1e-14)
+        assert np.linalg.norm(y - kernel.point) <= 1e-14
+
+
+def test_polish_starts_from_one_sample_on_clustered_values():
+    # samples 0 and 1 have values 1.5e-8 apart: the pair ranked first
+    # covers itself only to rounding error on the scale of its tiny t, and
+    # no larger prefix gives a KKT point, so the pivot starts from the top
+    # sample alone
+    points = np.array([[-0.9341745818308291, 0.7149138663939072, 0.33627440212098136],
+                       [0.6288427525544835, 0.09485206015403325, -0.5801475477565841],
+                       [0.3249069240127087, -0.3090782375889569, 0.4471448053290301],
+                       [-0.6830845926401636, 0.46936367580113214, -0.8776366257940378],
+                       [-0.6535647813600789, 0.1571064846993797, 0.24926675835864476]])
+    values = np.array([[0.136593124245071, 0.3749175032390673],
+                       [0.13659320612616938, 0.3749175183277643],
+                       [0.23849874009431238, -0.118337819949623],
+                       [-0.12022763929779834, 0.26625585321189593],
+                       [0.24955152363067268, -0.06651448403232263]])
+    x = np.array([0.31382297521935665, -0.17854051598606735, 0.9609186318624017])
+    d = np.linalg.norm(points - x, axis=1)
+    kernel = kpoint_vector(LabeledPointSet(points, values), x)
+    y = minimize(values, 1.0 / d, values.mean(axis=0))
+    assert y is not None
+    assert _max_ratio(values, d, y) == pytest.approx(kernel.lam, rel=1e-13)
+    oracle = kpoint_oracle(LabeledPointSet(points, values), x)
+    assert oracle.lam == pytest.approx(kernel.lam, rel=1e-13)
+
+
+def test_oracle_resolves_a_near_collinear_triple():
+    # the kernel's strict xfail case: values (-1, 0), (1, 0), (0, eps) at
+    # distances (1, 1, f eps); the optimum is lam = 1 + 2.45e-11
+    eps, f = 1e-5, 0.3
+    s = LabeledPointSet([[-1.0], [1.0], [f * eps]], [[-1.0, 0.0], [1.0, 0.0], [0.0, eps]])
+    r = kpoint_oracle(s, [0.0])
+    assert 1.0 + 2.4e-11 <= r.lam <= 1.0 + 2.5e-11
+    assert r.active == (0, 1, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_polish_returns_nothing_on_non_finite_input(bad):
+    for which in range(3):
+        args = [np.array([[0.0, 0.0], [1.0, 0.5], [-0.3, 1.2]]), np.ones(3), np.zeros(2)]
+        args[which].flat[1] = bad
+        assert minimize(*args) is None
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_oracle_at_extreme_scales(scale):
+    points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    values = np.array([[0.0, 0.0], [1.0, 0.5], [-0.3, 1.2]])
+    x = [0.4, 0.3]
+    base = kpoint_oracle(LabeledPointSet(points, values), x)
+    r = kpoint_oracle(LabeledPointSet(points, values * scale), x)
+    assert r.lam / scale == pytest.approx(base.lam, rel=1e-12)
+    assert np.allclose(r.point / scale, base.point, rtol=0.0, atol=1e-12)
+    assert r.active == base.active
+
+
+def test_oracle_never_above_kernel_on_c06_corpus():
+    # the polish is exact: the oracle's lam does not exceed the kernel's
+    # beyond rounding on any instance
+    for points, values, x in c06_instances():
+        s = LabeledPointSet(points, values)
+        assert kpoint_oracle(s, x).lam <= kpoint_vector(s, x).lam * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +641,7 @@ def _assert_matches_reference(values, dists):
 
 
 def test_kernel_matches_reference_on_c06_corpus():
-    rng = np.random.default_rng(20260810)
-    for _ in range(500):
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 4))
-        size = int(rng.integers(1, 9))
-        points, values = rng.uniform(-1, 1, (size, n)), rng.uniform(-1, 1, (size, m))
-        x = rng.uniform(-1, 1, n)
-        while min(np.linalg.norm(points - x, axis=1)) < 1e-3:
-            x = rng.uniform(-1, 1, n)
+    for points, values, x in c06_instances():
         d = np.linalg.norm(points - x, axis=1)
         _assert_matches_reference(values, d)
 

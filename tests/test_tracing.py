@@ -1,5 +1,6 @@
 """The benchmark's tracer (perfbench/tracing.py) finds every lipext binding it
-wraps, counts the sweep solvers' work, and puts every binding back."""
+wraps, counts the sweep solvers' and the oracle's work, and puts every
+binding back."""
 
 import importlib
 import importlib.util
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_graph, random_graph
-from lipext import scalar, vector
+from lipext import kpoint, scalar, vector
 from lipext.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -46,6 +47,12 @@ def test_tracer_install_and_remove(tracing, tmp_path):
         assert main(["gen", "grid", "--size", "4", "--output", str(graph_file)]) == 0
         assert main(["solve", "--input", str(graph_file), "--method", "iterate",
                      "--output", str(tmp_path / "r.json")]) == 0
+        # two oracle calls that reach the polish, and constant data that
+        # returns before it
+        points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        for values in ([[0.0, 0.0], [1.0, 0.5], [-0.3, 1.2]], [[0.0], [1.0], [3.0]],
+                       [[2.0], [2.0], [2.0]]):
+            kpoint.kpoint_oracle(kpoint.LabeledPointSet(points, values), [0.4, 0.3])
         metrics = tracing.layer_metrics(*tracer.collect())
     finally:
         tracer.remove()
@@ -54,3 +61,4 @@ def test_tracer_install_and_remove(tracing, tmp_path):
     assert metrics["kpoint.kernel_calls"] > 0
     assert metrics["scalar.gs_s"] > 0.0
     assert metrics["graph.validate_calls"] == 4
+    assert metrics["kpoint.oracle_polish_calls"] == 2
