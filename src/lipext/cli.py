@@ -265,6 +265,8 @@ def cmd_kpoint(args) -> int:
         x = np.array([float(t) for t in args.query.split(",")])
     except ValueError as exc:
         raise ParseError(f"bad query {args.query!r}") from exc
+    if not np.all(np.isfinite(x)):
+        raise ParseError(f"non-finite query {args.query!r}")
     if x.shape[0] != s.points.shape[1]:
         raise ParseError(
             f"query dimension {x.shape[0]} does not match positions ({s.points.shape[1]})"

@@ -208,6 +208,23 @@ def test_kpoint_query_on_sample(tmp_path, capsys):
     assert "QueryCoincidesWithSample" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["points", "values", "query"])
+def test_kpoint_rejects_non_finite(tmp_path, capsys, field, bad):
+    doc = {"points": [[0.0], [2.0]], "values": [[0.0, 1.0], [4.0, -1.0]]}
+    query = "1"
+    if field == "query":
+        query = str(bad)
+    else:
+        doc[field][1][0] = bad
+    f = write_json(tmp_path / "pts.json", doc)
+    assert run("kpoint", query, "--input", f, "--check") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParseError") and "Traceback" not in captured.err
+
+
 def test_kpoint_dimension_mismatch(tmp_path, capsys):
     f = write_json(tmp_path / "pts.json", {"points": [[0.0], [2.0]], "values": [[0.0], [4.0]]})
     assert run("kpoint", "1,2", "--input", f) == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from lipext import vector
+from lipext import kpoint, vector
 from lipext.errors import NoCertifiedSubset, QueryCoincidesWithSample
 from lipext.geometry import HULL_TOL, SIMPLEX_TOL, Biquadratic, is_simplex, solve_biquadratic
 from lipext.kpoint import (
@@ -17,6 +17,7 @@ from lipext.kpoint import (
     NOISE_TOL,
     Feasibility,
     LabeledPointSet,
+    _kkt_newton,
     _project_cycles,
     _separated,
     certificate_check,
@@ -120,6 +121,67 @@ def test_lip_constant_at_extreme_scales():
             assert lip_constant(scaled) == pytest.approx(scale * base, rel=1e-12)
             moved = LabeledPointSet(s.points / scale, s.values)
             assert lip_constant(moved) == pytest.approx(scale * base, rel=1e-12)
+
+
+def test_lip_constant_matches_a_pair_loop_on_c06_corpus():
+    for points, values, _ in c06_instances():
+        best = 0.0
+        for i, j in combinations(range(len(points)), 2):
+            best = max(best, float(np.linalg.norm(values[i] - values[j]))
+                       / float(np.linalg.norm(points[i] - points[j])))
+        assert lip_constant(LabeledPointSet(points, values)) == pytest.approx(best, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["points", "values"])
+def test_non_finite_samples_rejected(field, bad):
+    data = {"points": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            "values": np.array([[0.0, 0.0], [1.0, 0.5], [-0.3, 1.2]])}
+    data[field][1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        LabeledPointSet(data["points"], data["values"])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_query_rejected(bad):
+    s = LabeledPointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                        [[0.0, 0.0], [1.0, 0.5], [-0.3, 1.2]])
+    for fn in (kpoint_vector, kpoint_oracle):
+        with pytest.raises(ValueError, match="finite"):
+            fn(s, [0.4, bad])
+    scalar = scalar_set([0.0, 2.0], [0.0, 4.0])
+    with pytest.raises(ValueError, match="finite"):
+        kpoint_scalar(scalar, [bad])
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_query_offsets_rejected():
+    # finite positions and query whose difference overflows
+    s = scalar_set([1e308, 0.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="overflow"):
+        kpoint_vector(s, [-1e308])
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_positions_at_extreme_scales(scale):
+    # squares of offsets near 1e160 overflow and near 1e-170 underflow
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    values = np.array([[0.0, 0.0], [1.0, 0.5], [-0.3, 1.2]])
+    x = np.array([0.4, 0.3])
+    base = LabeledPointSet(points, values)
+    moved = LabeledPointSet(points * scale, values)
+    for fn in (kpoint_vector, kpoint_oracle):
+        expected = fn(base, x)
+        r = fn(moved, x * scale)
+        assert r.lam * scale == pytest.approx(expected.lam, rel=1e-12)
+        assert np.allclose(r.point, expected.point, rtol=0.0, atol=1e-12)
+        assert r.active == expected.active
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +413,49 @@ def test_oracle_resolves_a_near_collinear_triple():
     r = kpoint_oracle(s, [0.0])
     assert 1.0 + 2.4e-11 <= r.lam <= 1.0 + 2.5e-11
     assert r.active == (0, 1, 2)
+
+
+def test_kkt_pair_is_exact():
+    # two rows in the polish's unit frame: the closed form puts y on the
+    # segment where k_0 r_0 = k_1 r_1 = t, with positive multipliers
+    rng = np.random.default_rng(83)
+    tested = 0
+    while tested < 200:
+        m = int(rng.integers(1, 5))
+        u, k = rng.uniform(-1, 1, (2, m)), rng.uniform(0.5, 2.0, 2)
+        if np.linalg.norm(u[1] - u[0]) < 1.0:
+            continue
+        y, t, w = _kkt_newton(u, k, rng.uniform(-1, 1, m))
+        r = np.linalg.norm(y - u, axis=1)
+        assert w.min() > 0.0 and w.sum() == pytest.approx(1.0, rel=1e-15)
+        # stationarity: the pulls w_i k_i n_i of the two rows cancel
+        assert w[0] * k[0] == pytest.approx(w[1] * k[1], rel=1e-15)
+        assert k * r == pytest.approx([t, t], rel=1e-15)
+        tested += 1
+
+
+def test_kkt_pair_rejects_coincident_rows():
+    u = np.array([[0.5, -0.25], [0.5, -0.25]])
+    assert _kkt_newton(u, np.array([1.0, 2.0]), np.zeros(2)) is None
+
+
+@pytest.mark.parametrize("polish", [
+    lambda unit, k, y0: None,
+    # a point far outside the samples' hull, which the ratio guard rejects
+    lambda unit, k, y0: y0 + 10.0,
+])
+def test_oracle_resumes_the_bisection_without_a_polished_point(monkeypatch, polish):
+    # when the polish's point is not kept, the oracle's answer is the
+    # point of a bisection run on down to INTERVAL_REL, bit for bit
+    monkeypatch.setattr(kpoint, "minimize", polish)
+    instances = list(c06_instances())[:60]
+    resumed = [kpoint_oracle(LabeledPointSet(p, v), x) for p, v, x in instances]
+    monkeypatch.setattr(kpoint, "START_REL", kpoint.INTERVAL_REL)
+    for (p, v, x), r in zip(instances, resumed):
+        direct = kpoint_oracle(LabeledPointSet(p, v), x)
+        assert r.lam == direct.lam
+        assert np.array_equal(r.point, direct.point)
+        assert r.active == direct.active
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
