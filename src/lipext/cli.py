@@ -222,13 +222,14 @@ def generate(kind: str, size: int, seed: int | None, boundary: str) -> Graph:
 # commands
 # ---------------------------------------------------------------------------
 
-def _result_doc(g: Graph, values, *, residual_val, max_principle, stage_slopes, converged) -> dict:
+def _result_doc(g: Graph, values, *, residual_val, max_principle, ratio, stage_slopes,
+                converged) -> dict:
     return {
         "values": {v: list(values[v]) for v in g.ids},
         "report": {
             "residual": residual_val,
             "max_principle": max_principle,
-            "geodesic_lip_ratio": lipschitz_ratio(g, values),
+            "geodesic_lip_ratio": ratio,
             "stage_slopes": stage_slopes,
             "converged": converged,
         },
@@ -244,7 +245,8 @@ def cmd_solve(args) -> int:
             raise MethodUnavailable("method 'path' requires scalar boundary values")
         res = solve_scalar(g)
         values, resid, slopes, converged = res.values, res.report.residual, res.stage_slopes, True
-        mp = res.report.max_principle_ok
+        # the verifier's edge pass is lipschitz_ratio's, on the same values
+        mp, ratio = res.report.max_principle_ok, res.report.interior_ratio
     else:
         try:
             values, report = iterate_tight(g, tol=args.tol, max_iter=args.max_iter)
@@ -253,7 +255,8 @@ def cmd_solve(args) -> int:
             values, report = exc.values, exc.report
         resid, slopes, converged = report.final_residual, None, report.converged
         mp = maximum_principle(g, values)[0] if m == 1 else None
-    doc = _result_doc(g, values, residual_val=resid, max_principle=mp,
+        ratio = lipschitz_ratio(g, values)
+    doc = _result_doc(g, values, residual_val=resid, max_principle=mp, ratio=ratio,
                       stage_slopes=slopes, converged=converged)
     emit(doc, args.output)
     return 0 if converged else 2

@@ -164,7 +164,9 @@ def steepest_edge(edges, vals: np.ndarray) -> tuple[float, int]:
     _, heads, tails, lengths = edges
     if not lengths.size:
         return 0.0, -1
-    diff = np.linalg.norm(vals[heads] - vals[tails], axis=1)
+    d = vals[heads] - vals[tails]
+    # |d| is the norm's value for scalars, without squaring's overflow
+    diff = np.abs(d[:, 0]) if d.shape[1] == 1 else np.linalg.norm(d, axis=1)
     ratios = np.divide(diff, lengths, out=np.zeros_like(diff), where=lengths > 0.0)
     k = int(np.argmax(ratios))
     return float(ratios[k]), k
@@ -234,6 +236,14 @@ def validate(g: Graph) -> list[Violation]:
     for v, val in sorted(g.boundary_values.items()):
         if not np.isfinite(val).all():
             out.append(Violation("NonFinite", f"boundary vertex {v!r} has value {val.tolist()}"))
+    if len(dims) == 1:
+        vals = np.array(list(g.boundary_values.values()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = vals.max(axis=0) - vals.min(axis=0)
+        if np.isfinite(vals).all() and not np.isfinite(span).all():
+            out.append(Violation("ValueOverflow", "boundary values differ by more than the "
+                                 f"largest float: {vals.min(axis=0).tolist()} to "
+                                 f"{vals.max(axis=0).tolist()}"))
     for (a, b), ln in sorted(g.lengths.items()):
         if not math.isfinite(ln):
             out.append(Violation("NonFinite", f"edge ({a}, {b}) has length {ln}"))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,13 @@ log = logging.getLogger("lipext.scalar")
 # Sources per multi-source Dijkstra call: bounds each distance block at
 # SOURCE_BLOCK x 2|V| floats.
 SOURCE_BLOCK = 64
+# Up to this many rows, a path search runs them all in one Dijkstra call
+# instead of two bounded passes: on graphs of a few dozen vertices, the
+# second call costs more than the rows the bounds save (measured).
+SMALL_SEARCH = 24
+# Relative margin of the search's row bounds: a pair's distance read from
+# either end's row can differ in the last bits.
+BOUND_MARGIN = 1e-9
 
 
 @dataclass
@@ -143,6 +151,18 @@ def _single_edge_candidates(g: Graph, state: SubgraphState, at) -> list[Connecti
     return out
 
 
+def _slopes(graph: csr_array, sources: np.ndarray, sinks: np.ndarray, f_from: np.ndarray,
+            f_to: np.ndarray) -> np.ndarray:
+    """|f_to[c] - f_from[r]| / d(sources[r], sinks[c]) for every row r and
+    column c, in one multi-source Dijkstra call; -1 where the sink is
+    unreachable or at distance 0."""
+    dist = dijkstra(graph, directed=True, indices=sources)[:, sinks]
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked below
+        slope = np.abs(f_to - f_from[:, None]) / dist
+    slope[np.isinf(dist) | (dist == 0.0)] = -1.0
+    return slope
+
+
 def _steepest_pair(graph: csr_array, src: np.ndarray, dst: np.ndarray, f: np.ndarray,
                    rows: np.ndarray) -> tuple[float, int, int]:
     """First largest |f[c] - f[r]| / d(src[r], dst[c]) in row-major order
@@ -154,48 +174,135 @@ def _steepest_pair(graph: csr_array, src: np.ndarray, dst: np.ndarray, f: np.nda
     cols = np.arange(f.size)
     for start in range(0, rows.size, SOURCE_BLOCK):
         r = rows[start:start + SOURCE_BLOCK]
-        dist = dijkstra(graph, directed=True, indices=src[r])[:, dst]
-        with np.errstate(divide="ignore", invalid="ignore"):  # masked below
-            slope = np.abs(f - f[r, None]) / dist
-        slope[(cols <= r[:, None]) | np.isinf(dist) | (dist == 0.0)] = -1.0
+        slope = _slopes(graph, src[r], dst, f[r], f)
+        slope[cols <= r[:, None]] = -1.0
         i, c = divmod(int(np.argmax(slope)), f.size)
         if slope[i, c] > best[0]:
             best = (float(slope[i, c]), int(r[i]), c)
     return best
 
 
-def _best_interior_path(g: Graph, state: SubgraphState, edges) -> ConnectingPath | None:
-    """Steepest connecting path with at least one interior vertex.
+class _PathSearch:
+    """Steepest connecting path with at least one interior vertex, searched
+    stage after stage of one solve.
 
     The distances come from a split graph: each labeled vertex keeps its
     node as a source copy with arcs only to unlabeled neighbours, and gets
-    a sink copy with arcs only from them, so no labeled vertex is ever a
-    transit vertex.  With the labeled ids in sorted order, the first
-    maximum of |f(b) - f(a)| / d(a, b) over pairs a < b is the pair that
-    `_rank` puts first; `_lexicographic_path` then recovers its interior.
-    `edges` is `edge_arrays(g)`, built once per solve.
+    a sink copy n + v with arcs only from them, so no labeled vertex is ever
+    a transit vertex.  The graph is one CSR array of all arcs, sorted by
+    source; an arc into a labeled vertex points at its sink copy, and an
+    arc of a used edge or between two labeled vertices (a single edge,
+    handled separately) weighs inf, which no shortest path takes.  `label`
+    patches in only the arcs at each stage's new vertices and edges.  With
+    the labeled ids in sorted order, the first maximum of
+    |f(b) - f(a)| / d(a, b) over pairs a < b, d read from a's row, is the
+    pair that `_rank` puts first; `_lexicographic_path` then recovers its
+    interior.
+
+    Rows are bounded lazily.  Between searches vertices only become labeled
+    and edges only become used, so no path between two labeled vertices
+    appears and every old pair's slope can only fall.  `bound[a]` holds row
+    a's maximum from its last run (inf before its first), raised by a
+    margin-inflated slope for each pair (a, b) with b labeled since: d(a, b)
+    then came from b's row, and the two directions can differ in the last
+    bits.  A search first runs every row bounded at or above the previous
+    search's slope, the newly labeled ones included, then every other row
+    whose bound reaches its best slope less the margin.  No row left out
+    can hold a pair at the best slope, so the tie rule sees every such pair.
     """
-    labeled, used = state.labeled, state.used_edges
-    n = len(g.ids)
-    is_lab = np.fromiter(map(labeled.__contains__, g.ids), bool, n)
-    keys, heads, tails, lengths = edges
-    free = ~np.fromiter(map(used.__contains__, keys), bool, len(keys))
-    heads, tails, lengths = heads[free], tails[free], lengths[free]
-    lab_h, lab_t = is_lab[heads], is_lab[tails]
-    keep = ~(lab_h & lab_t)  # single edges are handled separately
-    heads, tails, lengths = heads[keep], tails[keep], lengths[keep]
-    # an arc into labeled vertex v enters its sink copy n + v
-    rows = np.concatenate([heads, tails])
-    cols = np.concatenate([tails + n * lab_t[keep], heads + n * lab_h[keep]])
-    graph = csr_array((np.concatenate([lengths, lengths]), (rows, cols)), shape=(2 * n, 2 * n))
-    lab = np.flatnonzero(is_lab)
-    has_arc = np.zeros(n, dtype=bool)
-    has_arc[rows] = True
-    f = np.array([labeled[g.ids[i]] for i in lab])
-    slope, r, c = _steepest_pair(graph, lab, n + lab, f, np.flatnonzero(has_arc[lab]))
-    if slope < 0.0:
-        return None
-    return _lexicographic_path(g, state, g.ids[lab[r]], g.ids[lab[c]])
+
+    def __init__(self, g: Graph, state: SubgraphState, edges):
+        keys, heads, tails, lengths = edges
+        n, m = len(g.ids), len(keys)
+        order = np.argsort(np.concatenate([heads, tails]), kind="stable")
+        where = np.empty_like(order)
+        where[order] = np.arange(order.size)
+        self.n = n
+        self.index = {v: i for i, v in enumerate(g.ids)}
+        self.edge_index = dict(zip(keys, range(m)))
+        self.src = np.concatenate([heads, tails])[order]
+        self.dst = np.concatenate([tails, heads])[order]
+        self.twin = where[(order + m) % max(2 * m, 1)]  # the reverse arc
+        self.arcs = where.reshape(2, m)  # the two arcs of each edge
+        self.starts = np.searchsorted(self.src, np.arange(n + 1))
+        self.labeled = np.fromiter(map(state.labeled.__contains__, g.ids), bool, n)
+        self.f = np.array([state.labeled.get(v, 0.0) for v in g.ids])
+        indptr = np.full(2 * n + 1, order.size)
+        indptr[:n + 1] = self.starts
+        self.graph = csr_array((np.concatenate([lengths, lengths])[order],
+                                np.where(self.labeled[self.dst], self.dst + n, self.dst),
+                                indptr), shape=(2 * n, 2 * n))
+        self.live = np.diff(self.starts)  # finite arcs out of each vertex
+        used = np.fromiter(map(state.used_edges.__contains__, keys), bool, m)
+        self._cut(np.concatenate([self.arcs[:, used].ravel(),
+                                  np.flatnonzero(self.labeled[self.src] & self.labeled[self.dst])]))
+        self.bound = np.full(n, np.inf)  # inf: never run
+        self.last = np.inf
+
+    def _cut(self, arcs: np.ndarray) -> None:
+        """Give the arcs weight inf."""
+        data = self.graph.data
+        arcs = np.unique(arcs)
+        arcs = arcs[np.isfinite(data[arcs])]
+        data[arcs] = np.inf
+        np.subtract.at(self.live, self.src[arcs], 1)
+
+    def label(self, state: SubgraphState, path: ConnectingPath) -> None:
+        """Record the vertices and edges that applying `path` consumed."""
+        new = np.array([self.index[v] for v in path.vertices[1:-1]], dtype=np.intp)
+        self.labeled[new] = True
+        self.f[new] = [state.labeled[v] for v in path.vertices[1:-1]]
+        out = np.concatenate([np.arange(self.starts[i], self.starts[i + 1]) for i in new])
+        self.graph.indices[self.twin[out]] = self.src[out] + self.n
+        used = self.arcs[:, [self.edge_index[e] for e in path.edges]].ravel()
+        between = out[self.labeled[self.dst[out]]]
+        self._cut(np.concatenate([used, between, self.twin[between]]))
+
+    def steepest(self) -> tuple[int, int] | None:
+        """Vertex indices (a, b), a < b, of the first steepest pair."""
+        graph = self.graph
+        cols = np.flatnonzero(self.labeled)
+        rows = cols[self.live[cols] > 0]
+        f = self.f[cols]
+        sinks = cols + self.n
+        best = [-1.0, -1, -1]
+        cross = np.full(cols.size, -1.0)
+
+        def run(todo: np.ndarray) -> None:
+            for start in range(0, todo.size, SOURCE_BLOCK):
+                r = todo[start:start + SOURCE_BLOCK]
+                slope = _slopes(graph, r, sinks, self.f[r], f)
+                fresh = np.isinf(self.bound[r])
+                if fresh.any():  # their pairs (b, a), b < a, belong to b's row
+                    earlier = np.where(cols < r[fresh, None], slope[fresh], -1.0)
+                    np.maximum(cross, earlier.max(axis=0), out=cross)
+                slope[cols <= r[:, None]] = -1.0
+                c = np.argmax(slope, axis=1)
+                top = slope[np.arange(r.size), c]
+                self.bound[r] = top
+                i = int(np.argmax(top))
+                if top[i] > best[0] or (top[i] == best[0] and r[i] < best[1]):
+                    best[:] = float(top[i]), int(r[i]), int(cols[c[i]])
+
+        if rows.size <= SMALL_SEARCH:
+            run(rows)
+        else:
+            first = self.bound[rows] >= self.last
+            run(rows[first])
+            old = ~np.isin(cols, rows[first])
+            self.bound[cols[old]] = np.maximum(self.bound[cols[old]],
+                                               cross[old] * (1.0 + BOUND_MARGIN))
+            rest = rows[~first]
+            run(rest[self.bound[rest] >= best[0] * (1.0 - BOUND_MARGIN)])
+        self.last = best[0]
+        return None if best[0] < 0.0 else (best[1], best[2])
+
+    def interior_path(self, g: Graph, state: SubgraphState) -> ConnectingPath | None:
+        """Steepest connecting path with at least one interior vertex."""
+        pair = self.steepest()
+        if pair is None:
+            return None
+        return _lexicographic_path(g, state, g.ids[pair[0]], g.ids[pair[1]])
 
 
 def _lexicographic_path(g: Graph, state: SubgraphState, a: str, b: str) -> ConnectingPath:
@@ -208,17 +315,15 @@ def _lexicographic_path(g: Graph, state: SubgraphState, a: str, b: str) -> Conne
     used = state.used_edges
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (a,))]
     closed: set[str] = set()
-    lengths: dict[tuple[str, ...], tuple[float, ...]] = {(a,): ()}
     while heap:
         dist, path = heapq.heappop(heap)
         v = path[-1]
         if v in closed:
-            lengths.pop(path, None)
             continue
         closed.add(v)
-        plens = lengths.pop(path)
         if v == b:
-            return _oriented(path, plens, labeled)
+            lengths = tuple(g.lengths[_edge_key(x, y)] for x, y in zip(path, path[1:]))
+            return _oriented(path, lengths, labeled)
         if v != a and v in labeled:
             continue
         for w, ln in g.neighbors(v):
@@ -226,16 +331,14 @@ def _lexicographic_path(g: Graph, state: SubgraphState, a: str, b: str) -> Conne
                 continue
             if w in labeled and v == a:
                 continue  # single edges are handled separately
-            np_path = path + (w,)
-            heapq.heappush(heap, (dist + ln, np_path))
-            lengths[np_path] = plens + (ln,)
+            heapq.heappush(heap, (dist + ln, path + (w,)))
     raise InvalidPath(f"no interior route from {a!r} to {b!r}")
 
 
 def find_max_slope_connecting_path(g: Graph, state: SubgraphState) -> ConnectingPath | None:
     """Steepest connecting path over all labeled pairs, or None."""
     cands = _single_edge_candidates(g, state, state.labeled)
-    interior = _best_interior_path(g, state, edge_arrays(g))
+    interior = _PathSearch(g, state, edge_arrays(g)).interior_path(g, state)
     if interior is not None:
         cands.append(interior)
     if not cands:
@@ -310,30 +413,29 @@ def solve_scalar(g: Graph) -> ExtensionResult:
     if g.value_dim() != 1:
         raise MethodUnavailable("the connecting-path solver requires scalar values")
     state = initial_state(g)
-    edges = edge_arrays(g)
+    search = _PathSearch(g, state, edge_arrays(g))
     # single labeled-labeled edges neither move values nor relabel anything,
     # so the steepest interior path stays valid while they are drained
-    interior = _best_interior_path(g, state, edges)
-    pending = _single_edge_candidates(g, state, state.labeled)
-    pending.sort(key=_rank)
+    interior = search.interior_path(g, state)
+    # (rank, path) heap; ranks are unique, one edge each
+    pending = [(_rank(p), p) for p in _single_edge_candidates(g, state, state.labeled)]
+    heapq.heapify(pending)
     while True:
-        take_single = bool(pending) and (
-            interior is None or _rank(pending[0]) < _rank(interior)
-        )
-        if take_single:
-            path = pending.pop(0)
+        top = _rank(interior) if interior is not None else None
+        while pending and (top is None or pending[0][0] < top):
+            path = heapq.heappop(pending)[1]
             state.used_edges.update(path.edges)
             state.stage_slopes.append(path.slope)
-            continue
         if interior is None:
             break
         log.debug("stage %d: slope %.6g through %s",
                   len(state.stage_slopes) + 1, interior.slope, interior.vertices)
         state = apply_path(state, interior)
+        search.label(state, interior)
         # only edges at the newly labeled vertices can have become single
-        pending.extend(_single_edge_candidates(g, state, interior.vertices[1:-1]))
-        pending.sort(key=_rank)
-        interior = _best_interior_path(g, state, edges)
+        for p in _single_edge_candidates(g, state, interior.vertices[1:-1]):
+            heapq.heappush(pending, (_rank(p), p))
+        interior = search.interior_path(g, state)
     values = finalize_components(g, state)
     vf: VertexFunction = {v: np.array([val]) for v, val in values.items()}
     report = verify_extension(g, vf)
@@ -367,13 +469,13 @@ def _boundary_range(g: Graph, tol: float) -> tuple[float, float, float]:
 
 
 def maximum_principle(g: Graph, u: VertexFunction, tol: float = 1e-9) -> tuple[bool, str | None]:
-    """Whether every value of the scalar candidate u lies in the range of
-    the boundary data, widened by tol times its span (by tol for constant
-    data), with the first vertex in id order that does not."""
+    """Whether every value of the scalar candidate u is finite and lies in
+    the range of the boundary data, widened by tol times its span (by tol
+    for constant data), with the first vertex in id order that does not."""
     lo, hi, scaled = _boundary_range(g, tol)
     for x in g.ids:
         val = float(u[x][0])
-        if val < lo - scaled or val > hi + scaled:
+        if not (math.isfinite(val) and lo - scaled <= val <= hi + scaled):
             return False, x
     return True, None
 

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lipext.cli import main
+from lipext.cli import _fmt, load_graph_file, main
+from lipext.graph import lipschitz_ratio
 
 
 def run(*argv):
@@ -166,6 +167,39 @@ def test_solve_rejects_non_finite(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert "ValidationError" in err and "NonFinite" in err
     assert not out.exists()
+
+
+def test_solve_rejects_overflowing_values(tmp_path, capsys):
+    doc = {
+        "vertices": [{"id": "a", "pos": [0.0]}, {"id": "m", "pos": [1.0]},
+                     {"id": "b", "pos": [2.0]}],
+        "edges": [["a", "m"], ["m", "b"]],
+        "boundary": {"a": [-1e308], "b": [1e308]},
+    }
+    f = write_json(tmp_path / "big.json", doc)
+    out = tmp_path / "x.json"
+    assert run("solve", "--input", f, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "ValueOverflow" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,size", [("grid", 8), ("grid", 12), ("path", 6), ("star", 5),
+                                       ("random", 30)])
+@pytest.mark.parametrize("boundary", ["linear-x", "linear-y", "corners"])
+def test_path_ratio_is_lipschitz_ratio(tmp_path, kind, size, boundary):
+    # the path method takes the verifier's edge ratio; its text must be what
+    # lipschitz_ratio gives on the written values
+    g, r = tmp_path / "g.json", tmp_path / "r.json"
+    argv = ["gen", kind, "--size", size, "--boundary", boundary, "--output", g]
+    if kind == "random":
+        argv += ["--seed", 11]
+    assert run(*argv) == 0
+    assert run("solve", "--input", g, "--output", r) == 0
+    text = r.read_text()
+    values = json.loads(text)["values"]
+    expected = _fmt(lipschitz_ratio(load_graph_file(str(g)), values))
+    assert re.search(r'"geodesic_lip_ratio": ([^,}]+)', text).group(1) == expected
 
 
 # ---------------------------------------------------------------------------

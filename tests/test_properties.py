@@ -1,9 +1,11 @@
-"""Property tests of the minimax kernel and the oracle.
+"""Property tests of the minimax kernel, the oracle and the scalar solver.
 
 Examples are drawn deterministically (derandomize) and their number is
 bounded, so the suite stays reproducible and fast.  Coordinates lie on a
 dyadic grid in [-1, 1]: exact in floating point, and full of the ties,
-zeros and collinear samples that random reals rarely produce.
+zeros and collinear samples that random reals rarely produce.  Properties
+that hold only without ties draw a seed for a graph with uniform random
+positions and values instead.
 """
 
 import math
@@ -12,8 +14,11 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_graph
 from lipext.errors import NoCertifiedSubset
+from lipext.graph import Graph
 from lipext.kpoint import LabeledPointSet, kpoint_oracle, kpoint_vector
+from lipext.scalar import solve_scalar
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -94,3 +99,84 @@ def test_kernel_scales_exactly_by_powers_of_two(instance, vexp, pexp):
     assert scaled.lam == math.ldexp(base.lam, vexp - pexp)
     assert np.array_equal(scaled.point, np.ldexp(base.point, vexp))
     assert scaled.active == base.active
+
+
+# ---------------------------------------------------------------------------
+# the scalar solver
+# ---------------------------------------------------------------------------
+
+@st.composite
+def dyadic_graphs(draw):
+    """Connected graph on 2-16 vertices: a random spanning tree plus up to
+    n extra edges, distinct dyadic positions in the plane, and a nonempty
+    boundary with dyadic values."""
+    n = draw(st.integers(2, 16))
+    ids = [f"v{i:02d}" for i in range(n)]
+    pos = draw(st.lists(row(2), min_size=n, max_size=n, unique=True))
+    edges = {tuple(sorted((k, draw(st.integers(0, k - 1))))) for k in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    edges |= {tuple(sorted(e)) for e in extra if e[0] != e[1]}
+    omega = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=n, unique=True))
+    values = {v: draw(coordinate) for v in omega}
+    return Graph(dict(zip(ids, pos)), [(ids[a], ids[b]) for a, b in sorted(edges)], omega,
+                 values)
+
+
+seeded_graphs = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_graph(np.random.default_rng(seed), max_vertices=30))
+
+
+def relabel(g, name):
+    """g with every vertex id v renamed name[v]."""
+    return Graph({name[v]: p for v, p in g.positions.items()},
+                 [(name[a], name[b], ln) for (a, b), ln in g.lengths.items()],
+                 [name[v] for v in g.omega],
+                 {name[v]: val for v, val in g.boundary_values.items()})
+
+
+@PROPERTY
+@given(dyadic_graphs())
+def test_scalar_solve_is_invariant_under_order_preserving_relabelling(g):
+    # the solver sees ids only through their order, ties included
+    base = solve_scalar(g)
+    moved = solve_scalar(relabel(g, {v: "x" + v for v in g.ids}))
+    assert moved.stage_slopes == base.stage_slopes
+    assert all(np.array_equal(moved.values["x" + v], base.values[v]) for v in g.ids)
+
+
+@PROPERTY
+@given(seeded_graphs, st.randoms(use_true_random=False))
+def test_scalar_solve_is_invariant_under_relabelling(g, rnd):
+    # without ties every stage takes the same path whatever the id order;
+    # only the direction distances and path lengths are summed in may move
+    # the last bits
+    names = list(g.ids)
+    rnd.shuffle(names)
+    name = dict(zip(g.ids, names))
+    base = solve_scalar(g)
+    moved = solve_scalar(relabel(g, name))
+    assert all(abs(moved.values[name[v]][0] - base.values[v][0]) <= 1e-12 for v in g.ids)
+
+
+@PROPERTY
+@given(seeded_graphs, st.floats(-8.0, 8.0))
+def test_scalar_solve_is_shift_covariant(g, c):
+    base = solve_scalar(g)
+    shifted = Graph(g.positions, [(a, b, ln) for (a, b), ln in g.lengths.items()], g.omega,
+                    {v: val + c for v, val in g.boundary_values.items()})
+    moved = solve_scalar(shifted)
+    assert all(abs(moved.values[v][0] - (base.values[v][0] + c)) <= 1e-12 * (1.0 + abs(c))
+               for v in g.ids)
+
+
+@PROPERTY
+@given(dyadic_graphs())
+def test_scalar_solve_obeys_the_maximum_principle(g):
+    # every value lies in the range of the boundary data, with no rounding
+    # slack: interpolation adds a nonnegative step to a path's lower end, and
+    # that step could round past the upper end only if the last edge were
+    # below 1e-16 of the path's length
+    fb = [float(val[0]) for val in g.boundary_values.values()]
+    lo, hi = min(fb), max(fb)
+    res = solve_scalar(g)
+    assert all(lo <= res.values[v][0] <= hi for v in g.ids)

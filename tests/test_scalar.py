@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_graph, path_graph, random_graph
-from lipext.errors import InvalidPath, NotConverged
+from lipext.errors import InvalidPath, NotConverged, ValidationError
 from lipext.graph import Graph, geodesic_distances_from, lipschitz_ratio
 from lipext import scalar
 from lipext.kpoint import minimax_kernel, pairwise_optimum
@@ -275,6 +275,33 @@ def test_verify_flags_corruption(path4):
     assert report.residual_witness == "v1"
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_verify_fails_on_non_finite_values(path4, bad):
+    res = solve_scalar(path4)
+    u = dict(res.values)
+    u["v2"] = np.array([bad])
+    report = verify_extension(path4, u)
+    assert not report.passed
+    assert not report.max_principle_ok and report.max_principle_witness == "v2"
+
+
+def test_solve_rejects_overflowing_value_span():
+    # f(b) - f(a) overflows: the data fails validation instead of giving inf
+    g = path_graph(n=3, values=(-1e308, 1e308))
+    with pytest.raises(ValidationError, match="ValueOverflow"):
+        solve_scalar(g)
+
+
+def test_solve_at_extreme_finite_scale():
+    # a span near the largest float: the edge ratios take |d| instead of
+    # squaring it, so the report checks the true ratios
+    g = path_graph(n=3, values=(-1e200, 1e200))
+    res = solve_scalar(g)
+    assert res.values["v1"][0] == 0.0
+    assert res.stage_slopes == [1e200]
+    assert res.report.passed and res.report.interior_ratio == 1e200
+
+
 def test_verify_boundary_only_graph():
     g = path_graph(n=2, values=(0.0, 1.0))
     state = initial_state(g)
@@ -462,6 +489,85 @@ def test_search_matches_per_source_reference(monkeypatch, block):
         assert res.stage_slopes == state.stage_slopes
         values = finalize_components(g, state)
         assert all(res.values[v][0] == values[v] for v in g.ids)
+
+
+def _tie_graphs(count):
+    """Random graphs with values in {0, 1, 2} and lengths in {1, 2}: many
+    pairs tie at the best slope, on both sides of the row bounds."""
+    rng = np.random.default_rng(5)
+    graphs = []
+    for _ in range(count):
+        n = int(rng.integers(30, 60))
+        ids = [f"v{i:02d}" for i in range(n)]
+        order = rng.permutation(n)
+        pairs = {tuple(sorted((int(order[k]), int(order[rng.integers(0, k)]))))
+                 for k in range(1, n)}
+        pairs |= {tuple(sorted(p)) for p in rng.integers(0, n, (n, 2)) if p[0] != p[1]}
+        edges = [(ids[a], ids[b], float(rng.integers(1, 3))) for a, b in sorted(pairs)]
+        picked = rng.choice(n, int(rng.integers(2, n // 2)), replace=False)
+        boundary = {ids[i]: float(rng.integers(0, 3)) for i in picked}
+        graphs.append(Graph({v: [float(i)] for i, v in enumerate(ids)}, edges,
+                            boundary.keys(), boundary))
+    return graphs
+
+
+@pytest.mark.parametrize("block", [3, None])
+@pytest.mark.parametrize("small", [0, None])
+def test_solver_search_matches_per_source_reference(monkeypatch, block, small):
+    # the bounded search inside solve_scalar, stage by stage; SMALL_SEARCH 0
+    # makes every search take the two bounded passes
+    if block is not None:
+        monkeypatch.setattr(scalar, "SOURCE_BLOCK", block)
+    if small is not None:
+        monkeypatch.setattr(scalar, "SMALL_SEARCH", small)
+    search = scalar._PathSearch.interior_path
+    calls = []
+
+    def checked(self, g, state):
+        path = search(self, g, state)
+        assert path == _reference_interior_path(g, state)
+        calls.append(path)
+        return path
+
+    monkeypatch.setattr(scalar._PathSearch, "interior_path", checked)
+    graphs = (_fast_path_graphs() + _tie_graphs(8)
+              + [grid_graph(9, boundary_fn=lambda x, y: x * x - y)])
+    for g in graphs:
+        solve_scalar(g)
+    assert len(calls) > len(graphs)
+
+
+def _arc_rows(g, state):
+    """Sources of one unbounded search: labeled vertices with a free edge
+    to an unlabeled neighbour."""
+    labeled, used = state.labeled, state.used_edges
+    return sum(any(w not in labeled and _edge_key(v, w) not in used for w, _ in g.neighbors(v))
+               for v in labeled)
+
+
+def test_bounds_skip_search_rows(monkeypatch):
+    g = grid_graph(16, boundary_fn=lambda x, y: x * x - y)
+    n = len(g.ids)
+    rows, unbounded = [], []
+    real = scalar.dijkstra
+
+    def counting(graph, directed, indices):
+        if graph.shape[0] == 2 * n:  # the split graph, not the verifier's
+            rows.append(len(indices))
+        return real(graph, directed=directed, indices=indices)
+
+    search = scalar._PathSearch.interior_path
+
+    def counted(self, g, state):
+        unbounded.append(_arc_rows(g, state))
+        return search(self, g, state)
+
+    monkeypatch.setattr(scalar, "dijkstra", counting)
+    monkeypatch.setattr(scalar._PathSearch, "interior_path", counted)
+    res = solve_scalar(g)
+    assert res.report.passed
+    # the parent's per-stage search ran every row at every stage
+    assert 2 * sum(rows) < sum(unbounded)
 
 
 def _all_pairs_ratios(g, u, pairs_in=None):
