@@ -236,19 +236,20 @@ def validate(g: Graph) -> list[Violation]:
     for v, val in sorted(g.boundary_values.items()):
         if not np.isfinite(val).all():
             out.append(Violation("NonFinite", f"boundary vertex {v!r} has value {val.tolist()}"))
-    if len(dims) == 1:
-        vals = np.array(list(g.boundary_values.values()))
-        with np.errstate(over="ignore", invalid="ignore"):
-            span = vals.max(axis=0) - vals.min(axis=0)
-        if np.isfinite(vals).all() and not np.isfinite(span).all():
-            out.append(Violation("ValueOverflow", "boundary values differ by more than the "
-                                 f"largest float: {vals.min(axis=0).tolist()} to "
-                                 f"{vals.max(axis=0).tolist()}"))
     for (a, b), ln in sorted(g.lengths.items()):
         if not math.isfinite(ln):
             out.append(Violation("NonFinite", f"edge ({a}, {b}) has length {ln}"))
         elif not ln > 0.0:
             out.append(Violation("ZeroLengthEdge", f"edge ({a}, {b}) has length {ln}"))
+    lens = list(g.lengths.values())
+    if len(dims) == 1 and lens and all(math.isfinite(ln) and ln > 0.0 for ln in lens):
+        vals = np.array(list(g.boundary_values.values()))
+        # the solvers' slopes stay within 2 max|f| / shortest edge and the
+        # pair formula's length-weighted values within 2 max|f| * longest
+        top, short, long = float(np.abs(vals).max()), min(lens), max(lens)
+        if math.isfinite(top) and not math.isfinite(max(2.0 * top / short, 2.0 * top * long)):
+            out.append(Violation("ValueOverflow", f"boundary values up to {top:g} in size "
+                                 f"overflow against edge lengths in [{short:g}, {long:g}]"))
     if g.ids:
         seen = {g.ids[0]}
         stack = [g.ids[0]]

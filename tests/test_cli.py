@@ -184,6 +184,22 @@ def test_solve_rejects_overflowing_values(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_rejects_overflowing_slopes(tmp_path, capsys):
+    # f(b) - f(a) = 1.6e308 is finite, the slope 1.6e308 / 0.2 is not
+    doc = {
+        "vertices": [{"id": "a", "pos": [0.0]}, {"id": "m", "pos": [0.1]},
+                     {"id": "b", "pos": [0.2]}],
+        "edges": [["a", "m", 0.1], ["m", "b", 0.1]],
+        "boundary": {"a": [-8e307], "b": [8e307]},
+    }
+    f = write_json(tmp_path / "steep.json", doc)
+    out = tmp_path / "x.json"
+    assert run("solve", "--input", f, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "ValueOverflow" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,size", [("grid", 8), ("grid", 12), ("path", 6), ("star", 5),
                                        ("random", 30)])
 @pytest.mark.parametrize("boundary", ["linear-x", "linear-y", "corners"])

@@ -292,6 +292,25 @@ def test_solve_rejects_overflowing_value_span():
         solve_scalar(g)
 
 
+@pytest.mark.parametrize("value,length", [(8e307, 0.1), (1e300, 1e-9), (1e307, 30.0)])
+def test_solve_rejects_overflowing_slopes(value, length):
+    # the span is finite, but a slope (span / 0.2 for the first) or a
+    # length-weighted value (30 * 1e307) is not
+    g = Graph({"a": [0.0], "m": [1.0], "b": [2.0]}, [("a", "m", length), ("m", "b", length)],
+              ["a", "b"], {"a": -value, "b": value})
+    with pytest.raises(ValidationError, match="ValueOverflow"):
+        solve_scalar(g)
+
+
+@pytest.mark.parametrize("value,length", [(4e307, 0.5), (8.9e307, 1.0), (5e306, 10.0)])
+def test_solve_just_inside_overflow_limit(value, length):
+    g = Graph({"a": [0.0], "m": [1.0], "b": [2.0]}, [("a", "m", length), ("m", "b", length)],
+              ["a", "b"], {"a": -value, "b": value})
+    res = solve_scalar(g)
+    assert res.values["m"][0] == 0.0
+    assert res.report.passed and res.report.interior_ratio == value / length
+
+
 def test_solve_at_extreme_finite_scale():
     # a span near the largest float: the edge ratios take |d| instead of
     # squaring it, so the report checks the true ratios
