@@ -64,6 +64,13 @@ class Biquadratic(NamedTuple):
     c: float
 
 
+def pow2_shift(mag: float) -> int:
+    """Exponent of the power of two that brings mag into [0.5, 1): scaling
+    by it is exact for normal inputs, and keeps squares and sums of
+    quantities near mag free of overflow and underflow."""
+    return min(-math.frexp(mag)[1], 1022)
+
+
 def _bordered(d2: np.ndarray) -> np.ndarray:
     """Bordered matrix: zero corner, row/column of ones, d2 block."""
     k = d2.shape[0]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryMismatch, BoundaryVertex, UnknownVertex, ValidationError
+from .geometry import pow2_shift
 
 # A vertex function assigns an m-vector to every vertex id.
 VertexFunction = dict[str, np.ndarray]
@@ -166,7 +167,15 @@ def steepest_edge(edges, vals: np.ndarray) -> tuple[float, int]:
         return 0.0, -1
     d = vals[heads] - vals[tails]
     # |d| is the norm's value for scalars, without squaring's overflow
-    diff = np.abs(d[:, 0]) if d.shape[1] == 1 else np.linalg.norm(d, axis=1)
+    if d.shape[1] == 1:
+        diff = np.abs(d[:, 0])
+    else:
+        with np.errstate(over="ignore"):
+            diff = np.linalg.norm(d, axis=1)
+        if not np.all(np.isfinite(diff)) and np.all(np.isfinite(d)):
+            # squares overflow: scale by a power of two, as kpoint does
+            shift = pow2_shift(float(np.abs(d).max()))
+            diff = np.ldexp(np.linalg.norm(np.ldexp(d, shift), axis=1), -shift)
     ratios = np.divide(diff, lengths, out=np.zeros_like(diff), where=lengths > 0.0)
     k = int(np.argmax(ratios))
     return float(ratios[k]), k
@@ -230,23 +239,31 @@ def validate(g: Graph) -> list[Violation]:
     dims = {v.shape[0] for v in g.boundary_values.values()}
     if len(dims) > 1:
         out.append(Violation("DimensionMismatch", f"boundary value dimensions {sorted(dims)}"))
-    for v, p in sorted(g.positions.items()):
-        if not np.isfinite(p).all():
-            out.append(Violation("NonFinite", f"vertex {v!r} has position {p.tolist()}"))
-    for v, val in sorted(g.boundary_values.items()):
-        if not np.isfinite(val).all():
-            out.append(Violation("NonFinite", f"boundary vertex {v!r} has value {val.tolist()}"))
-    for (a, b), ln in sorted(g.lengths.items()):
-        if not math.isfinite(ln):
-            out.append(Violation("NonFinite", f"edge ({a}, {b}) has length {ln}"))
-        elif not ln > 0.0:
-            out.append(Violation("ZeroLengthEdge", f"edge ({a}, {b}) has length {ln}"))
-    lens = list(g.lengths.values())
-    if len(dims) == 1 and lens and all(math.isfinite(ln) and ln > 0.0 for ln in lens):
+    # one finiteness pass over every number; the per-item messages are
+    # built only when it fails
+    lens = np.fromiter(g.lengths.values(), dtype=float, count=len(g.lengths))
+    finite = bool(np.isfinite(np.concatenate(
+        [*g.positions.values(), *g.boundary_values.values(), lens])).all())
+    positive = bool((lens > 0.0).all())
+    if not finite:
+        for v, p in sorted(g.positions.items()):
+            if not np.isfinite(p).all():
+                out.append(Violation("NonFinite", f"vertex {v!r} has position {p.tolist()}"))
+        for v, val in sorted(g.boundary_values.items()):
+            if not np.isfinite(val).all():
+                out.append(Violation("NonFinite",
+                                     f"boundary vertex {v!r} has value {val.tolist()}"))
+    if not (finite and positive):
+        for (a, b), ln in sorted(g.lengths.items()):
+            if not math.isfinite(ln):
+                out.append(Violation("NonFinite", f"edge ({a}, {b}) has length {ln}"))
+            elif not ln > 0.0:
+                out.append(Violation("ZeroLengthEdge", f"edge ({a}, {b}) has length {ln}"))
+    if len(dims) == 1 and lens.size and positive and np.isfinite(lens).all():
         vals = np.array(list(g.boundary_values.values()))
         # the solvers' slopes stay within 2 max|f| / shortest edge and the
         # pair formula's length-weighted values within 2 max|f| * longest
-        top, short, long = float(np.abs(vals).max()), min(lens), max(lens)
+        top, short, long = float(np.abs(vals).max()), float(lens.min()), float(lens.max())
         if math.isfinite(top) and not math.isfinite(max(2.0 * top / short, 2.0 * top * long)):
             out.append(Violation("ValueOverflow", f"boundary values up to {top:g} in size "
                                  f"overflow against edge lengths in [{short:g}, {long:g}]"))

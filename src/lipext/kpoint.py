@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -26,6 +27,7 @@ from .geometry import (
     bordered_determinants,
     in_convex_hull,
     is_simplex,
+    pow2_shift,
     solve_biquadratic,
     sphere_point,
 )
@@ -100,8 +102,8 @@ def lip_constant(s: LabeledPointSet) -> float:
     as in _spread: exact for normal inputs, and free of overflow and
     underflow at extreme scales.
     """
-    vshift = _pow2_shift(float(np.abs(s.values).max()))
-    pshift = _pow2_shift(float(np.abs(s.points).max()))
+    vshift = pow2_shift(float(np.abs(s.values).max()))
+    pshift = pow2_shift(float(np.abs(s.points).max()))
     vals = np.ldexp(s.values, vshift)
     pts = np.ldexp(s.points, pshift)
     i, j = np.triu_indices(s.size, 1)
@@ -156,7 +158,7 @@ def _distances(s: LabeledPointSet, x) -> np.ndarray:
         if mag == math.inf:
             raise ValueError("query offsets overflow")
         if not lo <= mag <= hi:
-            shift = _pow2_shift(mag)
+            shift = pow2_shift(mag)
             d = np.ldexp(np.linalg.norm(np.ldexp(diff, shift), axis=1), -shift)
         if not d.min() > 0.0:
             raise QueryCoincidesWithSample("query equals a sample position")
@@ -178,7 +180,7 @@ def _spread(rows: list[list[float]]) -> tuple[float, bool]:
     that would make any data look constant.
     """
     vmag = max([abs(x) for row in rows for x in row])
-    shift = _pow2_shift(vmag)
+    shift = pow2_shift(vmag)
     sc = math.ldexp(1.0, shift)
     top = 0.0
     for i, ri in enumerate(rows):
@@ -191,11 +193,6 @@ def _spread(rows: list[list[float]]) -> tuple[float, bool]:
                 top = sq
     spread = math.sqrt(top)
     return math.ldexp(spread, -shift), spread <= CONSTANT_TOL * max(vmag * sc, spread)
-
-
-def _pow2_shift(mag: float) -> int:
-    """Exponent of the power of two that brings mag into [0.5, 1)."""
-    return min(-math.frexp(mag)[1], 1022)
 
 
 def pairwise_optimum(values, dists) -> tuple[float, float, tuple[int, int]]:
@@ -377,6 +374,104 @@ def _size_class(vsq: np.ndarray, dists: np.ndarray, size: int):
     block = vsq[idx[:, :, None], idx[:, None, :]]
     bq = bordered_determinants(block, dists[idx] ** 2)
     return subsets, bq, block.max(axis=(1, 2))
+
+
+def _sum_squares(t: np.ndarray) -> np.ndarray:
+    """Sum of squares over the first axis, added in coordinate order as the
+    kernel's plain-float loops add them."""
+    sq = t[0] * t[0]
+    for c in range(1, t.shape[0]):
+        sq = sq + t[c] * t[c]
+    return sq
+
+
+class PairBlock:
+    """The pair step for a block of neighbourhoods at once.
+
+    Row r of a block holds count[r] samples, padded to the block's width by
+    repeats of its first sample (value and distance).  A repeat changes no
+    maximum, and every pair it forms ties with an earlier pair or is never
+    steepest, so the pair rules need no mask.  `step` returns for every row
+    the point that the per-row rule returns: `pairwise_optimum`'s for
+    m = 1, and for m > 1 `minimax_kernel`'s (at its default tolerance)
+    when it exits through the constant test or a pair.  The arithmetic is the per-row code's,
+    operation for operation, so the points agree bit for bit; rows whose
+    answer needs a larger subset are reported as not certified and left to
+    the kernel.
+    """
+
+    def __init__(self, dists: np.ndarray, count: np.ndarray):
+        self.dists = dists
+        self.count = count
+        self.rows = np.arange(dists.shape[0])
+        self.first, self.second = np.triu_indices(dists.shape[1], 1)  # row-major pairs
+        self.sums = dists[:, self.first] + dists[:, self.second]
+
+    @cached_property
+    def _unit(self):
+        """The kernel's distances on the unit scale, their pair sums and row
+        maxima, and the columns that the centre's sum adds: None where no
+        row pads the column, else a mask of the rows that do not."""
+        unit = self.dists / self.dists.max(axis=1)[:, None]
+        padded = [(k, None if (self.count > k).all() else self.count > k)
+                  for k in range(1, self.dists.shape[1])]
+        return unit, unit[:, self.first] + unit[:, self.second], unit.max(axis=1), padded
+
+    def step(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(points, certified) for values of shape (m, rows, width): points
+        of shape (rows, m), and whether each row's rule exits here."""
+        certified = np.ones(values.shape[1], dtype=bool)
+        if values.shape[2] == 1:
+            return values[:, :, 0].T.copy(), certified
+        with np.errstate(all="ignore"):
+            if values.shape[0] == 1:
+                return self._scalar(values[0]), certified
+            return self._vector(values)
+
+    def _scalar(self, u: np.ndarray) -> np.ndarray:
+        first, second, rows = self.first, self.second, self.rows
+        k = np.argmax(np.abs(u[:, first] - u[:, second]) / self.sums, axis=1)
+        bi, bj = first[k], second[k]
+        ui, uj = u[rows, bi], u[rows, bj]
+        di, dj = self.dists[rows, bi], self.dists[rows, bj]
+        point = (dj * ui + di * uj) / (di + dj)
+        # a single sample is its own optimum (pairwise_optimum's n == 1)
+        return np.where(self.count == 1, u[:, 0], point)[:, None]
+
+    def _vector(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        first, second, rows = self.first, self.second, self.rows
+        unit, unit_sums, unit_max, padded = self._unit
+        # _spread: the largest scaled pair distance and the constant test
+        vmag = np.abs(values).max(axis=(0, 2))
+        shift = np.minimum(-np.frexp(vmag)[1], 1022)  # pow2_shift, row by row
+        sc = np.ldexp(1.0, shift)
+        sq = _sum_squares((values[:, :, first] - values[:, :, second]) * sc[:, None])
+        top = np.sqrt(sq.max(axis=1))
+        spread = np.ldexp(top, -shift)
+        constant = top <= CONSTANT_TOL * np.maximum(vmag * sc, top)
+        # centre and rescale
+        center = values[:, :, 0]
+        for k, ok in padded:
+            added = center + values[:, :, k]
+            center = added if ok is None else np.where(ok, added, center)
+        center = center / self.count
+        vals = (values - center[:, :, None]) / spread[:, None]
+        # pair phase: the first steepest pair sets the floor, and the first
+        # pair at or above it whose candidate dominates every sample wins
+        lam = np.sqrt(_sum_squares(vals[:, :, first] - vals[:, :, second])) / unit_sums
+        k = np.argmax(lam, axis=1)
+        lam_max, span = lam[rows, k], unit_sums[rows, k]
+        floor = lam_max - 4.0 * (CERT_TOL * lam_max * unit_max + NOISE_TOL) / span
+        di, dj = unit[:, first], unit[:, second]
+        point = (dj * vals[:, :, first] + di * vals[:, :, second]) / unit_sums
+        thr = CERT_TOL * lam * unit_max[:, None] + NOISE_TOL
+        gap = (np.sqrt(_sum_squares(point[:, :, :, None] - vals[:, :, None, :]))
+               - lam[:, :, None] * unit[:, None, :])
+        certified = ~(lam < floor[:, None]) & (gap <= thr[:, :, None]).all(axis=2)
+        k = np.argmax(certified, axis=1)
+        out = center + point[:, rows, k] * spread
+        out = np.where(constant, values[:, :, 0], out)
+        return out.T, constant | certified[rows, k]
 
 
 def kpoint_vector(s: LabeledPointSet, x, tol: float = CERT_TOL) -> KPointResult:
@@ -764,8 +859,8 @@ def kpoint_oracle(s: LabeledPointSet, x, tol: float = 1e-7) -> KPointResult:
     if s.size == 1 or constant:
         point = s.values[0].copy()
         return KPointResult(0.0, point, (0,), 0.0, np.array([1.0]))
-    vshift = _pow2_shift(float(np.abs(s.values).max()))
-    dshift = _pow2_shift(float(d.max()))
+    vshift = pow2_shift(float(np.abs(s.values).max()))
+    dshift = pow2_shift(float(d.max()))
     values = np.ldexp(s.values, vshift)
     d = np.ldexp(d, dshift)
     spread = math.ldexp(spread, vshift)

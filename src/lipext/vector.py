@@ -4,7 +4,10 @@ Each sweep replaces every interior value with the minimax point of its
 neighborhood: the pair formula for scalar data, the kernel for vector
 data.  `iterate_tight` and `scalar.gauss_seidel_scalar` run this one sweep
 loop, and `residual` and `scalar.verify_extension` share one residual
-pass.  Every replacement tightens the local Lipschitz profile, and
+pass.  On all but small graphs both run over blocks of pairwise
+non-adjacent vertices, whose pair steps take one numpy pass
+(`kpoint.PairBlock`); the kernel sees only the neighbourhoods whose answer
+is not a pair.  Every replacement tightens the local Lipschitz profile, and
 a fixed point of all replacements is an extension in the defining sense;
 no convergence rate is guaranteed, so the iteration certifies whatever
 limit it reaches through its residual.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,7 +30,8 @@ from .graph import (  # noqa: F401  (perfbench/tracing.py wraps validate here)
     require_valid,
     validate,
 )
-from .kpoint import CERT_TOL, minimax_kernel, nnls, pairwise_optimum
+from .geometry import pow2_shift
+from .kpoint import CERT_TOL, PairBlock, minimax_kernel, nnls, pairwise_optimum
 
 log = logging.getLogger("lipext.vector")
 
@@ -37,6 +42,24 @@ class IterationReport:
     final_residual: float
     residual_history: list[float]
     converged: bool
+
+
+# The fewest vertices replaced in one batched pass, for m = 1 and m > 1;
+# smaller groups go vertex by vertex.  Measured per colour class, a pass
+# costs about as much as 9 pair formulas (m = 1), and as 4 kernel calls on
+# grid classes but 8 to 13 on random graphs (m = 2), whose rows are wider
+# and often end in the kernel's cheap constant test.  A sweep reuses its
+# blocks every sweep; the residual builds its block for one pass, and
+# breaks even at about 40 scalar rows, and at 15 (grids) to 30 (random
+# graphs) vector rows.  The scalar sweep's cutover sits above its
+# break-even so that graphs up to the 8x8 grid (18-vertex classes) keep
+# the plain id-order Gauss-Seidel loop.
+SWEEP_BLOCK_MIN = (20, 10)
+RESIDUAL_BLOCK_MIN = (40, 24)
+# Vertices of higher degree are replaced one at a time: a block pads every
+# row to its largest degree, and the pair step's work per row grows with
+# the cube of the width (m = 2: 6 us at degree 4, 11 us at 8, 78 us at 16).
+DEGREE_CAP = 8
 
 
 def _local_rule(m: int):
@@ -50,40 +73,153 @@ def _local_rule(m: int):
             (lambda d: float(np.linalg.norm(d))))
 
 
-def _sweep(g: Graph, tol: float, max_iter: int):
-    """Gauss-Seidel sweeps of local replacement, in id order, until no value
-    moves by tol or more; at most max_iter sweeps.
+def _move_lengths(d: np.ndarray) -> np.ndarray:
+    """dist of `_local_rule` for each row of d, to the bit: the stacked
+    matrix product takes each row's dot product as np.linalg.norm takes
+    that of one vector."""
+    if d.shape[1] == 1:
+        return np.abs(d[:, 0])
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
-    Interior values start at the centroid of the boundary data over sorted
-    omega.  Returns (values, history, converged), history holding each
-    sweep's largest move.  The graph is not validated here.
+
+@dataclass(frozen=True)
+class _Block:
+    """Pairwise non-adjacent interior vertices, replaced together: their
+    rows of u, their neighbours' rows padded to the largest degree, and
+    the pair step over their neighbourhoods."""
+
+    rows: np.ndarray
+    nbrs: np.ndarray
+    pairs: PairBlock
+
+    def step(self, u: np.ndarray) -> np.ndarray:
+        """New values of the rows, read from the (vertices, m) array u; rows
+        where no pair certifies go to the kernel one at a time."""
+        new, certified = self.pairs.step(u.T[:, self.nbrs])
+        for r in np.flatnonzero(~certified):
+            n = self.pairs.count[r]
+            new[r] = minimax_kernel(u[self.nbrs[r, :n]], self.pairs.dists[r, :n].tolist())[1]
+        return new
+
+
+class _Plan:
+    """Replacement groups of a graph's interior vertices: a block (or None)
+    and single vertices (row, neighbour rows, lengths), rows being indices
+    into g.ids, to be replaced in turn."""
+
+    def __init__(self, g: Graph, block_min: int):
+        index = {v: i for i, v in enumerate(g.ids)}
+        interior = g.interior()
+        adj = [g.neighbors(v) for v in interior]
+        self.rows = [index[v] for v in interior]
+        # neighbours of the k-th interior vertex: cols and lengths from
+        # start[k] to start[k + 1], in `neighbors` order
+        self.start = list(accumulate(map(len, adj), initial=0))
+        self.cols = [index[w] for a in adj for w, _ in a]
+        self.lengths = [ln for a in adj for _, ln in a]
+        self.block_min = block_min
+
+    def _single(self, k: int):
+        s, e = self.start[k], self.start[k + 1]
+        return self.rows[k], self.cols[s:e], self.lengths[s:e]
+
+    def group(self, ks: list[int]):
+        """(block, singles) for pairwise non-adjacent interior vertices, by
+        position in the interior: those of degree up to DEGREE_CAP form the
+        block when there are at least block_min of them, and the rest are
+        singles."""
+        start = self.start
+        batched = [k for k in ks if start[k + 1] - start[k] <= DEGREE_CAP]
+        if len(batched) < self.block_min:
+            return None, [self._single(k) for k in ks]
+        # rows are padded with repeats of their first neighbour (PairBlock)
+        at = np.array([start[k] for k in batched])
+        degree = np.array([start[k + 1] for k in batched]) - at
+        col = np.arange(degree.max())
+        take = at[:, None] + np.where(col < degree[:, None], col, 0)
+        block = _Block(np.array([self.rows[k] for k in batched], dtype=np.intp),
+                       np.array(self.cols, dtype=np.intp)[take],
+                       PairBlock(np.array(self.lengths)[take], degree))
+        return block, [self._single(k) for k in ks if start[k + 1] - start[k] > DEGREE_CAP]
+
+    def sweep_order(self) -> list:
+        """Gauss-Seidel groups: the colour classes of a greedy colouring of
+        the interior in id order (red-black on grids) when one of them is
+        large enough to batch, and else every interior vertex on its own,
+        in id order."""
+        colour: dict[int, int] = {}
+        classes: list[list[int]] = []
+        for k, row in enumerate(self.rows):
+            used = {colour.get(j) for j in self.cols[self.start[k]:self.start[k + 1]]}
+            c = 0
+            while c in used:
+                c += 1
+            colour[row] = c
+            if c == len(classes):
+                classes.append([])
+            classes[c].append(k)
+        if max(map(len, classes), default=0) < self.block_min:
+            return [(None, [self._single(k) for k in range(len(self.rows))])]
+        return [self.group(c) for c in classes]
+
+
+def _centroid(bvals: np.ndarray) -> np.ndarray:
+    """Mean of the rows of bvals.  When the plain mean overflows, the rows
+    are scaled by a power of two first, so finite data has a finite mean
+    and the rest keeps the plain mean's bits."""
+    with np.errstate(over="ignore"):
+        mean = np.mean(bvals, axis=0)
+    if np.all(np.isfinite(mean)) or not np.all(np.isfinite(bvals)):
+        return mean
+    shift = pow2_shift(float(np.abs(bvals).max()))
+    return np.ldexp(np.mean(np.ldexp(bvals, shift), axis=0), -shift)
+
+
+def _sweep(g: Graph, tol: float, max_iter: int):
+    """Gauss-Seidel sweeps of local replacement until no value moves by tol
+    or more; at most max_iter sweeps.
+
+    A sweep replaces the groups of `_Plan.sweep_order` in turn: the colour
+    classes of a greedy colouring, each in one batched pass, or on graphs
+    whose classes are too small to batch every vertex on its own in id
+    order.  No two vertices of a class are adjacent, so either way it is a
+    Gauss-Seidel sweep.  Interior values start at the centroid of the
+    boundary data over sorted omega.  Returns (values, history,
+    converged), history holding each sweep's largest move.  The graph is
+    not validated here.
     """
     ids = g.ids
-    index = {v: i for i, v in enumerate(ids)}
-    centroid = np.mean([g.boundary_values[b] for b in sorted(g.omega)], axis=0)
-    step, dist = _local_rule(centroid.size)
-    u = [g.boundary_values[v] if v in g.omega else centroid for v in ids]
-    if centroid.size == 1:
-        u = [float(x[0]) for x in u]
-    table = [
-        (index[v], [index[w] for w, _ in g.neighbors(v)], [ln for _, ln in g.neighbors(v)])
-        for v in ids
-        if v not in g.omega
-    ]
+    centroid = _centroid(np.array([g.boundary_values[b] for b in sorted(g.omega)]))
+    m = centroid.size
+    step, dist = _local_rule(m)
+    order = _Plan(g, SWEEP_BLOCK_MIN[m > 1]).sweep_order()
+    rows = [g.boundary_values[v] if v in g.omega else centroid for v in ids]
+    # blocks read and write a (vertices, m) array, single vertices go
+    # faster on a list
+    if any(block is not None for block, _ in order):
+        u = np.array(rows, dtype=float)
+        vals = u[:, 0] if m == 1 else u
+    else:
+        vals = [float(x[0]) for x in rows] if m == 1 else rows
     history: list[float] = []
     converged = False
     for _ in range(max_iter):
         delta = 0.0
-        for i, idxs, lens in table:
-            new = step([u[j] for j in idxs], lens)
-            delta = max(delta, dist(new - u[i]))
-            u[i] = new
+        for block, singles in order:
+            if block is not None:
+                new = block.step(u)
+                delta = max(delta, float(_move_lengths(new - u[block.rows]).max()))
+                u[block.rows] = new
+            for i, idxs, lens in singles:
+                new = step([vals[j] for j in idxs], lens)
+                delta = max(delta, dist(new - vals[i]))
+                vals[i] = new
         history.append(delta)
         if delta < tol:
             converged = True
             break
     log.debug("%d sweeps, converged=%s", len(history), converged)
-    values: VertexFunction = {v: np.array(u[i], dtype=float, ndmin=1) for i, v in enumerate(ids)}
+    values: VertexFunction = {v: np.array(vals[i], dtype=float, ndmin=1) for i, v in enumerate(ids)}
     return values, history, converged
 
 
@@ -107,17 +243,23 @@ def iterate_tight(g: Graph, tol: float = 1e-10, max_iter: int = 100_000):
 
 def _worst_move(g: Graph, u: VertexFunction) -> tuple[float, str | None]:
     """Largest distance between an interior value of u and its neighbourhood
-    optimum, with the first vertex in id order that attains it."""
+    optimum, with the first vertex in id order that attains it.
+
+    u is only read, so the whole interior is one group (`_Plan.group`)."""
     m = g.value_dim()
     step, dist = _local_rule(m)
-    if m == 1:
-        u = {v: float(x[0]) for v, x in u.items()}
+    plan = _Plan(g, RESIDUAL_BLOCK_MIN[m > 1])
+    block, singles = plan.group(list(range(len(plan.rows))))
+    vals = [float(u[v][0]) for v in g.ids] if m == 1 else [u[v] for v in g.ids]
+    moves = {i: dist(step([vals[j] for j in idxs], lens) - vals[i]) for i, idxs, lens in singles}
+    if block is not None:
+        arr = np.array(vals, dtype=float).reshape(len(vals), m)
+        lengths = _move_lengths(block.step(arr) - arr[block.rows])
+        moves.update(zip(block.rows.tolist(), lengths.tolist()))
     worst, witness = 0.0, None
-    for x in g.interior():
-        nbrs = g.neighbors(x)
-        r = dist(step([u[w] for w, _ in nbrs], [ln for _, ln in nbrs]) - u[x])
-        if r > worst:
-            worst, witness = r, x
+    for i in plan.rows:
+        if moves[i] > worst:
+            worst, witness = moves[i], g.ids[i]
     return worst, witness
 
 

@@ -200,6 +200,26 @@ def test_solve_rejects_overflowing_slopes(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("boundary", [
+    # values that sum past the largest float: the sweep's starting centroid
+    {"v0": [8e307], "v2": [8.5e307], "v5": [8.9e307]},
+    # vector values whose squared differences overflow: the edge ratio
+    {"v0": [1e200, 0.0], "v5": [-1e200, 0.0]},
+])
+def test_iterate_at_extreme_scale(tmp_path, capsys, boundary):
+    doc = {
+        "vertices": [{"id": f"v{i}", "pos": [float(i)]} for i in range(6)],
+        "edges": [[f"v{i}", f"v{i + 1}"] for i in range(5)],
+        "boundary": boundary,
+    }
+    f = write_json(tmp_path / "big.json", doc)
+    out = tmp_path / "x.json"
+    assert run("solve", "--input", f, "--method", "iterate", "--output", out) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())["report"]
+    assert report["converged"] and 0.0 < report["geodesic_lip_ratio"] < float("inf")
+
+
 @pytest.mark.parametrize("kind,size", [("grid", 8), ("grid", 12), ("path", 6), ("star", 5),
                                        ("random", 30)])
 @pytest.mark.parametrize("boundary", ["linear-x", "linear-y", "corners"])

@@ -10,6 +10,7 @@ from lipext.graph import (
     Graph,
     geodesic_distance,
     is_tighter,
+    lipschitz_ratio,
     local_lipschitz,
     neighborhood,
     validate,
@@ -240,6 +241,37 @@ def test_validate_non_finite():
     ]
     for g in cases:
         assert [v.code for v in validate(g)] == ["NonFinite"]
+
+
+def test_validate_lists_every_violation_in_order():
+    # the finiteness checks run as one array pass; the messages that follow
+    # a failure keep their kinds and order
+    nan, inf = float("nan"), float("inf")
+    g = Graph({"a": [0.0, nan], "b": [1.0, 0.0], "c": [2.0, 0.0], "d": [5.0, 5.0]},
+              [("a", "b", inf), ("b", "c", 0.0), ("a", "c", -1.0)],
+              ["a", "b", "x"], {"a": [inf], "b": [1.0, 2.0], "z": [1.0]})
+    assert [(v.code, v.message) for v in validate(g)] == [
+        ("UnknownVertex", "boundary vertex 'x' not in graph"),
+        ("MissingBoundaryValue", "no value for ['x']"),
+        ("ExtraBoundaryValue", "values outside boundary: ['z']"),
+        ("DimensionMismatch", "boundary value dimensions [1, 2]"),
+        ("NonFinite", "vertex 'a' has position [0.0, nan]"),
+        ("NonFinite", "boundary vertex 'a' has value [inf]"),
+        ("NonFinite", "edge (a, b) has length inf"),
+        ("ZeroLengthEdge", "edge (a, c) has length -1.0"),
+        ("ZeroLengthEdge", "edge (b, c) has length 0.0"),
+        ("Disconnected", "1 vertices unreachable"),
+    ]
+
+
+def test_vector_ratio_at_extreme_scale():
+    # squared differences near 1e400 overflow; the norms are scaled by a
+    # power of two instead, and only then
+    g = Graph({"a": [0.0], "m": [1.0], "b": [2.0]}, [("a", "m"), ("m", "b")], ["a", "b"],
+              {"a": [1e200, 0.0], "b": [-1e200, 0.0]})
+    u = {"a": [1e200, 0.0], "m": [0.0, 0.0], "b": [-1e200, 0.0]}
+    assert lipschitz_ratio(g, u) == 1e200
+    assert lipschitz_ratio(g, {"a": [3.0, 4.0], "m": [0.0, 0.0], "b": [0.0, 1.0]}) == 5.0
 
 
 def test_constructor_rejects_bad_edges():

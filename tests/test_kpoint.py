@@ -17,6 +17,7 @@ from lipext.kpoint import (
     NOISE_TOL,
     Feasibility,
     LabeledPointSet,
+    PairBlock,
     _kkt_newton,
     _project_cycles,
     _separated,
@@ -749,6 +750,23 @@ def test_kernel_matches_reference_on_c06_corpus():
     for points, values, x in c06_instances():
         d = np.linalg.norm(points - x, axis=1)
         _assert_matches_reference(values, d)
+
+
+def test_pair_block_rows_of_one_sample():
+    # a row with one sample is its own optimum, bit for bit, also where the
+    # padding repeats it: (d u + d u) / (d + d) rounds away from u in about
+    # one case in nine
+    rng = np.random.default_rng(5)
+    for m in (1, 2):
+        values = rng.uniform(-1, 1, (m, 200, 3))
+        dists = rng.uniform(0.01, 2.0, (200, 3))
+        values[:, 1:, 1:] = values[:, 1:, :1]
+        dists[1:, 1:] = dists[1:, :1]
+        count = np.ones(200, dtype=int)
+        count[0] = 3
+        points, certified = PairBlock(dists, count).step(values)
+        assert certified[1:].all()
+        assert np.array_equal(points[1:], values[:, 1:, 0].T)
 
 
 def test_kernel_matches_reference_in_sweeps(monkeypatch):

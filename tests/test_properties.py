@@ -1,4 +1,5 @@
-"""Property tests of the minimax kernel, the oracle and the scalar solver.
+"""Property tests of the minimax kernel, the oracle, the scalar solver and
+the sweep solvers' batched pair step.
 
 Examples are drawn deterministically (derandomize) and their number is
 bounded, so the suite stays reproducible and fast.  Coordinates lie on a
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 from conftest import random_graph
 from lipext.errors import NoCertifiedSubset
 from lipext.graph import Graph
-from lipext.kpoint import LabeledPointSet, kpoint_oracle, kpoint_vector
-from lipext.scalar import solve_scalar
+from lipext.kpoint import LabeledPointSet, PairBlock, kpoint_oracle, kpoint_vector, minimax_kernel
+from lipext.scalar import gauss_seidel_scalar, solve_scalar
+from lipext.vector import _local_rule
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -180,3 +182,87 @@ def test_scalar_solve_obeys_the_maximum_principle(g):
     lo, hi = min(fb), max(fb)
     res = solve_scalar(g)
     assert all(lo <= res.values[v][0] <= hi for v in g.ids)
+
+
+# ---------------------------------------------------------------------------
+# the batched pair step of the sweep solvers
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@st.composite
+def neighbourhood_blocks(draw):
+    """(values, dists, count): 1-6 neighbourhoods of 1-8 samples with
+    values in R^m, m = 1-3, stored as PairBlock takes them (coordinates
+    first, rows padded to the widest by repeats of their first sample).
+    A row's values are dyadic, real (products and quotients round),
+    constant, constant up to 2^-50, or drawn from five levels with lengths
+    1 and 2, full of tied pairs."""
+    m = draw(st.integers(1, 3))
+    count = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    width = max(count)
+    values = np.empty((m, len(count), width))
+    dists = np.empty((len(count), width))
+    length = st.integers(1, 2**10).map(lambda i: math.ldexp(i, -8))
+    for r, n in enumerate(count):
+        kind = draw(st.sampled_from(["dyadic", "real", "constant", "near-constant", "tied"]))
+        if kind == "tied":
+            level = st.integers(-2, 2).map(lambda i: 0.5 * i)
+            vals = np.array(draw(st.lists(st.tuples(*[level] * m), min_size=n, max_size=n)))
+            lens = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n))
+        elif kind == "real":
+            real = st.floats(-1.0, 1.0, allow_nan=False)
+            vals = np.array(draw(st.lists(st.tuples(*[real] * m), min_size=n, max_size=n)))
+            lens = draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n))
+        else:
+            vals = np.array(draw(st.lists(row(m), min_size=n, max_size=n)))
+            lens = draw(st.lists(length, min_size=n, max_size=n))
+        if kind == "constant":
+            vals = np.repeat(vals[:1], n, axis=0)
+        elif kind == "near-constant":
+            vals = vals[:1] + np.ldexp(vals, -50)
+        values[:, r, :n] = vals.T
+        values[:, r, n:] = vals[:1].T
+        dists[r, :n] = lens
+        dists[r, n:] = lens[0]
+    return values, dists, np.array(count)
+
+
+@PROPERTY
+@given(neighbourhood_blocks())
+def test_batched_pair_step_matches_the_local_rule(block):
+    # every row the batched step certifies gets the per-vertex rule's bits;
+    # for m > 1 it certifies exactly the rows that the kernel ends in its
+    # constant test or pair phase, and leaves the simplex exits to it
+    values, dists, count = block
+    m = values.shape[0]
+    points, certified = PairBlock(dists, count).step(values)
+    step, _ = _local_rule(m)
+    for r, n in enumerate(count):
+        rows, lens = values[:, r, :n].T, dists[r, :n].tolist()
+        if m == 1:
+            assert certified[r]
+            assert _bits(points[r, 0]) == _bits(step(rows[:, 0].tolist(), lens))
+            continue
+        try:
+            exit_size = len(minimax_kernel(rows, lens)[2])
+        except NoCertifiedSubset:
+            exit_size = None
+        if certified[r]:
+            assert exit_size is not None and exit_size <= 2
+            assert np.array_equal(_bits(points[r]), _bits(step(list(rows), lens)))
+        else:
+            assert exit_size is None or exit_size > 2
+
+
+@settings(PROPERTY, max_examples=15)
+@given(st.integers(0, 2**32 - 1).map(
+    lambda seed: random_graph(np.random.default_rng(seed), max_vertices=80)))
+def test_gauss_seidel_matches_the_path_solver(g):
+    # the sweep solver, batched by colour class on the larger graphs, is the
+    # path solver's independent cross-check (C02)
+    sweep = gauss_seidel_scalar(g)
+    exact = solve_scalar(g)
+    assert all(abs(sweep.values[v][0] - exact.values[v][0]) <= 1e-6 for v in g.ids)

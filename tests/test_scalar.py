@@ -321,6 +321,20 @@ def test_solve_at_extreme_finite_scale():
     assert res.report.passed and res.report.interior_ratio == 1e200
 
 
+def test_gauss_seidel_start_does_not_overflow():
+    # the boundary values sum past the largest float, although each passes
+    # validation: the sweep's starting centroid is taken with power-of-two
+    # scaling, so the interior stays finite
+    ids = [f"v{i}" for i in range(6)]
+    g = Graph({v: [float(i)] for i, v in enumerate(ids)}, [(ids[i], ids[i + 1]) for i in range(5)],
+              ["v0", "v2", "v5"], {"v0": 8e307, "v2": 8.5e307, "v5": 8.9e307})
+    res = gauss_seidel_scalar(g)
+    assert all(np.isfinite(res.values[v][0]) for v in ids)
+    assert res.report.passed
+    exact = solve_scalar(g)
+    assert all(abs(res.values[v][0] - exact.values[v][0]) <= 1e-12 * 8.9e307 for v in ids)
+
+
 def test_verify_boundary_only_graph():
     g = path_graph(n=2, values=(0.0, 1.0))
     state = initial_state(g)

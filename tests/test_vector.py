@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
+from lipext import vector
 from lipext.graph import Graph
+from lipext.kpoint import PairBlock, minimax_kernel
 from lipext.scalar import solve_scalar
 from lipext.vector import (
     boundary_hull_gap,
@@ -132,3 +134,106 @@ def test_hull_gap_flags_outside_point():
     gap, witness = boundary_hull_gap(g, values)
     assert gap > 1e-2
     assert witness == "m"
+
+
+# ---------------------------------------------------------------------------
+# colour-class batching
+# ---------------------------------------------------------------------------
+
+def two_sided_grid(n):
+    """n x n lattice on the unit square whose left and right columns carry
+    m = 2 values: a quarter circle arc and a parabola."""
+    h = 1.0 / (n - 1)
+    vertices, edges, boundary = {}, [], {}
+    for i in range(n):
+        for j in range(n):
+            vid = f"g{i:02d}_{j:02d}"
+            x, y = i * h, j * h
+            vertices[vid] = [x, y]
+            if i > 0:
+                edges.append((f"g{i - 1:02d}_{j:02d}", vid))
+            if j > 0:
+                edges.append((f"g{i:02d}_{j - 1:02d}", vid))
+            if i == 0:
+                boundary[vid] = [np.cos(0.5 * np.pi * y), np.sin(0.5 * np.pi * y)]
+            elif i == n - 1:
+                boundary[vid] = [1.0 + y, -y * y]
+    return Graph(vertices, edges, boundary.keys(), boundary)
+
+
+def _recording_kernel(monkeypatch):
+    """Patch vector.minimax_kernel to record the size of each exit."""
+    exits = []
+    kernel = vector.minimax_kernel
+
+    def recording(values, dists, *args):
+        result = kernel(values, dists, *args)
+        exits.append(len(result[2]))
+        return result
+
+    monkeypatch.setattr(vector, "minimax_kernel", recording)
+    return exits
+
+
+def _every_row_to_the_kernel(monkeypatch):
+    """Patch the batched step to certify nothing, so that every row of a
+    block goes to the kernel, in the same order."""
+    def nothing(self, values):
+        return np.zeros((values.shape[1], values.shape[0])), np.zeros(values.shape[1], dtype=bool)
+
+    monkeypatch.setattr(PairBlock, "step", nothing)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: two_sided_grid(7),
+    # two classes, every interior vertex in one of them, degrees 1 to 6:
+    # rows are padded
+    lambda: random_graph(np.random.default_rng(71), max_vertices=60, m=2),
+])
+def test_batched_sweep_calls_the_kernel_only_for_simplex_exits(monkeypatch, make):
+    g = make()
+    exits = _recording_kernel(monkeypatch)
+    values, report = iterate_tight(g, tol=1e-10)
+    assert exits and set(exits) == {3}
+    # the same sweeps with every row sent to the kernel: the same bits, and
+    # the pair and constant exits are what the batched step took over
+    exits.clear()
+    _every_row_to_the_kernel(monkeypatch)
+    again, again_report = iterate_tight(g, tol=1e-10)
+    assert again_report.sweeps == report.sweeps
+    assert again_report.residual_history == report.residual_history
+    assert all(np.array_equal(again[v], values[v]) for v in g.ids)
+    assert exits.count(2) > exits.count(3) > 0
+
+
+def _id_order_sweeps(g, tol):
+    """Gauss-Seidel sweeps of the kernel vertex by vertex in id order, from
+    the boundary centroid: (values by id, sweeps)."""
+    ids = g.ids
+    index = {v: i for i, v in enumerate(ids)}
+    centroid = np.mean([g.boundary_values[b] for b in sorted(g.omega)], axis=0)
+    u = [g.boundary_values[v] if v in g.omega else centroid for v in ids]
+    sweeps = 0
+    while True:
+        sweeps += 1
+        delta = 0.0
+        for v in g.interior():
+            nbrs = g.neighbors(v)
+            new = minimax_kernel(np.array([u[index[w]] for w, _ in nbrs]),
+                                 [ln for _, ln in nbrs])[1]
+            delta = max(delta, float(np.linalg.norm(new - u[index[v]])))
+            u[index[v]] = new
+        if delta < tol:
+            return {v: u[index[v]] for v in ids}, sweeps
+
+
+def test_small_graph_sweeps_vertex_by_vertex(monkeypatch):
+    # classes of 4 are below the cutover: every replacement is a kernel
+    # call, in id order, and so is every residual check
+    g = two_sided_grid(4)
+    ref, sweeps = _id_order_sweeps(g, 1e-10)
+    exits = _recording_kernel(monkeypatch)
+    values, report = iterate_tight(g, tol=1e-10)
+    assert report.sweeps == sweeps
+    assert all(np.array_equal(values[v], ref[v]) for v in g.ids)
+    assert len(exits) == (report.sweeps + 1) * len(g.interior())
