@@ -65,7 +65,10 @@ class Graph:
                 lengths[key] = float(np.linalg.norm(pos[a] - pos[b]))
         bvals: dict[str, np.ndarray] = {}
         for vid, val in dict(boundary_values).items():
-            bvals[str(vid)] = np.atleast_1d(np.asarray(val, dtype=float))
+            value = np.atleast_1d(np.asarray(val, dtype=float))
+            if value.ndim > 1:
+                raise ValueError(f"boundary value of {vid!r} is not a vector: {val!r}")
+            bvals[str(vid)] = value
         self.positions = pos
         self.lengths = lengths
         self.omega = frozenset(str(v) for v in omega)
@@ -239,11 +242,11 @@ def validate(g: Graph) -> list[Violation]:
     dims = {v.shape[0] for v in g.boundary_values.values()}
     if len(dims) > 1:
         out.append(Violation("DimensionMismatch", f"boundary value dimensions {sorted(dims)}"))
-    # one finiteness pass over every number; the per-item messages are
-    # built only when it fails
+    # one finiteness pass over every number (axis=None flattens arrays of
+    # any shape); the per-item messages are built only when it fails
     lens = np.fromiter(g.lengths.values(), dtype=float, count=len(g.lengths))
     finite = bool(np.isfinite(np.concatenate(
-        [*g.positions.values(), *g.boundary_values.values(), lens])).all())
+        [*g.positions.values(), *g.boundary_values.values(), lens], axis=None)).all())
     positive = bool((lens > 0.0).all())
     if not finite:
         for v, p in sorted(g.positions.items()):

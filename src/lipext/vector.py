@@ -194,8 +194,10 @@ def _sweep(g: Graph, tol: float, max_iter: int):
     step, dist = _local_rule(m)
     order = _Plan(g, SWEEP_BLOCK_MIN[m > 1]).sweep_order()
     rows = [g.boundary_values[v] if v in g.omega else centroid for v in ids]
-    # blocks read and write a (vertices, m) array, single vertices go
-    # faster on a list
+    # blocks read and write a (vertices, m) array.  Graphs without a block
+    # keep a list: scalar steps that index the array's column read numpy
+    # scalars, which made the benchmark's small sweeps (`sweep` solve_s.S,
+    # query_ms.p50) 8-10 % slower, 9 and 10 of 10 run pairs
     if any(block is not None for block, _ in order):
         u = np.array(rows, dtype=float)
         vals = u[:, 0] if m == 1 else u
@@ -250,6 +252,7 @@ def _worst_move(g: Graph, u: VertexFunction) -> tuple[float, str | None]:
     step, dist = _local_rule(m)
     plan = _Plan(g, RESIDUAL_BLOCK_MIN[m > 1])
     block, singles = plan.group(list(range(len(plan.rows))))
+    # a list for the single steps and an array for the block, as in `_sweep`
     vals = [float(u[v][0]) for v in g.ids] if m == 1 else [u[v] for v in g.ids]
     moves = {i: dist(step([vals[j] for j in idxs], lens) - vals[i]) for i, idxs, lens in singles}
     if block is not None:

@@ -200,6 +200,38 @@ def test_solve_rejects_overflowing_slopes(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_nested_positions(tmp_path):
+    # a position written as [[x, y]] is the point (x, y)
+    doc = {
+        "vertices": [{"id": f"v{i}", "pos": [float(i), 0.0]} for i in range(4)],
+        "edges": [[f"v{i}", f"v{i + 1}"] for i in range(3)],
+        "boundary": {"v0": [0.0], "v3": [3.0]},
+    }
+    flat = write_json(tmp_path / "flat.json", doc)
+    for v in doc["vertices"]:
+        v["pos"] = [v["pos"]]
+    nested = write_json(tmp_path / "nested.json", doc)
+    for method in ("path", "iterate"):
+        a, b = tmp_path / f"a-{method}.json", tmp_path / f"b-{method}.json"
+        assert run("solve", "--input", flat, "--method", method, "--output", a) == 0
+        assert run("solve", "--input", nested, "--method", method, "--output", b) == 0
+        assert a.read_text() == b.read_text()
+
+
+def test_solve_rejects_nested_values(tmp_path, capsys):
+    doc = {
+        "vertices": [{"id": f"v{i}", "pos": [float(i)]} for i in range(4)],
+        "edges": [[f"v{i}", f"v{i + 1}"] for i in range(3)],
+        "boundary": {"v0": [[0.0]], "v3": [[3.0]]},
+    }
+    f = write_json(tmp_path / "nested.json", doc)
+    out = tmp_path / "x.json"
+    assert run("solve", "--input", f, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("boundary", [
     # values that sum past the largest float: the sweep's starting centroid
     {"v0": [8e307], "v2": [8.5e307], "v5": [8.9e307]},

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import grid_graph, random_graph
 from lipext import vector
 from lipext.graph import Graph
-from lipext.kpoint import PairBlock, minimax_kernel
+from lipext.kpoint import PairBlock, minimax_kernel, pairwise_optimum
 from lipext.scalar import solve_scalar
 from lipext.vector import (
     boundary_hull_gap,
@@ -204,6 +204,78 @@ def test_batched_sweep_calls_the_kernel_only_for_simplex_exits(monkeypatch, make
     assert again_report.residual_history == report.residual_history
     assert all(np.array_equal(again[v], values[v]) for v in g.ids)
     assert exits.count(2) > exits.count(3) > 0
+
+
+def with_hub(g, nbrs):
+    """g plus an interior vertex "h" joined by edges of length 0.4 to nbrs:
+    of degree above vector.DEGREE_CAP, it is replaced on its own."""
+    vertices = dict(g.positions)
+    vertices["h"] = [0.5, 0.5]
+    edges = [(a, b, ln) for (a, b), ln in g.lengths.items()] + [("h", w, 0.4) for w in nbrs]
+    return Graph(vertices, edges, g.omega, g.boundary_values)
+
+
+def _has_block_and_single(groups):
+    return any(block is not None and singles for block, singles in groups)
+
+
+def test_batched_sweep_with_a_vertex_above_the_degree_cap(monkeypatch):
+    # the hub joins 5 boundary vertices and 5 interior vertices of the
+    # other colour, so it is coloured with 18 grid vertices: that class is
+    # a block plus the hub, and so is the residual's one group
+    nbrs = [f"g00_{j:02d}" for j in range(5)] + [
+        f"g{i:02d}_{j:02d}" for i, j in [(2, 2), (2, 4), (3, 3), (4, 2), (4, 4)]]
+    g = with_hub(two_sided_grid(7), nbrs)
+    assert len(g.neighbors("h")) > vector.DEGREE_CAP
+    plan = vector._Plan(g, vector.SWEEP_BLOCK_MIN[1])
+    assert _has_block_and_single(plan.sweep_order())
+    plan = vector._Plan(g, vector.RESIDUAL_BLOCK_MIN[1])
+    assert _has_block_and_single([plan.group(list(range(len(plan.rows))))])
+    hub_calls = []
+    kernel = vector.minimax_kernel
+
+    def recording(values, dists, *args):
+        result = kernel(values, dists, *args)
+        hub_calls.append(len(dists) == len(nbrs))
+        exits.append(len(result[2]))
+        return result
+
+    exits = []
+    monkeypatch.setattr(vector, "minimax_kernel", recording)
+    values, report = iterate_tight(g, tol=1e-10)
+    # the hub once in every sweep and in the residual; the rest are the
+    # block rows that exit through a simplex
+    assert sum(hub_calls) == report.sweeps + 1
+    assert {e for e, hub in zip(exits, hub_calls) if not hub} == {3}
+    # the same run with every block row sent to the kernel
+    _every_row_to_the_kernel(monkeypatch)
+    again, again_report = iterate_tight(g, tol=1e-10)
+    assert again_report == report
+    assert all(np.array_equal(again[v], values[v]) for v in g.ids)
+
+
+def test_scalar_residual_with_a_vertex_above_the_degree_cap():
+    # 49 interior vertices in one residual block, the hub on its own: the
+    # moves and the first worst vertex are the per-vertex rule's
+    nbrs = [f"g00_{j:02d}" for j in range(1, 6)] + [
+        f"g{i:02d}_{j:02d}" for i, j in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]]
+    g = with_hub(grid_graph(9, lambda x, y: x * x - y), nbrs)
+    plan = vector._Plan(g, vector.RESIDUAL_BLOCK_MIN[0])
+    assert _has_block_and_single([plan.group(list(range(len(plan.rows))))])
+    rng = np.random.default_rng(5)
+    for hub_value in (None, 10.0):
+        u = {v: (g.boundary_values[v] if v in g.omega else rng.uniform(-1.0, 1.0, 1))
+             for v in g.ids}
+        if hub_value is not None:
+            u["h"] = np.array([hub_value])
+        worst, witness = 0.0, None
+        for v in g.interior():
+            nbrs_v = g.neighbors(v)
+            point = pairwise_optimum([u[w][0] for w, _ in nbrs_v], [ln for _, ln in nbrs_v])[0]
+            if abs(point - u[v][0]) > worst:
+                worst, witness = abs(point - u[v][0]), v
+        assert vector._worst_move(g, u) == (worst, witness)
+        assert (witness == "h") == (hub_value is not None)
 
 
 def _id_order_sweeps(g, tol):
