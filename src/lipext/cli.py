@@ -21,7 +21,6 @@ from .errors import (
     BadParams,
     DimensionMismatch,
     LipextError,
-    MethodUnavailable,
     NotConverged,
     ParseError,
 )
@@ -238,11 +237,9 @@ def _result_doc(g: Graph, values, *, residual_val, max_principle, ratio, stage_s
 
 def cmd_solve(args) -> int:
     g = load_graph_file(args.input)
-    require_valid(g)
-    m = g.value_dim()
+    # each solver validates g before anything else, and solve_scalar then
+    # raises MethodUnavailable on vector data
     if args.method == "path":
-        if m != 1:
-            raise MethodUnavailable("method 'path' requires scalar boundary values")
         res = solve_scalar(g)
         values, resid, slopes, converged = res.values, res.report.residual, res.stage_slopes, True
         # the verifier's edge pass is lipschitz_ratio's, on the same values
@@ -254,7 +251,7 @@ def cmd_solve(args) -> int:
             log.warning("solve did not converge: %s", exc)
             values, report = exc.values, exc.report
         resid, slopes, converged = report.final_residual, None, report.converged
-        mp = maximum_principle(g, values)[0] if m == 1 else None
+        mp = maximum_principle(g, values)[0] if g.value_dim() == 1 else None
         ratio = lipschitz_ratio(g, values)
     doc = _result_doc(g, values, residual_val=resid, max_principle=mp, ratio=ratio,
                       stage_slopes=slopes, converged=converged)

@@ -522,23 +522,12 @@ def certificate_check(s: LabeledPointSet, x, lambda0: float, point0, subset, tol
 # threshold would take more than STALL_PATIENCE further cycles (cyclic
 # projections converge sublinearly when active balls touch tangentially).
 # An undecided probe ends the bisection, as does the global cycle budget.
-# The bisection supplies only a start: its last feasible point ranks the
-# samples for the polish's first working set, and the accuracy comes from
-# the polish (minimize), an exact active-set solve that certifies its point
-# with the KKT conditions.  So the bisection pauses once its interval is
-# below START_REL relative, before its probes reach the nearly tangent balls
-# where the projections crawl.  Only when the oracle does not keep the
-# polish's point does it resume, with the same bracket, point and budget,
-# down to INTERVAL_REL; bisection is deterministic, so that fallback point
-# is the one an uninterrupted bisection to INTERVAL_REL would reach.
-# START_REL is the coarsest of 1e-1, 1e-2 and 1e-3, the one that measured
-# fastest: on the kpoint-check corpora the polish took no longer from a start
-# within 10 % than from one within 0.1 %, while the probes fell by half.
+# The bisection is the oracle's fallback: it runs, down to INTERVAL_REL,
+# only when the exact polish (minimize) does not give a point to keep.
 BISECT_ITERS = 80
 CYCLE_BUDGET = 2_500
 STALL_WINDOW = 20
 STALL_PATIENCE = 100
-START_REL = 1e-1
 INTERVAL_REL = 1e-9
 # A certificate counts only above this fraction of its own rounding scale.
 PROOF_REL = 1e-12
@@ -802,57 +791,50 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> np.ndarray | No
 
 
 def _bisect(fvals, d, hi, tol):
-    """Bisection over lam in [0, hi] with ball-feasibility probes.
+    """Bisection over lam in [0, hi] with ball-feasibility probes, down to
+    an INTERVAL_REL relative interval.
 
     Sets hi at probes that cyclic projection shows feasible and moves lo
     only at probes proven infeasible by a dual certificate (see
     _separated).  The first undecided probe, the cycle budget or
-    BISECT_ITERS probes end it.  Yields its last feasible point (in the
-    frame of fvals) twice: when the interval first reaches START_REL
-    relative, and, resumed from there with the same bracket, point and
-    budget, when it reaches INTERVAL_REL.  A bisection that ended before
-    START_REL yields the same point both times.
+    BISECT_ITERS probes end it earlier.  Returns its last feasible point,
+    in the frame of fvals.
     """
     lo = 0.0
     y = [0.0] * len(fvals[0])
     ybest = list(y)
     budget = CYCLE_BUDGET
-    probes = 0
-    ended = False
-    for rel in (START_REL, INTERVAL_REL):
-        while not ended and probes < BISECT_ITERS:
-            mid = 0.5 * (lo + hi)
-            ended = budget <= 0 or mid <= lo or mid >= hi
-            if ended or (hi - lo) <= rel * hi:
-                break
-            outcome, ynew, used = _project_cycles(mid, y, fvals, d, tol / 10.0 * mid, cap=budget)
-            budget -= used
-            probes += 1
-            ended = outcome is Feasibility.UNDECIDED
-            if ended:
-                break
-            y = ynew
-            if outcome is Feasibility.FEASIBLE:
-                hi = mid
-                ybest = list(ynew)
-            else:
-                lo = mid
-        yield ybest
+    for _ in range(BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if budget <= 0 or mid <= lo or mid >= hi or (hi - lo) <= INTERVAL_REL * hi:
+            break
+        outcome, ynew, used = _project_cycles(mid, y, fvals, d, tol / 10.0 * mid, cap=budget)
+        budget -= used
+        if outcome is Feasibility.UNDECIDED:
+            break
+        y = ynew
+        if outcome is Feasibility.FEASIBLE:
+            hi = mid
+            ybest = list(ynew)
+        else:
+            lo = mid
+    return ybest
 
 
 def kpoint_oracle(s: LabeledPointSet, x, tol: float = 1e-7) -> KPointResult:
-    """Minimax value by bisection on lam with ball-feasibility tests, then
-    an exact epigraph polish.
+    """Minimax value by an exact epigraph polish, with a bisection on lam
+    as its fallback.
 
-    The bisection (_bisect) runs only to a START_REL relative interval:
-    its last feasible point is a start, not the answer.  The polish
-    (minimize) solves min t s.t. ||y - f_i|| <= t * d_i from that start and
-    certifies its point with the KKT conditions; it supplies the accuracy.
-    Its point is kept when it does not worsen the minimax ratio of the
-    bisection's point.  Otherwise (no certified point, or a worse one) the
-    bisection resumes down to INTERVAL_REL and its point is the answer.
-    Values and distances are scaled by powers of two on entry and back on
-    exit, so no square overflows or underflows at extreme scales.
+    The polish (minimize) solves min t s.t. ||y - f_i|| <= t * d_i from the
+    steepest pair's weighted point (d_j f_i + d_i f_j) / (d_i + d_j), the
+    pair maximising ||f_i - f_j|| / (d_i + d_j), and certifies its point
+    with the KKT conditions.  Its point is kept when it does not worsen the
+    minimax ratio of that start by more than 1e-9 relative.  Otherwise (no
+    certified point, or a worse one) a bisection on lam with
+    ball-feasibility tests (_bisect) gives the answer; tol sets only that
+    bisection's tolerance.  Values and distances are scaled by powers of
+    two on entry and back on exit, so no square overflows or underflows at
+    extreme scales.
     """
     d = _distances(s, x)
     spread, constant = _spread(s.values.tolist())
@@ -864,24 +846,29 @@ def kpoint_oracle(s: LabeledPointSet, x, tol: float = 1e-7) -> KPointResult:
     values = np.ldexp(s.values, vshift)
     d = np.ldexp(d, dshift)
     spread = math.ldexp(spread, vshift)
-    lip = math.ldexp(lip_constant(s), vshift - dshift)
-    # the bisection works relative to the mean value, which keeps the
-    # certificates' rounding error on the scale of the spread
-    center = values.mean(axis=0)
-    bisection = _bisect([tuple(row) for row in values - center], [float(v) for v in d], lip, tol)
-    yb = center + np.asarray(next(bisection))
-    ratio_b = _max_ratio(yb, values, d)
-
     # the polish works in units where every quantity is of order one: the
-    # point as (y - center) / spread, and t as a multiple of ratio_b, so
-    # constraint i reads t >= k_i ||y - u_i|| with k_i = spread / (ratio_b d_i)
-    z = minimize((values - center) / spread, spread / (ratio_b * d), (yb - center) / spread)
-    if z is not None:
+    # point as (y - center) / spread, and t as a multiple of the start's
+    # ratio t0, so constraint i reads t >= k_i ||y - u_i|| with
+    # k_i = 1 / (t0 d_i).  The start and the guard are taken in these units
+    # too: in the scaled frame the rounding of values far larger than their
+    # spread can exceed the guard's 1e-9.
+    center = values.mean(axis=0)
+    unit = (values - center) / spread
+    i, j = np.triu_indices(s.size, 1)
+    k = int(np.argmax(np.linalg.norm(unit[i] - unit[j], axis=1) / (d[i] + d[j])))
+    a, b = i[k], j[k]
+    z0 = (d[b] * unit[a] + d[a] * unit[b]) / (d[a] + d[b])
+    t0 = _max_ratio(z0, unit, d)
+    z = minimize(unit, 1.0 / (t0 * d), z0)
+    if z is not None and _max_ratio(z, unit, d) <= t0 * (1.0 + 1e-9):
         point = center + spread * z
-        lam = _max_ratio(point, values, d)
-    if z is None or not lam <= ratio_b * (1.0 + 1e-9):
-        point = center + np.asarray(next(bisection))
-        lam = _max_ratio(point, values, d)
+    else:
+        # the bisection works relative to the mean value, which keeps the
+        # certificates' rounding error on the scale of the spread
+        lip = math.ldexp(lip_constant(s), vshift - dshift)
+        point = center + np.asarray(_bisect([tuple(row) for row in values - center],
+                                            [float(v) for v in d], lip, tol))
+    lam = _max_ratio(point, values, d)
 
     ratios = np.linalg.norm(point - values, axis=1) / d
     active = tuple(int(i) for i in np.flatnonzero(ratios >= lam * (1.0 - 1e-6)))

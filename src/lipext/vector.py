@@ -63,23 +63,30 @@ DEGREE_CAP = 8
 
 
 def _local_rule(m: int):
-    """(step, dist) of the local replacement for m-vector values, held as
-    plain floats when m == 1 and as 1-d arrays otherwise: step(values,
-    lens) is the minimax point of a neighbourhood (the pair formula for
-    scalars, the kernel for vectors), dist(d) the length of a move d."""
+    """Local replacement for m-vector values, held as plain floats when
+    m == 1 and as 1-d arrays otherwise: step(values, lens) is the minimax
+    point of a neighbourhood (the pair formula for scalars, the kernel for
+    vectors)."""
     if m == 1:
-        return (lambda values, lens: pairwise_optimum(values, lens)[0]), abs
-    return ((lambda values, lens: minimax_kernel(values, lens)[1]),
-            (lambda d: float(np.linalg.norm(d))))
+        return lambda values, lens: pairwise_optimum(values, lens)[0]
+    return lambda values, lens: minimax_kernel(values, lens)[1]
 
 
-def _move_lengths(d: np.ndarray) -> np.ndarray:
-    """dist of `_local_rule` for each row of d, to the bit: the stacked
-    matrix product takes each row's dot product as np.linalg.norm takes
-    that of one vector."""
-    if d.shape[1] == 1:
+def _move_lengths(moves, m: int) -> np.ndarray:
+    """Length of each move, given as a (k, m) array or as a list of moves
+    held as `_local_rule` holds values: np.linalg.norm's value to the bit,
+    as the stacked matrix product takes each row's dot product as the norm
+    takes that of one vector.  When a plain length overflows and every
+    move is finite, the moves are scaled by a power of two first."""
+    d = np.asarray(moves, dtype=float).reshape(-1, m)
+    if m == 1:
         return np.abs(d[:, 0])
-    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        lengths = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    if np.isinf(lengths).any() and np.isfinite(d).all():
+        shift = pow2_shift(float(np.abs(d).max()))
+        return np.ldexp(_move_lengths(np.ldexp(d, shift), m), -shift)
+    return lengths
 
 
 @dataclass(frozen=True)
@@ -191,7 +198,7 @@ def _sweep(g: Graph, tol: float, max_iter: int):
     ids = g.ids
     centroid = _centroid(np.array([g.boundary_values[b] for b in sorted(g.omega)]))
     m = centroid.size
-    step, dist = _local_rule(m)
+    step = _local_rule(m)
     order = _Plan(g, SWEEP_BLOCK_MIN[m > 1]).sweep_order()
     rows = [g.boundary_values[v] if v in g.omega else centroid for v in ids]
     # blocks read and write a (vertices, m) array.  Graphs without a block
@@ -210,12 +217,17 @@ def _sweep(g: Graph, tol: float, max_iter: int):
         for block, singles in order:
             if block is not None:
                 new = block.step(u)
-                delta = max(delta, float(_move_lengths(new - u[block.rows]).max()))
+                delta = max(delta, float(_move_lengths(new - u[block.rows], m).max()))
                 u[block.rows] = new
+            moves = []
             for i, idxs, lens in singles:
                 new = step([vals[j] for j in idxs], lens)
-                delta = max(delta, dist(new - vals[i]))
+                moves.append(new - vals[i])
                 vals[i] = new
+            if moves:
+                # plain float moves: Python's abs and max cost less than numpy
+                longest = max(map(abs, moves)) if m == 1 else float(_move_lengths(moves, m).max())
+                delta = max(delta, longest)
         history.append(delta)
         if delta < tol:
             converged = True
@@ -249,15 +261,17 @@ def _worst_move(g: Graph, u: VertexFunction) -> tuple[float, str | None]:
 
     u is only read, so the whole interior is one group (`_Plan.group`)."""
     m = g.value_dim()
-    step, dist = _local_rule(m)
+    step = _local_rule(m)
     plan = _Plan(g, RESIDUAL_BLOCK_MIN[m > 1])
     block, singles = plan.group(list(range(len(plan.rows))))
     # a list for the single steps and an array for the block, as in `_sweep`
     vals = [float(u[v][0]) for v in g.ids] if m == 1 else [u[v] for v in g.ids]
-    moves = {i: dist(step([vals[j] for j in idxs], lens) - vals[i]) for i, idxs, lens in singles}
+    lengths = _move_lengths([step([vals[j] for j in idxs], lens) - vals[i]
+                             for i, idxs, lens in singles], m)
+    moves = dict(zip([i for i, _, _ in singles], lengths.tolist()))
     if block is not None:
         arr = np.array(vals, dtype=float).reshape(len(vals), m)
-        lengths = _move_lengths(block.step(arr) - arr[block.rows])
+        lengths = _move_lengths(block.step(arr) - arr[block.rows], m)
         moves.update(zip(block.rows.tolist(), lengths.tolist()))
     worst, witness = 0.0, None
     for i in plan.rows:

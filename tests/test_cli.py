@@ -106,6 +106,23 @@ def test_solve_path_rejects_vector(vector_graph_file, tmp_path, capsys):
     assert "MethodUnavailable" in capsys.readouterr().err
 
 
+def test_solve_path_validates_vector_data_first(tmp_path, capsys):
+    # an invalid m = 2 graph fails validation before the path method
+    # looks at its value dimension
+    doc = {
+        "vertices": [{"id": "a", "pos": [0.0]}, {"id": "m", "pos": [1.0]},
+                     {"id": "b", "pos": [2.0]}],
+        "edges": [["a", "m"], ["m", "b"]],
+        "boundary": {"a": [0.0, 0.0], "b": [1.0, float("nan")]},
+    }
+    f = write_json(tmp_path / "bad.json", doc)
+    out = tmp_path / "x.json"
+    assert run("solve", "--input", f, "--method", "path", "--output", out) == 1
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and "NonFinite" in err and "MethodUnavailable" not in err
+    assert not out.exists()
+
+
 def test_solve_vector_iterate(vector_graph_file, tmp_path):
     out = tmp_path / "res.json"
     assert run("solve", "--input", vector_graph_file, "--method", "iterate",

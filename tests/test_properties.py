@@ -239,7 +239,7 @@ def test_batched_pair_step_matches_the_local_rule(block):
     values, dists, count = block
     m = values.shape[0]
     points, certified = PairBlock(dists, count).step(values)
-    step, _ = _local_rule(m)
+    step = _local_rule(m)
     for r, n in enumerate(count):
         rows, lens = values[:, r, :n].T, dists[r, :n].tolist()
         if m == 1:

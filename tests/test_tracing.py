@@ -60,5 +60,5 @@ def test_tracer_install_and_remove(tracing, tmp_path):
     assert metrics["vector.sweeps"] > 0
     assert metrics["kpoint.kernel_calls"] > 0
     assert metrics["scalar.gs_s"] > 0.0
-    assert metrics["graph.validate_calls"] == 4
+    assert metrics["graph.validate_calls"] == 3
     assert metrics["kpoint.oracle_polish_calls"] == 2

@@ -81,6 +81,19 @@ def test_residual_detects_perturbation():
     assert residual(g, values) > 1e-4
 
 
+def test_residual_at_extreme_scale():
+    # a move of length near 2**600 squares past the largest float: its
+    # length is taken in a power-of-two frame, not read as inf
+    scale = 2.0**600
+    g = vector_path()
+    values, _ = iterate_tight(g)
+    values["m"] = values["m"] + np.array([0.01, 0.0])
+    big = Graph({"a": [0.0], "m": [1.0], "b": [2.0]}, [("a", "m"), ("m", "b")], ["a", "b"],
+                {v: scale * g.boundary_values[v] for v in g.omega})
+    scaled = residual(big, {v: scale * x for v, x in values.items()})
+    assert scaled / scale == pytest.approx(residual(g, values), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # local_replacement_tightens
 # ---------------------------------------------------------------------------
