@@ -272,6 +272,42 @@ def solve_biquadratic(bq: Biquadratic) -> list[float]:
     return sorted(roots)
 
 
+def solve_biquadratics(bq: Biquadratic) -> tuple[np.ndarray, np.ndarray]:
+    """solve_biquadratic for a Biquadratic of (K,) coefficient arrays, bit
+    for bit: (roots, found), both of shape (K, 2).  Row k holds the roots
+    of polynomial k in its found entries, ascending.
+
+    The branches follow solve_biquadratic's, comparison for comparison:
+    the quadratic's two candidates are q / a then c / q, the second is
+    dropped when it rounds to the first, and only then are they sorted.
+    """
+    a, b, c = (np.asarray(coef, dtype=float) for coef in bq)
+    with np.errstate(all="ignore"):  # entries of the branches not taken are masked
+        disc = b * b - 4.0 * a * c
+        # rescue discriminants that are zero up to rounding
+        disc[(disc < 0.0) & (np.abs(disc) <= 1e-12 * (b * b + 4.0 * np.abs(a * c)))] = 0.0
+        real = ~(disc < 0.0)
+        q = -0.5 * (b + np.copysign(np.sqrt(disc), np.where(b != 0.0, b, 1.0)))
+        mu = np.stack([np.where(q == 0.0, 0.0, q / a), c / q], axis=1)
+        has = np.stack([real, real & (q != 0.0)], axis=1)
+        linear = a == 0.0
+        if linear.any():
+            bl, cl = b[linear], c[linear]
+            mu[linear, 0] = np.where(bl == 0.0, 0.0, -cl / bl)
+            has[linear, 0] = (bl != 0.0) | (cl == 0.0)
+            has[linear, 1] = False
+        size = np.abs(mu)
+        scale = np.where(has[:, 1] & (size[:, 1] > size[:, 0]), size[:, 1], size[:, 0])
+        mu[(-1e-10 * scale[:, None] <= mu) & (mu < 0.0)] = 0.0
+        found = has & (mu >= 0.0)
+        roots = np.sqrt(mu)
+        lo, hi = roots.T
+        found[:, 1] &= ~(found[:, 0] & (np.abs(hi - lo) <= 1e-12 * np.where(lo > hi, lo, hi)))
+    swap = found.all(axis=1) & (hi < lo)
+    roots[swap] = roots[swap, ::-1]
+    return roots, found
+
+
 def _config_scale(points: np.ndarray, y) -> float:
     """Largest pairwise distance among the points and the query."""
     all_pts = np.vstack([points, np.atleast_2d(y)])

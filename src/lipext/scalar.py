@@ -17,10 +17,9 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import InvalidPath, MethodUnavailable, MultipleAttachments, NotConverged
 # perfbench/tracing.py wraps geodesic_distances_from, pairwise_optimum and
@@ -37,7 +36,28 @@ from .graph import (  # noqa: F401
 from .kpoint import pairwise_optimum  # noqa: F401
 from .vector import _sweep, _worst_move
 
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array as CSRArray
+
 log = logging.getLogger("lipext.scalar")
+
+
+# scipy.sparse more than doubles the time of `import lipext` (0.2 against
+# 0.55-0.65 s under -X importtime), and only the path search and the
+# verifier need it: import it on first use.
+def csr_array(*args, **kwargs):
+    """scipy.sparse.csr_array."""
+    from scipy.sparse import csr_array as sparse_csr_array
+
+    return sparse_csr_array(*args, **kwargs)
+
+
+def dijkstra(*args, **kwargs):
+    """scipy.sparse.csgraph.dijkstra."""
+    from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+
+    return csgraph_dijkstra(*args, **kwargs)
+
 
 # Sources per multi-source Dijkstra call: bounds each distance block at
 # SOURCE_BLOCK x 2|V| floats.
@@ -152,7 +172,7 @@ def _single_edge_candidates(g: Graph, state: SubgraphState, at) -> list[Connecti
     return out
 
 
-def _slopes(graph: csr_array, sources: np.ndarray, sinks: np.ndarray, f_from: np.ndarray,
+def _slopes(graph: CSRArray, sources: np.ndarray, sinks: np.ndarray, f_from: np.ndarray,
             f_to: np.ndarray) -> np.ndarray:
     """|f_to[c] - f_from[r]| / d(sources[r], sinks[c]) for every row r and
     column c, in one multi-source Dijkstra call; -1 where the sink is
@@ -164,7 +184,7 @@ def _slopes(graph: csr_array, sources: np.ndarray, sinks: np.ndarray, f_from: np
     return slope
 
 
-def _steepest_pair(graph: csr_array, src: np.ndarray, dst: np.ndarray, f: np.ndarray,
+def _steepest_pair(graph: CSRArray, src: np.ndarray, dst: np.ndarray, f: np.ndarray,
                    rows: np.ndarray) -> tuple[float, int, int]:
     """First largest |f[c] - f[r]| / d(src[r], dst[c]) in row-major order
     over reachable pairs r < c with r in rows, as (slope, r, c); slope is

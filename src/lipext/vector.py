@@ -16,6 +16,7 @@ limit it reaches through its residual.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -76,14 +77,16 @@ def _move_lengths(moves, m: int) -> np.ndarray:
     """Length of each move, given as a (k, m) array or as a list of moves
     held as `_local_rule` holds values: np.linalg.norm's value to the bit,
     as the stacked matrix product takes each row's dot product as the norm
-    takes that of one vector.  When a plain length overflows and every
-    move is finite, the moves are scaled by a power of two first."""
+    takes that of one vector.  When a plain length overflows, or the
+    longest is so short that its squares lose bits to underflow (below
+    2**-511), and every move is finite and some move nonzero, the moves are
+    scaled by a power of two first."""
     d = np.asarray(moves, dtype=float).reshape(-1, m)
     if m == 1:
         return np.abs(d[:, 0])
     with np.errstate(over="ignore"):
         lengths = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
-    if np.isinf(lengths).any() and np.isfinite(d).all():
+    if not 2.0**-511 <= lengths.max(initial=0.0) < math.inf and np.isfinite(d).all() and d.any():
         shift = pow2_shift(float(np.abs(d).max()))
         return np.ldexp(_move_lengths(np.ldexp(d, shift), m), -shift)
     return lengths

@@ -14,6 +14,7 @@ from lipext.geometry import (
     in_convex_hull,
     is_simplex,
     solve_biquadratic,
+    solve_biquadratics,
     solve_sphere_intersection,
 )
 
@@ -240,6 +241,27 @@ def test_solve_biquadratic_cases():
     assert solve_biquadratic(Biquadratic(1.0, -5.0, 4.0)) == pytest.approx([1.0, 2.0])
     assert solve_biquadratic(Biquadratic(0.0, 1.0, -4.0)) == pytest.approx([2.0])
     assert solve_biquadratic(Biquadratic(1.0, 0.0, 1.0)) == []
+
+
+def test_solve_biquadratics_matches_the_scalar_rule():
+    # row by row the same roots, bit for bit, in the same order: integer
+    # coefficients give every branch (a = 0, b = 0, c = 0, double roots),
+    # signed zeros and extreme magnitudes give the edge cases, and the
+    # perturbed double roots reach the discriminant rescue and the merge
+    rng = np.random.default_rng(21)
+    grid = np.array(np.meshgrid(*[np.arange(-2.0, 3.0)] * 3)).reshape(3, -1).T
+    special = [(1.0, -0.0, -1.0), (-0.0, 0.0, -0.0), (0.0, -0.0, 1.0), (1e-300, 1e300, -1.0),
+               (1e300, -1e-300, 1e300), (8.9e-16, 6.0, -2.0), (np.inf, 1.0, -1.0),
+               (np.nan, 1.0, -1.0), (1.0, np.nan, 0.0)]
+    lam = rng.uniform(0.1, 10.0, 300)
+    double = np.stack([np.ones(300), -2.0 * lam**2, lam**4 * (1.0 + rng.normal(0.0, 1e-13, 300))], axis=1)
+    coefs = np.concatenate([grid, special, double, rng.uniform(-5, 5, (300, 3))])
+    with np.errstate(all="ignore"):
+        roots, found = solve_biquadratics(Biquadratic(*coefs.T))
+        for k, (a, b, c) in enumerate(coefs):
+            expect = solve_biquadratic(Biquadratic(a, b, c))
+            assert np.array_equal(np.array(expect).view(np.uint64),
+                                  roots[k][found[k]].view(np.uint64)), (a, b, c)
 
 
 def test_small_root_survives_tiny_leading_coefficient():

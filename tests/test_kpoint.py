@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import assert_simplex_paths_agree, random_graph
 from lipext import kpoint, vector
 from lipext.errors import NoCertifiedSubset, QueryCoincidesWithSample
 from lipext.geometry import HULL_TOL, SIMPLEX_TOL, Biquadratic, is_simplex, solve_biquadratic
@@ -789,20 +789,25 @@ def test_pair_block_rows_of_one_sample():
         assert np.array_equal(points[1:], values[:, 1:, 0].T)
 
 
-def test_kernel_matches_reference_in_sweeps(monkeypatch):
-    """Every kernel call iterate_tight makes on the C09 graphs."""
+def _c09_sweep_calls():
+    """The inputs of every kernel call iterate_tight makes on the C09 graphs."""
     calls = []
 
     def recording(values, dists, *args):
         calls.append(([np.array(v) for v in values], list(dists)))
         return minimax_kernel(values, dists, *args)
 
-    monkeypatch.setattr(vector, "minimax_kernel", recording)
-    rng = np.random.default_rng(909)
-    for _ in range(50):
-        vector.iterate_tight(random_graph(rng, max_vertices=24, m=2), tol=1e-10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vector, "minimax_kernel", recording)
+        rng = np.random.default_rng(909)
+        for _ in range(50):
+            vector.iterate_tight(random_graph(rng, max_vertices=24, m=2), tol=1e-10)
+    return calls
+
+
+def test_kernel_matches_reference_in_sweeps():
     exits = {1: 0, 2: 0, 3: 0}
-    for values, dists in calls:
+    for values, dists in _c09_sweep_calls():
         exits[len(_assert_matches_reference(values, dists)[2])] += 1
     assert min(exits.values()) > 0, exits
 
@@ -827,26 +832,30 @@ def test_kernel_matches_reference_in_relaxed_pass():
     assert not is_simplex(values)
 
 
-def test_kernel_matches_reference_on_near_collinear_grid():
-    # values (-1, 0), (1, 0), (offset, eps), distances (1, 1, f * eps): the
-    # needle triangles that the reference certifies only in its relaxed
-    # pass are among them, and so are cases where it certifies nothing
-    certified = raised = needles = 0
+def _near_collinear_grid():
+    """Values (-1, 0), (1, 0), (offset, eps) at distances (1, 1, f * eps),
+    ε in 1e-9...1e-3: needle triangles, some certified and some not."""
     for offset in (0.0, 0.3, -0.7):
         for eps in np.logspace(-9, -3, 61)[::3]:
             for f in np.linspace(0.05, 0.95, 19):
-                values = np.array([[-1.0, 0.0], [1.0, 0.0], [offset, eps]])
-                dists = np.array([1.0, 1.0, f * eps])
-                try:
-                    _reference_kernel(values, dists)
-                except NoCertifiedSubset:
-                    with pytest.raises(NoCertifiedSubset):
-                        minimax_kernel(values, dists)
-                    raised += 1
-                    continue
-                got = _assert_matches_reference(values, dists)
-                certified += 1
-                needles += len(got[2]) == 3 and not is_simplex(values)
+                yield np.array([[-1.0, 0.0], [1.0, 0.0], [offset, eps]]), np.array([1.0, 1.0, f * eps])
+
+
+def test_kernel_matches_reference_on_near_collinear_grid():
+    # the needle triangles that the reference certifies only in its relaxed
+    # pass are among them, and so are cases where it certifies nothing
+    certified = raised = needles = 0
+    for values, dists in _near_collinear_grid():
+        try:
+            _reference_kernel(values, dists)
+        except NoCertifiedSubset:
+            with pytest.raises(NoCertifiedSubset):
+                minimax_kernel(values, dists)
+            raised += 1
+            continue
+        got = _assert_matches_reference(values, dists)
+        certified += 1
+        needles += len(got[2]) == 3 and not is_simplex(values)
     assert certified + raised >= 300
     assert min(certified, raised, needles) > 0, (certified, raised, needles)
 
@@ -877,3 +886,75 @@ def test_kernel_matches_reference_at_degree_64():
     got = _assert_matches_reference(offsets @ np.array([[2.0, 0.5], [-1.0, 1.5]]), radii)
     assert len(got[2]) == 2
     _assert_matches_reference(rng.uniform(-1, 1, (64, 1)), rng.uniform(0.2, 1.0, 64))
+
+
+# ---------------------------------------------------------------------------
+# the simplex phase: per-candidate loop and stacked pass
+# ---------------------------------------------------------------------------
+
+def test_simplex_paths_agree_on_c06_corpus():
+    exits = set()
+    for points, values, x in c06_instances():
+        exits.add(len(assert_simplex_paths_agree(values, np.linalg.norm(points - x, axis=1))[2]))
+    assert exits == {1, 2, 3, 4}
+
+
+def test_simplex_paths_agree_in_sweeps():
+    exits = set()
+    for values, dists in _c09_sweep_calls():
+        exits.add(len(assert_simplex_paths_agree(values, dists)[2]))
+    assert exits == {1, 2, 3}
+
+
+def test_simplex_paths_agree_on_near_collinear_grid():
+    results = [assert_simplex_paths_agree(values, dists) for values, dists in _near_collinear_grid()]
+    raised = sum(r is NoCertifiedSubset for r in results)
+    assert 0 < raised < len(results)
+
+
+def test_simplex_paths_agree_on_regular_polygons():
+    # values on a regular polygon with an odd number of vertices, at equal
+    # distances: every triangle that holds the centre certifies the centre,
+    # and the lexicographically first such triangle wins on both paths
+    for n in (5, 7):
+        angles = 2.0 * np.pi * np.arange(n) / n
+        values = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        got = assert_simplex_paths_agree(values, np.ones(n))
+        assert got[2] == min(t for t in combinations(range(n), 3)
+                             if max(t[1] - t[0], t[2] - t[1], n + t[0] - t[2]) < n / 2)
+
+
+def test_simplex_paths_agree_where_pow_and_square_round_apart():
+    # sphere_point squares rad[0] by C pow, and an array square rounds
+    # apart from it on about 0.1 % of inputs (glibc 2.36, numpy 2.4); on
+    # this draw the certified candidate's violation reads the difference
+    rng = np.random.default_rng(12)
+    for _ in range(2994):
+        n, m = int(rng.integers(5, 9)), int(rng.integers(2, 4))
+        values, dists = rng.uniform(-1, 1, (n, m)), rng.uniform(0.2, 1.0, n)
+    assert assert_simplex_paths_agree(values, dists)[2] == (0, 2, 7)
+
+
+def test_simplex_size_classes_take_their_path(monkeypatch):
+    # classes of more than STACK_CUTOVER subsets go to the stacked pass,
+    # smaller ones to the loop
+    taken = set()
+
+    def spy(name):
+        real = getattr(kpoint, name)
+
+        def run(values, dists, subsets, *args):
+            taken.add((name, len(subsets) > kpoint.STACK_CUTOVER))
+            return real(values, dists, subsets, *args)
+        return run
+
+    for name in ("_looped_simplex", "_stacked_simplex"):
+        monkeypatch.setattr(kpoint, name, spy(name))
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(3, 9))
+        try:
+            minimax_kernel(rng.uniform(-1, 1, (n, 3)), rng.uniform(0.2, 1.0, n))
+        except NoCertifiedSubset:
+            pass
+    assert taken == {("_looped_simplex", False), ("_stacked_simplex", True)}

@@ -1,5 +1,5 @@
-"""Property tests of the minimax kernel, the oracle, the scalar solver and
-the sweep solvers' batched pair step.
+"""Property tests of the minimax kernel (its two simplex paths included),
+the oracle, the scalar solver and the sweep solvers' batched pair step.
 
 Examples are drawn deterministically (derandomize) and their number is
 bounded, so the suite stays reproducible and fast.  Coordinates lie on a
@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import assert_simplex_paths_agree, random_graph
 from lipext.errors import NoCertifiedSubset
 from lipext.graph import Graph
 from lipext.kpoint import LabeledPointSet, PairBlock, kpoint_oracle, kpoint_vector, minimax_kernel
@@ -72,6 +72,61 @@ def test_kernel_is_invariant_under_permutation(instance, rnd):
     assert tuple(sorted(perm[i] for i in moved.active)) == base.active
     where = {perm[i]: c for i, c in zip(moved.active, moved.hull_coords)}
     assert np.array_equal([where[i] for i in base.active], base.hull_coords)
+
+
+# near-regular simplices with dyadic vertices, for m = 2 and m = 3
+SIMPLICES = {2: [[0.0, 1.0], [-0.875, -0.5], [0.875, -0.5]],
+             3: [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]}
+
+
+@st.composite
+def simplex_calls(draw):
+    """(values, dists) for one kernel call that can reach the simplex
+    phase: 3-8 dyadic values in R^m, m = 2-3, at dyadic distances in
+    (0, 4].  A call is one of three kinds:
+    - random rows;
+    - a jittered near-regular simplex of m + 1 rows at distances near 1,
+      whose answer needs all of them, the other rows inside it and further
+      away;
+    - a needle triangle: values (-1, 0), (1, 0), (0, eps) with eps = 2^-10
+      ... 2^-30 (below 2^-20 the triangle fails the SIMPLEX_TOL test) at
+      distances 1, 1 and f * eps, the other rows at distances above 2.
+      Some of these certify the triple and some nothing, as on the
+      near-collinear grid.
+    Before that, up to three rows repeat another exactly, which makes
+    sphere systems singular."""
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(3 if m == 2 else 4, 8))
+    values = np.array(draw(st.lists(row(m), min_size=n, max_size=n)))
+    length = st.integers(1, 2**10).map(lambda i: math.ldexp(i, -8))
+    dists = np.array(draw(st.lists(length, min_size=n, max_size=n)))
+    index = st.integers(0, n - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        values[i] = values[j]
+    kind = draw(st.sampled_from(["random", "simplex", "needle"]))
+    if kind == "simplex":
+        values *= 0.25
+        values[:m + 1] = np.array(SIMPLICES[m]) + np.ldexp(values[:m + 1], -1)
+        dists[:m + 1] = 1.0 + np.ldexp(dists[:m + 1], -6)
+        dists[m + 1:] += 1.0
+    elif kind == "needle":
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        eps = math.ldexp(1.0, -draw(st.integers(10, 30)))
+        dists += 2.0
+        values[[i, j, k]] = 0.0
+        values[i, 0], values[j, 0] = -1.0, 1.0
+        values[k, 1] = eps
+        dists[[i, j]] = 1.0
+        dists[k] = eps * draw(st.integers(1, 15)) / 16.0
+    return values, dists
+
+
+@settings(PROPERTY, max_examples=200)
+@given(simplex_calls())
+def test_stacked_simplex_matches_the_loop(call):
+    # every simplex size class tested candidate by candidate, or in one
+    # stacked pass: the same bits, or the same NoCertifiedSubset
+    assert_simplex_paths_agree(*call)
 
 
 @PROPERTY

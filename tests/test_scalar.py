@@ -1,4 +1,7 @@
 import heapq
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,21 @@ from lipext.scalar import (
     verify_extension,
 )
 from lipext.vector import iterate_tight, residual
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # only the path search and the verifier load scipy.sparse, on first use;
+    # a path solve then loads it
+    import lipext
+
+    src = os.path.dirname(os.path.dirname(lipext.__file__))
+    code = ("import sys, lipext, lipext.cli; print('scipy.sparse' in sys.modules); "
+            "from conftest import path_graph; lipext.solve_scalar(path_graph()); "
+            "print('scipy.sparse' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
 
 
 # ---------------------------------------------------------------------------

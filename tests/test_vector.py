@@ -81,10 +81,11 @@ def test_residual_detects_perturbation():
     assert residual(g, values) > 1e-4
 
 
-def test_residual_at_extreme_scale():
-    # a move of length near 2**600 squares past the largest float: its
-    # length is taken in a power-of-two frame, not read as inf
-    scale = 2.0**600
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2**600", "2**-600"])
+def test_residual_at_extreme_scale(scale):
+    # a move of length near 2**600 squares past the largest float, and one
+    # near 2**-600 to zero: its length is taken in a power-of-two frame, not
+    # read as inf or 0
     g = vector_path()
     values, _ = iterate_tight(g)
     values["m"] = values["m"] + np.array([0.01, 0.0])
