@@ -265,13 +265,12 @@ def cmd_kpoint(args) -> int:
         x = np.array([float(t) for t in args.query.split(",")])
     except ValueError as exc:
         raise ParseError(f"bad query {args.query!r}") from exc
-    if not np.all(np.isfinite(x)):
-        raise ParseError(f"non-finite query {args.query!r}")
-    if x.shape[0] != s.points.shape[1]:
-        raise ParseError(
-            f"query dimension {x.shape[0]} does not match positions ({s.points.shape[1]})"
-        )
-    r = kpoint_vector(s, x, tol=args.tol)
+    try:
+        r = kpoint_vector(s, x, tol=args.tol)
+    except ValueError as exc:  # a non-finite query, or one of the wrong dimension or scale
+        raise ParseError(f"bad query {args.query!r}: {exc}") from exc
+    if not (math.isfinite(r.lam) and np.all(np.isfinite(r.point))):
+        raise ParseError(f"{args.input}: the answer at query {args.query!r} overflows")
     doc = {"lambda": r.lam, "point": list(r.point), "active": list(r.active)}
     if args.check:
         o = kpoint_oracle(s, x)
@@ -358,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--output", default=None)
     pk.add_argument("--tol", type=float, default=1e-9)
     pk.add_argument("--check", action="store_true",
-                    help="also run the feasibility oracle and report the gap")
+                    help="also run the exact epigraph oracle and report the gap")
     pk.set_defaults(fn=cmd_kpoint)
 
     pg = sub.add_parser("gen", help="generate a graph file")

@@ -270,6 +270,12 @@ def validate(g: Graph) -> list[Violation]:
         if math.isfinite(top) and not math.isfinite(max(2.0 * top / short, 2.0 * top * long)):
             out.append(Violation("ValueOverflow", f"boundary values up to {top:g} in size "
                                  f"overflow against edge lengths in [{short:g}, {long:g}]"))
+        # every path length, and every sum d_i + d_j of two, is at most the
+        # total length; it is summed in units of the longest edge, so the
+        # sum itself cannot overflow
+        if not math.isfinite(long * float((lens / long).sum())):
+            out.append(Violation("ValueOverflow", f"edge lengths up to {long:g} sum past "
+                                 "the largest float"))
     if g.ids:
         seen = {g.ids[0]}
         stack = [g.ids[0]]

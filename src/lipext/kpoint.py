@@ -6,15 +6,16 @@ smallest ratio lam such that some point y satisfies ||y - f_i|| <= lam *
 has a closed form over pairs; the vector case enumerates candidate active
 subsets, solving the substituted bordered determinant for lam and a sphere
 system for the point, and certifies the first subset whose candidate
-dominates every sample.  An independent convex-feasibility oracle is
-provided for validation.
+dominates every sample.  An independent oracle, an active-set solve of the
+epigraph problem min t s.t. ||y - f_i|| <= t d_i certified by its KKT
+conditions, is provided for validation.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import combinations
 
@@ -32,6 +33,8 @@ from .geometry import (
     solve_biquadratics,
     sphere_point,
 )
+
+log = logging.getLogger("lipext.kpoint")
 
 
 # scipy.optimize adds about 0.3 s to `import lipext`, and only the oracle's
@@ -69,6 +72,10 @@ class LabeledPointSet:
             raise ValueError("need one value per point, at least one point")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
             raise ValueError("points and values must be finite")
+        # the kernel's centre sums the values and the spread takes their
+        # differences: both stay finite while n max|f| does
+        if not math.isfinite(pts.shape[0] * float(np.abs(vals).max())):
+            raise ValueError("values overflow: n times the largest |f| is not finite")
         for i in range(pts.shape[0]):
             for j in range(i + 1, pts.shape[0]):
                 if np.array_equal(pts[i], pts[j]):
@@ -589,130 +596,6 @@ def certificate_check(s: LabeledPointSet, x, lambda0: float, point0, subset, tol
     return in_convex_hull(vals, point0)
 
 
-# ---------------------------------------------------------------------------
-# independent oracle: bisection over lam with ball-intersection feasibility
-# ---------------------------------------------------------------------------
-
-# Knobs: 80 bisection iterations, 2500 projection cycles over all probes,
-# convergence threshold tol/10.  Each probe has three outcomes.  It
-# is feasible when cyclic projection reaches a point within the threshold of
-# every ball.  It is proven infeasible only by a dual certificate: weights
-# w >= 0 with sum_i w_i (||c - f_i||^2 - r_i^2) > 0 at the weighted mean c
-# of the centres (see _separated); lo moves only then.  Certificates are
-# tried after cycles 1, 2, 4, 8, ... and when the projections stop.
-# Otherwise the probe is undecided: the violation stalled over
-# STALL_WINDOW cycles, or the decay estimator found that reaching the
-# threshold would take more than STALL_PATIENCE further cycles (cyclic
-# projections converge sublinearly when active balls touch tangentially).
-# An undecided probe ends the bisection, as does the global cycle budget.
-# The bisection is the oracle's fallback: it runs, down to INTERVAL_REL,
-# only when the exact polish (minimize) does not give a point to keep.
-BISECT_ITERS = 80
-CYCLE_BUDGET = 2_500
-STALL_WINDOW = 20
-STALL_PATIENCE = 100
-INTERVAL_REL = 1e-9
-# A certificate counts only above this fraction of its own rounding scale.
-PROOF_REL = 1e-12
-
-
-class Feasibility(Enum):
-    """Outcome of one ball-intersection test."""
-
-    FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
-    UNDECIDED = "undecided"
-
-
-def _separated(w, fvals, r2) -> bool:
-    """True when weights w prove that the balls B(f_i, r_i) share no point.
-
-    Any y in every ball has sum_i w_i (||y - f_i||^2 - r_i^2) <= 0.  The
-    left side is smallest at the weighted mean c of the centres, so a
-    positive value at c, beyond its rounding error, is a proof.  An error
-    e in the computed c raises the value by only sum(w) * e^2, which stays
-    far below that margin when the centres are given relative to their mean.
-    """
-    tot = sum(w)
-    if not tot > 0.0:
-        return False
-    m = len(fvals[0])
-    c = [sum(wi * fi[k] for wi, fi in zip(w, fvals)) / tot for k in range(m)]
-    gap = scale = 0.0
-    for wi, fi, ri2 in zip(w, fvals, r2):
-        if wi > 0.0:
-            sq = 0.0
-            for k in range(m):
-                dk = fi[k] - c[k]
-                sq += dk * dk
-            gap += wi * (sq - ri2)
-            scale += wi * (sq + ri2)
-    return gap > PROOF_REL * scale
-
-
-def _project_cycles(lam, y, fvals, d, tol_lam, cap):
-    """Cyclic projection of y onto the balls B(f_i, lam * d_i), for at
-    most cap cycles.
-
-    Returns (outcome, point, cycles), outcome a Feasibility.  The weights
-    tried as a _separated certificate are the fractions by which the last
-    cycle moved y toward each centre.  Pure floats in the inner loop, with
-    squared-distance comparisons so square roots happen only on an actual
-    projection (rare near convergence) and once per cycle for the residual.
-    """
-    y = list(y)
-    m = len(y)
-    n = len(fvals)
-    r = [lam * di for di in d]
-    r2 = [ri * ri for ri in r]
-    d2 = [di * di for di in d]
-    pull = [0.0] * n
-    hist: list[float] = []
-    for t in range(cap):
-        for i in range(n):
-            fi = fvals[i]
-            sq = 0.0
-            for k in range(m):
-                dk = y[k] - fi[k]
-                sq += dk * dk
-            if sq > r2[i]:
-                sc = r[i] / math.sqrt(sq)
-                pull[i] = 1.0 - sc
-                for k in range(m):
-                    y[k] = fi[k] + (y[k] - fi[k]) * sc
-            else:
-                pull[i] = 0.0
-        worst_ratio2 = 0.0
-        for i in range(n):
-            fi = fvals[i]
-            sq = 0.0
-            for k in range(m):
-                dk = y[k] - fi[k]
-                sq += dk * dk
-            ratio2 = sq / d2[i]
-            if ratio2 > worst_ratio2:
-                worst_ratio2 = ratio2
-        viol = math.sqrt(worst_ratio2) - lam
-        if viol <= tol_lam:
-            return Feasibility.FEASIBLE, y, t + 1
-        hist.append(viol)
-        stop = t + 1 == cap
-        if len(hist) > STALL_WINDOW:
-            prev = hist[-STALL_WINDOW - 1]
-            if prev <= viol:
-                stop = True
-            else:
-                rate = viol / prev
-                need = STALL_WINDOW * math.log(max(viol / max(tol_lam, 1e-300), 1.0)) / max(-math.log(rate), 1e-12)
-                stop = stop or need > min(cap - t, STALL_PATIENCE)
-        # t & (t + 1) == 0 holds after cycles 1, 2, 4, 8, ...
-        if (stop or t & (t + 1) == 0) and _separated(pull, fvals, r2):
-            return Feasibility.INFEASIBLE, y, t + 1
-        if stop:
-            return Feasibility.UNDECIDED, y, t + 1
-    return Feasibility.UNDECIDED, y, cap
-
-
 def _max_ratio(y: np.ndarray, values: np.ndarray, d: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(y - values, axis=1) / d))
 
@@ -873,51 +756,19 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> np.ndarray | No
     return None
 
 
-def _bisect(fvals, d, hi, tol):
-    """Bisection over lam in [0, hi] with ball-feasibility probes, down to
-    an INTERVAL_REL relative interval.
-
-    Sets hi at probes that cyclic projection shows feasible and moves lo
-    only at probes proven infeasible by a dual certificate (see
-    _separated).  The first undecided probe, the cycle budget or
-    BISECT_ITERS probes end it earlier.  Returns its last feasible point,
-    in the frame of fvals.
-    """
-    lo = 0.0
-    y = [0.0] * len(fvals[0])
-    ybest = list(y)
-    budget = CYCLE_BUDGET
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if budget <= 0 or mid <= lo or mid >= hi or (hi - lo) <= INTERVAL_REL * hi:
-            break
-        outcome, ynew, used = _project_cycles(mid, y, fvals, d, tol / 10.0 * mid, cap=budget)
-        budget -= used
-        if outcome is Feasibility.UNDECIDED:
-            break
-        y = ynew
-        if outcome is Feasibility.FEASIBLE:
-            hi = mid
-            ybest = list(ynew)
-        else:
-            lo = mid
-    return ybest
-
-
-def kpoint_oracle(s: LabeledPointSet, x, tol: float = 1e-7) -> KPointResult:
-    """Minimax value by an exact epigraph polish, with a bisection on lam
-    as its fallback.
+def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
+    """Minimax value by an exact epigraph polish.
 
     The polish (minimize) solves min t s.t. ||y - f_i|| <= t * d_i from the
     steepest pair's weighted point (d_j f_i + d_i f_j) / (d_i + d_j), the
     pair maximising ||f_i - f_j|| / (d_i + d_j), and certifies its point
     with the KKT conditions.  Its point is kept when it does not worsen the
     minimax ratio of that start by more than 1e-9 relative.  Otherwise (no
-    certified point, or a worse one) a bisection on lam with
-    ball-feasibility tests (_bisect) gives the answer; tol sets only that
-    bisection's tolerance.  Values and distances are scaled by powers of
-    two on entry and back on exit, so no square overflows or underflows at
-    extreme scales.
+    certified point, or a worse one) the start itself is returned, with a
+    warning on the lipext.kpoint logger.  Either way lam is the largest
+    ratio at the returned point, an upper bound on the optimum.  Values and
+    distances are scaled by powers of two on entry and back on exit, so no
+    square overflows or underflows at extreme scales.
     """
     d = _distances(s, x)
     spread, constant = _spread(s.values.tolist())
@@ -943,14 +794,11 @@ def kpoint_oracle(s: LabeledPointSet, x, tol: float = 1e-7) -> KPointResult:
     z0 = (d[b] * unit[a] + d[a] * unit[b]) / (d[a] + d[b])
     t0 = _max_ratio(z0, unit, d)
     z = minimize(unit, 1.0 / (t0 * d), z0)
-    if z is not None and _max_ratio(z, unit, d) <= t0 * (1.0 + 1e-9):
-        point = center + spread * z
-    else:
-        # the bisection works relative to the mean value, which keeps the
-        # certificates' rounding error on the scale of the spread
-        lip = math.ldexp(lip_constant(s), vshift - dshift)
-        point = center + np.asarray(_bisect([tuple(row) for row in values - center],
-                                            [float(v) for v in d], lip, tol))
+    if z is None or _max_ratio(z, unit, d) > t0 * (1.0 + 1e-9):
+        log.warning("oracle polish certified no point at query %s; "
+                    "keeping the steepest pair's weighted point", np.asarray(x).tolist())
+        z = z0
+    point = center + spread * z
     lam = _max_ratio(point, values, d)
 
     ratios = np.linalg.norm(point - values, axis=1) / d

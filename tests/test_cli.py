@@ -344,9 +344,31 @@ def test_kpoint_rejects_non_finite(tmp_path, capsys, field, bad):
     assert captured.err.startswith("error: ParseError") and "Traceback" not in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("doc,query", [
+    # the query's offsets from the samples overflow
+    ({"points": [[-1e308, 0.0], [1.0, 0.0], [0.0, 1.0]], "values": [[0.0], [1.0], [2.0]]},
+     "1.7e308,0"),
+    # the answer overflows: lam = 1e10 / 3e-300
+    ({"points": [[0.0], [1e-300]], "values": [[0.0], [1e10]]}, "2e-300"),
+    # the values' differences, or their sum, overflow
+    ({"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+      "values": [[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308]]}, "0.3,0.3"),
+    ({"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+      "values": [[8e307, 1.0], [8.1e307, 0.0], [7.9e307, 2.0]]}, "0.3,0.3"),
+])
+def test_kpoint_rejects_overflow(tmp_path, capsys, doc, query):
+    f = write_json(tmp_path / "pts.json", doc)
+    assert run("kpoint", query, "--input", f, "--check") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParseError") and "Traceback" not in captured.err
+
+
 def test_kpoint_dimension_mismatch(tmp_path, capsys):
     f = write_json(tmp_path / "pts.json", {"points": [[0.0], [2.0]], "values": [[0.0], [4.0]]})
     assert run("kpoint", "1,2", "--input", f) == 1
+    assert capsys.readouterr().err.startswith("error: ParseError")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,19 @@ def test_validate_non_finite():
     ]
     for g in cases:
         assert [v.code for v in validate(g)] == ["NonFinite"]
+
+
+def test_validate_rejects_edge_lengths_that_sum_past_the_largest_float():
+    # each length is finite, but the path a - b - c is not: the path solver
+    # would find no connecting path and the sweep would put b at 0
+    g = Graph({"a": [0.0], "b": [1.0], "c": [2.0]}, [("a", "b", 1e308), ("b", "c", 1e308)],
+              ["a", "c"], {"a": 0.0, "c": 1e-10})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [v.code for v in validate(g)] == ["ValueOverflow"]
+    ok = Graph({"a": [0.0], "b": [1.0], "c": [2.0]}, [("a", "b", 8e307), ("b", "c", 8e307)],
+               ["a", "c"], {"a": 0.0, "c": 1e-10})
+    assert validate(ok) == []
 
 
 def test_validate_lists_every_violation_in_order():

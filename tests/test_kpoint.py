@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import subprocess
@@ -15,12 +16,9 @@ from lipext.kpoint import (
     CERT_TOL,
     CONSTANT_TOL,
     NOISE_TOL,
-    Feasibility,
     LabeledPointSet,
     PairBlock,
     _kkt_newton,
-    _project_cycles,
-    _separated,
     certificate_check,
     kpoint_oracle,
     kpoint_scalar,
@@ -146,6 +144,29 @@ def test_non_finite_samples_rejected(field, bad):
     data[field][1, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         LabeledPointSet(data["points"], data["values"])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [
+    # differences overflow: the spread would read the data as constant
+    [[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308]],
+    # one sign: the kernel's centre sum would overflow
+    [[8e307, 1.0], [8.1e307, 0.0], [7.9e307, 2.0]],
+])
+def test_overflowing_samples_rejected(values):
+    with pytest.raises(ValueError, match="overflow"):
+        LabeledPointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], values)
+
+
+@pytest.mark.filterwarnings("error")
+def test_samples_just_inside_the_overflow_limit():
+    # 3 max|f| is finite: kernel and oracle agree on the scaled answer
+    values = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    points, x = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.3, 0.3]
+    base = kpoint_vector(LabeledPointSet(points, values), x)
+    s = LabeledPointSet(points, 5e307 * values)
+    for r in (kpoint_vector(s, x), kpoint_oracle(s, x)):
+        assert r.lam / 5e307 == pytest.approx(base.lam, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -331,33 +352,6 @@ def test_oracle_singleton():
     assert r.point == pytest.approx([7.0])
 
 
-def test_separated_is_a_proof():
-    centres = [(0.0,), (3.0,)]
-    # disjoint balls: the midpoint lies outside both
-    assert _separated([1.0, 1.0], centres, [1.0, 1.0])
-    # tangent balls share a point, so no weights may prove them separated
-    assert not _separated([1.0, 1.0], centres, [1.5**2, 1.5**2])
-    assert not _separated([0.0, 0.0], centres, [1.0, 1.0])
-
-
-def test_feasible_probe_never_proven_infeasible():
-    """Just above the kernel's optimum every ball-intersection test must
-    be feasible or undecided; a proof of infeasibility there would move the
-    oracle's bisection bracket past the optimum."""
-    rng = np.random.default_rng(2028)
-    tested = 0
-    while tested < 200:
-        s, x = random_instance(rng)
-        lam = 1.001 * kpoint_vector(s, x).lam
-        if s.size == 1 or lam == 0.0:
-            continue
-        d = [float(v) for v in np.linalg.norm(s.points - x, axis=1)]
-        fvals = [tuple(row) for row in s.values]
-        outcome, _, _ = _project_cycles(lam, s.values.mean(axis=0), fvals, d, 1e-8 * lam, 10_000)
-        assert outcome is not Feasibility.INFEASIBLE, (tested, lam)
-        tested += 1
-
-
 def _max_ratio(values, d, y):
     return float(np.max(np.linalg.norm(y - values, axis=1) / d))
 
@@ -445,38 +439,66 @@ def test_kkt_pair_rejects_coincident_rows():
     # a point far outside the samples' hull, which the ratio guard rejects
     lambda unit, k, y0: y0 + 10.0,
 ])
-def test_oracle_falls_back_to_the_bisection_without_a_polished_point(monkeypatch, polish):
-    # when the polish's point is not kept, the bisection runs once and its
-    # last feasible point is the answer.  That point is only as good as
-    # the bisection gets before a probe stalls, so lam is checked against
-    # the kernel from above, not to the kernel's tolerances
-    monkeypatch.setattr(kpoint, "minimize", polish)
-    bisect_impl, calls = kpoint._bisect, []
+def test_oracle_keeps_its_start_without_a_polished_point(monkeypatch, caplog, polish):
+    # when the polish's point is not kept, the oracle returns its start z0,
+    # the steepest pair's weighted point, with lam its largest ratio: an
+    # upper bound on the kernel's lam, not a match to the kernel's
+    # tolerances.  A polish that returns z0 itself passes the guard, so it
+    # gives the same point and lam without the warning.
+    polishes, starts = [polish], []
 
-    def bisect(*args):
-        calls.append(args)
-        return bisect_impl(*args)
+    def spy(unit, k, y0):
+        starts.append(y0)
+        return polishes[-1](unit, k, y0)
 
-    monkeypatch.setattr(kpoint, "_bisect", bisect)
+    monkeypatch.setattr(kpoint, "minimize", spy)
     for p, v, x in list(c06_instances())[:60]:
         s = LabeledPointSet(p, v)
-        calls.clear()
-        ro = kpoint_oracle(s, x)
-        # a single sample returns before the polish
-        assert len(calls) == (s.size > 1)
-        assert ro.lam == _max_ratio(s.values, np.linalg.norm(s.points - x, axis=1), ro.point)
+        d = np.linalg.norm(s.points - x, axis=1)
+        starts.clear()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="lipext.kpoint"):
+            ro = kpoint_oracle(s, x)
+        if s.size == 1:
+            # a single sample returns before the polish
+            assert starts == [] and caplog.records == []
+            continue
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "keeping the steepest pair's weighted point" in caplog.records[0].getMessage()
+        polishes.append(lambda unit, k, y0: y0)
+        kept = kpoint_oracle(s, x)
+        polishes.pop()
+        assert len(starts) == 2 and np.array_equal(starts[0], starts[1])
+        assert np.array_equal(ro.point, kept.point) and ro.lam == kept.lam
+        i, j = np.triu_indices(s.size, 1)
+        a = int(np.argmax(np.linalg.norm(s.values[i] - s.values[j], axis=1) / (d[i] + d[j])))
+        a, b = i[a], j[a]
+        z0 = (d[b] * s.values[a] + d[a] * s.values[b]) / (d[a] + d[b])
+        assert np.allclose(ro.point, z0, rtol=0.0, atol=1e-12)
+        assert ro.lam == _max_ratio(s.values, d, ro.point)
         assert ro.lam >= kpoint_vector(s, x).lam * (1.0 - 1e-12)
 
 
-def test_oracle_polish_certifies_every_c06_instance(monkeypatch):
-    # the bisection is only a fallback: started at the steepest pair's
-    # weighted point, the polish's point is kept on the whole C06 corpus
-    def bisect(*args):
-        raise AssertionError("the oracle fell back to the bisection")
+def test_oracle_polish_certifies_every_c06_instance(monkeypatch, caplog):
+    # the start is only a fallback: from the steepest pair's weighted point,
+    # the polish gives a point the oracle's guard keeps on the whole C06
+    # corpus, one that does not worsen the start's largest ratio
+    minimize_impl, calls = kpoint.minimize, []
 
-    monkeypatch.setattr(kpoint, "_bisect", bisect)
-    for p, v, x in c06_instances():
-        kpoint_oracle(LabeledPointSet(p, v), x)
+    def spy(unit, k, y0):
+        z = minimize_impl(unit, k, y0)
+        calls.append((unit, k, y0, z))
+        return z
+
+    monkeypatch.setattr(kpoint, "minimize", spy)
+    with caplog.at_level(logging.WARNING, logger="lipext.kpoint"):
+        for p, v, x in c06_instances():
+            kpoint_oracle(LabeledPointSet(p, v), x)
+    assert len(calls) > 400 and caplog.records == []
+    for unit, k, y0, z in calls:
+        assert z is not None
+        worst = np.max(k * np.linalg.norm(z - unit, axis=1))
+        assert worst <= np.max(k * np.linalg.norm(y0 - unit, axis=1)) * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -516,7 +538,7 @@ def test_vector_agrees_with_oracle():
     for _ in range(60):
         s, x = random_instance(rng)
         rv = kpoint_vector(s, x)
-        ro = kpoint_oracle(s, x, tol=1e-7)
+        ro = kpoint_oracle(s, x)
         assert abs(rv.lam - ro.lam) <= 1e-6
         assert np.linalg.norm(rv.point - ro.point) <= 1e-5
 

@@ -132,8 +132,8 @@ def test_stacked_simplex_matches_the_loop(call):
 @PROPERTY
 @given(samples(), st.randoms(use_true_random=False))
 def test_oracle_is_invariant_under_permutation(instance, rnd):
-    # the bisection's projections run in sample order, but the polish
-    # certifies the unique optimum, so only rounding may move lam
+    # the polish ranks samples in input order, but it certifies the unique
+    # optimum, so only rounding may move lam
     points, values, x = instance
     perm = list(range(len(points)))
     rnd.shuffle(perm)
