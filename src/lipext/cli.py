@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -265,15 +266,15 @@ def cmd_kpoint(args) -> int:
         x = np.array([float(t) for t in args.query.split(",")])
     except ValueError as exc:
         raise ParseError(f"bad query {args.query!r}") from exc
+    # ValueError: a non-finite query, one of the wrong dimension or scale, or
+    # one whose answer overflows
     try:
         r = kpoint_vector(s, x, tol=args.tol)
-    except ValueError as exc:  # a non-finite query, or one of the wrong dimension or scale
+        o = kpoint_oracle(s, x) if args.check else None
+    except ValueError as exc:
         raise ParseError(f"bad query {args.query!r}: {exc}") from exc
-    if not (math.isfinite(r.lam) and np.all(np.isfinite(r.point))):
-        raise ParseError(f"{args.input}: the answer at query {args.query!r} overflows")
     doc = {"lambda": r.lam, "point": list(r.point), "active": list(r.active)}
-    if args.check:
-        o = kpoint_oracle(s, x)
+    if o is not None:
         doc["oracle_gap"] = max(abs(r.lam - o.lam), float(np.linalg.norm(r.point - o.point)))
     emit(doc, args.output)
     return 0
@@ -352,6 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(fn=cmd_solve)
 
     pk = sub.add_parser("kpoint", help="minimax value of labeled samples at a query point")
+    # a query such as -0.5,0.3 is an argument, not an option: argparse takes
+    # only plain negative numbers for arguments, and kpoint has no option
+    # that starts with a digit
+    pk._negative_number_matcher = re.compile(r"^-\.?\d")
     pk.add_argument("query", help="comma-separated query coordinates")
     pk.add_argument("--input", required=True)
     pk.add_argument("--output", default=None)

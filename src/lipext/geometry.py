@@ -222,13 +222,12 @@ def bordered_determinants(d2, r2) -> Biquadratic:
     r2 = np.asarray(r2, dtype=float)
     count, k = r2.shape
     stack = np.zeros((count, 3, k + 2, k + 2))
-    for slot, mu in enumerate((0.0, 1.0, 2.0)):
-        sub = stack[:, slot]
-        sub[:, 0, 1:] = 1.0
-        sub[:, 1:, 0] = 1.0
-        sub[:, 1, 2:] = mu * r2
-        sub[:, 2:, 1] = mu * r2
-        sub[:, 2:, 2:] = d2
+    stack[:, :, 0, 1:] = 1.0
+    stack[:, :, 1:, 0] = 1.0
+    radii = r2[:, None, :] * np.array([0.0, 1.0, 2.0])[:, None]  # mu * r2, mu = 0, 1, 2
+    stack[:, :, 1, 2:] = radii
+    stack[:, :, 2:, 1] = radii
+    stack[:, :, 2:, 2:] = d2[:, None]
     d0, d1, dd2 = np.linalg.det(stack).T
     a = 0.5 * (dd2 - 2.0 * d1 + d0)
     return Biquadratic(a=a, b=d1 - d0 - a, c=d0)
@@ -260,14 +259,15 @@ def solve_biquadratic(bq: Biquadratic) -> list[float]:
             mus.append(0.0)
         else:
             mus.extend((q / a, c / q))
-    mu_scale = max(abs(mu) for mu in mus)
+    mu_scale = max(map(abs, mus))
     roots: list[float] = []
     for mu in mus:
         if -1e-10 * mu_scale <= mu < 0.0:
             mu = 0.0
         if mu >= 0.0:
             lam = math.sqrt(mu)
-            if not any(abs(lam - r) <= 1e-12 * max(lam, r) for r in roots):
+            # at most two roots: a second one that rounds to the first is dropped
+            if not (roots and abs(lam - roots[0]) <= 1e-12 * max(lam, roots[0])):
                 roots.append(lam)
     return sorted(roots)
 

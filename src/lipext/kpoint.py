@@ -16,8 +16,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +55,27 @@ CERT_TOL = 1e-9
 NOISE_TOL = 1e-13
 # Value spread below this fraction of the value magnitude counts as constant.
 CONSTANT_TOL = 1e-14
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: they are shared through a cache."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=32)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1): the pairs of n samples in row-major order,
+    cached per n as read-only arrays."""
+    return _read_only(*np.triu_indices(n, 1))
+
+
+@lru_cache(maxsize=64)
+def _subsets(n: int, size: int) -> np.ndarray:
+    """Every subset of range(n) of the given size in lexicographic order, as
+    a read-only int array of shape (K, size), cached per (n, size)."""
+    return _read_only(np.array(list(combinations(range(n), size)), dtype=np.intp).reshape(-1, size))[0]
 
 
 @dataclass(frozen=True)
@@ -114,7 +136,7 @@ def lip_constant(s: LabeledPointSet) -> float:
     pshift = pow2_shift(float(np.abs(s.points).max()))
     vals = np.ldexp(s.values, vshift)
     pts = np.ldexp(s.points, pshift)
-    i, j = np.triu_indices(s.size, 1)
+    i, j = _pair_indices(s.size)
     num = np.linalg.norm(vals[i] - vals[j], axis=1)
     den = np.linalg.norm(pts[i] - pts[j], axis=1)
     best = float(np.max(num / den, initial=0.0))
@@ -352,10 +374,16 @@ def minimax_kernel(values, dists, tol: float = CERT_TOL):
         vsq[i, j] = vsq[j, i] = dist * dist
     for size in range(3, min(m + 1, n) + 1):
         subsets, bq, scales = _size_class(vsq, dists, size)
-        test = _stacked_simplex if len(subsets) > STACK_CUTOVER else _looped_simplex
-        hit = test(values, dists, subsets, bq, scales, tol, dmax)
-        if hit is not None:
-            return denorm(*hit)
+        if len(subsets) > STACK_CUTOVER:
+            hits = _stacked_simplex(values[None], dists[None], np.zeros(len(subsets), dtype=np.intp),
+                                    subsets, bq, scales, tol, np.array([dmax]))
+            if hits.rows.size:
+                return denorm(float(hits.lam[0]), hits.point[0], tuple(hits.active[0].tolist()),
+                              hits.coords[0], float(hits.viol[0]))
+        else:
+            hit = _looped_simplex(values, dists, subsets, bq, scales, tol, dmax)
+            if hit is not None:
+                return denorm(*hit)
     raise NoCertifiedSubset(f"no certified subset among {n} samples (m = {m})")
 
 
@@ -367,6 +395,12 @@ def minimax_kernel(values, dists, tol: float = CERT_TOL):
 # 10, 0.37x at 20 and 0.16x at 56; the cutover sits at the interpolated
 # break-even.  Classes of 7 to 9 subsets arise only for m >= 5.
 STACK_CUTOVER = 8
+# Classes of fewer biquadratics than this take their roots from
+# solve_biquadratic on Python floats, larger ones from solve_biquadratics
+# on arrays; the two give the same bits.  Measured on random coefficients,
+# the floats cost about 2 us a polynomial and the arrays about 55 us up to
+# 100 polynomials; they cross between 24 and 32.
+ROOT_CUTOVER = 28
 # Rows of (candidate, sample) gaps per domination pass of _stacked_simplex.
 GAP_ROWS = 1 << 14
 
@@ -376,19 +410,42 @@ def _size_class(vsq: np.ndarray, dists: np.ndarray, size: int):
     lexicographic order, subsets as an int array of shape (K, size), scale
     being the largest squared value distance within the subset (the length
     scale of its equality check)."""
-    idx = np.array(list(combinations(range(dists.size), size)))
+    idx = _subsets(dists.size, size)
     block = vsq[idx[:, :, None], idx[:, None, :]]
     bq = bordered_determinants(block, dists[idx] ** 2)
     return idx, bq, block.max(axis=(1, 2))
 
 
+def _coefficients(bq: Biquadratic):
+    """The (a, b, c) of every polynomial of bq, as Python floats."""
+    return zip(bq.a.tolist(), bq.b.tolist(), bq.c.tolist())
+
+
+def _positive_roots(bq: Biquadratic) -> tuple[np.ndarray, np.ndarray]:
+    """(polynomial, lam) for every positive root of a size class's
+    biquadratics: the class's candidates, polynomials in order and each
+    one's roots ascending.  Fewer than ROOT_CUTOVER polynomials are solved
+    one by one (solve_biquadratic), more on arrays (solve_biquadratics)."""
+    if len(bq.a) < ROOT_CUTOVER:
+        poly, lams = [], []
+        for k, coefs in enumerate(_coefficients(bq)):
+            for lam in solve_biquadratic(Biquadratic(*coefs)):
+                if lam > 0.0:
+                    poly.append(k)
+                    lams.append(lam)
+        return np.array(poly, dtype=np.intp), np.array(lams)
+    roots, found = solve_biquadratics(bq)
+    poly, slot = np.nonzero(found & (roots > 0.0))
+    return poly, roots[poly, slot]
+
+
 def _looped_simplex(values, dists, subsets, bq, scales, tol, dmax):
     """The first certified candidate of a size class as (lam, point, active,
     coords, violation) on the unit scale, or None; one candidate at a time."""
-    for si, subset in enumerate(subsets.tolist()):
+    for si, (subset, coefs) in enumerate(zip(subsets.tolist(), _coefficients(bq))):
         centers = values[subset]
         dj = dists[subset]
-        for lam in solve_biquadratic(Biquadratic(bq.a[si], bq.b[si], bq.c[si])):
+        for lam in solve_biquadratic(Biquadratic(*coefs)):
             if lam <= 0.0:
                 continue
             rad = lam * dj
@@ -408,42 +465,57 @@ def _looped_simplex(values, dists, subsets, bq, scales, tol, dmax):
     return None
 
 
-def _stacked_simplex(values, dists, subsets, bq, scales, tol, dmax):
-    """_looped_simplex in one numpy pass over the size class, bit for bit.
+class _Hits(NamedTuple):
+    """The certified candidate of every row that has one, rows ascending:
+    its lam, point, active subset, hull coordinates and violation, on the
+    unit scale."""
+
+    rows: np.ndarray
+    lam: np.ndarray
+    point: np.ndarray
+    active: np.ndarray
+    coords: np.ndarray
+    viol: np.ndarray
+
+
+def _stacked_simplex(values, dists, owner, subsets, bq, scales, tol, dmax) -> _Hits:
+    """_looped_simplex in one numpy pass over the size classes of several
+    rows, bit for bit, row by row.
+
+    values (rows, width, m), dists (rows, width) and dmax (rows,) are the
+    rows' samples on the unit scale.  Subset k is subsets[k] of row
+    owner[k], owner ascending, with biquadratic k of bq and scale
+    scales[k]; a row's subsets come in the kernel's order.  A row's winner
+    is its first certified candidate (subset, then root ascending).  The
+    kernel's own classes are the one-row case, and `KernelBlock` passes
+    the rows of a block that no pair certifies.
 
     Every candidate (subset, positive root) gets its sphere solve, equality
-    and hull checks at once, in the loop's order.  Each operation is the
-    loop's own on a stack: np.linalg.solve and the sum of squares per row
-    match their per-matrix forms, a stacked np.matmul takes the dot
-    products that sphere_point's `s @ b` and a 1-d np.linalg.norm take, and
-    rad[0] ** 2 is squared by C pow on Python floats, as sphere_point's
-    numpy-scalar power is.  A singular system fails only its own subset.
-    The domination check, the costly one, runs on the survivors in chunks
-    of GAP_ROWS gaps, and the first certified candidate wins.
+    and hull checks at once.  Each operation is the loop's own on a stack:
+    np.linalg.solve and the sum of squares per row match their per-matrix
+    forms, a stacked np.matmul takes the dot products that sphere_point's
+    `s @ b` and a 1-d np.linalg.norm take, and rad[0] ** 2 is squared by C
+    pow on Python floats, as sphere_point's numpy-scalar power is.  A
+    singular system fails only its own subset.  The domination check, the
+    costly one, runs on the survivors in chunks of GAP_ROWS gaps, and a
+    chunk skips the rows that an earlier one has decided.
     """
-    roots, found = solve_biquadratics(bq)
-    sub, slot = np.nonzero(found & (roots > 0.0))
-    centers = values[subsets]
+    poly, lam = _positive_roots(bq)
+    centers = values[owner[:, None], subsets]
     base = centers[:, 0]
     edge = centers[:, 1:] - base[:, None]
     gram = 2.0 * np.matmul(edge, edge.transpose(0, 2, 1))
-    # det uses solve's LU: a nonzero det leaves no zero pivot, and the rare
-    # zero det (singular or underflowed) is tried on its own
-    regular = np.linalg.det(gram) != 0.0
-    for si in np.flatnonzero(~regular):
-        try:
-            np.linalg.solve(gram[si], np.ones(len(gram[si])))
-            regular[si] = True
-        except np.linalg.LinAlgError:
-            pass
-    keep = regular[sub]
-    sub, lam = sub[keep], roots[sub[keep], slot[keep]]
-    if not sub.size:
-        return None
-    rad = lam[:, None] * dists[subsets[sub]]
+    sub, own = poly, owner[poly]
+    rad = lam[:, None] * dists[own[:, None], subsets[sub]]
     rad0_sq = np.array([r ** 2 for r in rad[:, 0].tolist()])
     rhs = np.einsum("kij,kij->ki", edge, edge)[sub] + rad0_sq[:, None] - rad[:, 1:] ** 2
-    coef = np.linalg.solve(gram[sub], rhs[:, :, None])[:, :, 0]
+    try:
+        coef = np.linalg.solve(gram[sub], rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # the stacked solve fails as a whole: drop the singular subsets
+        keep = _regular(gram)[sub]
+        sub, own, lam, rad, rhs = sub[keep], own[keep], lam[keep], rad[keep], rhs[keep]
+        coef = np.linalg.solve(gram[sub], rhs[:, :, None])[:, :, 0]
     base, edge = base[sub], edge[sub]
     y = base + np.matmul(coef[:, None, :], edge)[:, 0]
     off = y - base
@@ -453,17 +525,44 @@ def _stacked_simplex(values, dists, subsets, bq, scales, tol, dmax):
     coords = np.concatenate([1.0 - coef.sum(axis=1, keepdims=True), coef], axis=1)
     ok = ~(np.abs(dist0 - rad[:, 0]) > CERT_TOL * lscale) & ~(coords.min(axis=1) < -HULL_TOL)
     survivors = np.flatnonzero(ok)
-    step = max(1, GAP_ROWS // dists.size)
+    decided = np.zeros(len(dists), dtype=bool)
+    won, won_viol = [], []
+    step = max(1, GAP_ROWS // dists.shape[1])
     for start in range(0, survivors.size, step):
         c = survivors[start:start + step]
-        gaps = np.linalg.norm(y[c, None, :] - values, axis=-1) - lam[c, None] * dists
+        if won:
+            c = c[~decided[own[c]]]
+        rc = own[c]
+        diff = y[c, None, :] - values[rc]
+        # np.linalg.norm's own sum of squares, without its argument checks
+        gaps = np.sqrt(np.add.reduce(diff * diff, axis=-1)) - lam[c, None] * dists[rc]
         viol = gaps.max(axis=1)
-        certified = viol <= tol * lam[c] * dmax + NOISE_TOL
-        if certified.any():
-            k = int(np.argmax(certified))
-            w = c[k]
-            return float(lam[w]), y[w], tuple(subsets[sub[w]].tolist()), coords[w].copy(), float(viol[k])
-    return None
+        at = np.flatnonzero(viol <= tol * lam[c] * dmax[rc] + NOISE_TOL)
+        if at.size:
+            # candidates run row by row: keep each row's first
+            at = at[np.concatenate([[True], rc[at[1:]] != rc[at[:-1]]])]
+            won.append(c[at])
+            won_viol.append(viol[at])
+            decided[rc[at]] = True
+            if decided.all():
+                break
+    w = np.concatenate(won) if won else np.zeros(0, dtype=np.intp)
+    return _Hits(own[w], lam[w], y[w], subsets[sub[w]], coords[w],
+                 np.concatenate(won_viol) if won else np.zeros(0))
+
+
+def _regular(gram: np.ndarray) -> np.ndarray:
+    """Whether np.linalg.solve takes each matrix of a stack on its own.  det
+    uses solve's LU: a nonzero det leaves no zero pivot, and the rare zero
+    det (singular or underflowed) is tried alone."""
+    regular = np.linalg.det(gram) != 0.0
+    for si in np.flatnonzero(~regular):
+        try:
+            np.linalg.solve(gram[si], np.ones(len(gram[si])))
+            regular[si] = True
+        except np.linalg.LinAlgError:
+            pass
+    return regular
 
 
 def _sum_squares(t: np.ndarray) -> np.ndarray:
@@ -475,41 +574,59 @@ def _sum_squares(t: np.ndarray) -> np.ndarray:
     return sq
 
 
-class PairBlock:
-    """The pair step for a block of neighbourhoods at once.
+class KernelBlock:
+    """The local rule for a block of neighbourhoods at once.
 
     Row r of a block holds count[r] samples, padded to the block's width by
-    repeats of its first sample (value and distance).  A repeat changes no
-    maximum, and every pair it forms ties with an earlier pair or is never
-    steepest, so the pair rules need no mask.  `step` returns for every row
-    the point that the per-row rule returns: `pairwise_optimum`'s for
-    m = 1, and for m > 1 `minimax_kernel`'s (at its default tolerance)
-    when it exits through the constant test or a pair.  The arithmetic is the per-row code's,
-    operation for operation, so the points agree bit for bit; rows whose
-    answer needs a larger subset are reported as not certified and left to
-    the kernel.
+    repeats of its first sample (value and distance).  `step` returns for
+    every row the point that the per-row rule returns: `pairwise_optimum`'s
+    for m = 1, and for m > 1 `minimax_kernel`'s at its default tolerance.
+    The arithmetic is the per-row code's, operation for operation, so the
+    points agree bit for bit.  For m > 1 the constant test and the pair
+    phase run on every row.  A repeat changes no maximum, and every pair it
+    forms ties with an earlier pair or is never steepest, so they need no
+    mask.  The rows that they leave go through the simplex phase, one
+    stacked pass (`_stacked_simplex`) per subset size, sizes ascending, from
+    the pair phase's unit-scale values, spread, centre and pair distances;
+    subsets that hold a repeat are masked.  Rows that no subset certifies,
+    where the kernel raises NoCertifiedSubset, are reported as not
+    certified.
     """
 
     def __init__(self, dists: np.ndarray, count: np.ndarray):
         self.dists = dists
         self.count = count
         self.rows = np.arange(dists.shape[0])
-        self.first, self.second = np.triu_indices(dists.shape[1], 1)  # row-major pairs
+        self.first, self.second = _pair_indices(dists.shape[1])  # row-major pairs
         self.sums = dists[:, self.first] + dists[:, self.second]
+        self._classes: dict[int, tuple] = {}
 
     @cached_property
     def _unit(self):
-        """The kernel's distances on the unit scale, their pair sums and row
-        maxima, and the columns that the centre's sum adds: None where no
-        row pads the column, else a mask of the rows that do not."""
+        """The kernel's distances on the unit scale, at the first and the
+        second sample of every pair, their pair sums and row maxima, and the
+        columns that the centre's sum adds: None where no row pads the
+        column, else a mask of the rows that do not."""
         unit = self.dists / self.dists.max(axis=1)[:, None]
         padded = [(k, None if (self.count > k).all() else self.count > k)
                   for k in range(1, self.dists.shape[1])]
-        return unit, unit[:, self.first] + unit[:, self.second], unit.max(axis=1), padded
+        di, dj = unit[:, self.first], unit[:, self.second]
+        return unit, di, dj, di + dj, unit.max(axis=1), padded
+
+    def _class_constants(self, size: int):
+        """The subsets of the block's columns of one size in lexicographic
+        order, whether each lies within each row's samples, and each row's
+        squared unit distances over each: (subsets, inside, r2), built once
+        per block."""
+        if size not in self._classes:
+            subsets = _subsets(self.dists.shape[1], size)
+            self._classes[size] = (subsets, subsets[:, -1] < self.count[:, None],
+                                   self._unit[0][:, subsets] ** 2)
+        return self._classes[size]
 
     def step(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(points, certified) for values of shape (m, rows, width): points
-        of shape (rows, m), and whether each row's rule exits here."""
+        of shape (rows, m), and whether some subset certifies each row."""
         certified = np.ones(values.shape[1], dtype=bool)
         if values.shape[2] == 1:
             return values[:, :, 0].T.copy(), certified
@@ -530,7 +647,7 @@ class PairBlock:
 
     def _vector(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         first, second, rows = self.first, self.second, self.rows
-        unit, unit_sums, unit_max, padded = self._unit
+        unit, di, dj, unit_sums, unit_max, padded = self._unit
         # _spread: the largest scaled pair distance and the constant test
         vmag = np.abs(values).max(axis=(0, 2))
         shift = np.minimum(-np.frexp(vmag)[1], 1022)  # pow2_shift, row by row
@@ -548,12 +665,13 @@ class PairBlock:
         vals = (values - center[:, :, None]) / spread[:, None]
         # pair phase: the first steepest pair sets the floor, and the first
         # pair at or above it whose candidate dominates every sample wins
-        lam = np.sqrt(_sum_squares(vals[:, :, first] - vals[:, :, second])) / unit_sums
+        vi, vj = vals[:, :, first], vals[:, :, second]
+        dist = np.sqrt(_sum_squares(vi - vj))
+        lam = dist / unit_sums
         k = np.argmax(lam, axis=1)
         lam_max, span = lam[rows, k], unit_sums[rows, k]
         floor = lam_max - 4.0 * (CERT_TOL * lam_max * unit_max + NOISE_TOL) / span
-        di, dj = unit[:, first], unit[:, second]
-        point = (dj * vals[:, :, first] + di * vals[:, :, second]) / unit_sums
+        point = (dj * vi + di * vj) / unit_sums
         thr = CERT_TOL * lam * unit_max[:, None] + NOISE_TOL
         gap = (np.sqrt(_sum_squares(point[:, :, :, None] - vals[:, :, None, :]))
                - lam[:, :, None] * unit[:, None, :])
@@ -561,7 +679,44 @@ class PairBlock:
         k = np.argmax(certified, axis=1)
         out = center + point[:, rows, k] * spread
         out = np.where(constant, values[:, :, 0], out)
-        return out.T, constant | certified[rows, k]
+        done = constant | certified[rows, k]
+        left = np.flatnonzero(~done)
+        if left.size:
+            hit, y = self._simplex(vals[:, left].transpose(1, 2, 0), dist[left], left)
+            won = left[hit]
+            out[:, won] = center[:, won] + y.T * spread[won]
+            done[won] = True
+        return out.T, done
+
+    def _simplex(self, values: np.ndarray, dist: np.ndarray, left: np.ndarray):
+        """The simplex phase of the block's rows `left`, from their values
+        (rows, width, m) and pair distances on the unit scale: whether some
+        subset certifies each row, and the points of those that it does."""
+        unit, _, _, _, unit_max, _ = self._unit
+        dists, dmax = unit[left], unit_max[left]
+        width, m = values.shape[1:]
+        vsq = np.zeros((len(left), width, width))
+        vsq[:, self.first, self.second] = vsq[:, self.second, self.first] = dist * dist
+        hit = np.zeros(len(left), dtype=bool)
+        points = np.empty((len(left), m))
+        todo = np.arange(len(left))
+        for size in range(3, min(m + 1, width) + 1):
+            subsets, inside, r2 = self._class_constants(size)
+            owner, which = np.nonzero(inside[left[todo]])
+            if not owner.size:
+                break
+            owner = todo[owner]
+            idx = subsets[which]
+            block = vsq[owner[:, None, None], idx[:, :, None], idx[:, None, :]]
+            bq = bordered_determinants(block, r2[left[owner], which])
+            hits = _stacked_simplex(values, dists, owner, idx, bq, block.max(axis=(1, 2)),
+                                    CERT_TOL, dmax)
+            hit[hits.rows] = True
+            points[hits.rows] = hits.point
+            todo = todo[~hit[todo]]
+            if not todo.size:
+                break
+        return hit, points[hit]
 
 
 def kpoint_vector(s: LabeledPointSet, x, tol: float = CERT_TOL) -> KPointResult:
@@ -574,7 +729,15 @@ def kpoint_vector(s: LabeledPointSet, x, tol: float = CERT_TOL) -> KPointResult:
     pairs = sorted(zip((order[a] for a in active_local), coords))
     active = tuple(p[0] for p in pairs)
     hull = np.array([p[1] for p in pairs])
-    return KPointResult(lam, point, active, viol, hull)
+    return KPointResult(_finite(lam), point, active, viol, hull)
+
+
+def _finite(lam: float) -> float:
+    """lam, or ValueError when the answer overflows: finite samples and
+    query distances can still make the ratio exceed the largest float."""
+    if not math.isfinite(lam):
+        raise ValueError("the answer overflows: lam is not finite")
+    return lam
 
 
 def certificate_check(s: LabeledPointSet, x, lambda0: float, point0, subset, tol: float = CERT_TOL) -> bool:
@@ -788,7 +951,7 @@ def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
     # spread can exceed the guard's 1e-9.
     center = values.mean(axis=0)
     unit = (values - center) / spread
-    i, j = np.triu_indices(s.size, 1)
+    i, j = _pair_indices(s.size)
     k = int(np.argmax(np.linalg.norm(unit[i] - unit[j], axis=1) / (d[i] + d[j])))
     a, b = i[k], j[k]
     z0 = (d[b] * unit[a] + d[a] * unit[b]) / (d[a] + d[b])
@@ -807,8 +970,9 @@ def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
         active = (int(np.argmax(ratios)),)
     viol = float(np.max(np.linalg.norm(point - values, axis=1) - lam * d))
     hull = _nnls_hull_coords(values[list(active)], point)
-    return KPointResult(math.ldexp(lam, dshift - vshift), np.ldexp(point, -vshift), active,
-                        math.ldexp(viol, -vshift), hull)
+    with np.errstate(over="ignore"):
+        lam = float(np.ldexp(lam, dshift - vshift))
+    return KPointResult(_finite(lam), np.ldexp(point, -vshift), active, math.ldexp(viol, -vshift), hull)
 
 
 def _nnls_hull_coords(vertices: np.ndarray, y: np.ndarray) -> np.ndarray | None:

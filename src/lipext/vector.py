@@ -5,12 +5,15 @@ neighborhood: the pair formula for scalar data, the kernel for vector
 data.  `iterate_tight` and `scalar.gauss_seidel_scalar` run this one sweep
 loop, and `residual` and `scalar.verify_extension` share one residual
 pass.  On all but small graphs both run over blocks of pairwise
-non-adjacent vertices, whose pair steps take one numpy pass
-(`kpoint.PairBlock`); the kernel sees only the neighbourhoods whose answer
-is not a pair.  Every replacement tightens the local Lipschitz profile, and
-a fixed point of all replacements is an extension in the defining sense;
-no convergence rate is guaranteed, so the iteration certifies whatever
-limit it reaches through its residual.
+non-adjacent vertices, whose local rule takes a few numpy passes
+(`kpoint.KernelBlock`): the pair formula, or the kernel's constant test
+and pair phase and then one stacked simplex pass per subset size for the
+rows no pair certifies.  The kernel itself sees the vertices replaced on
+their own, and a block row only where no subset certifies it.  Every
+replacement tightens the local Lipschitz profile, and a fixed point of all
+replacements is an extension in the defining sense; no convergence rate is
+guaranteed, so the iteration certifies whatever limit it reaches through
+its residual.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .graph import (  # noqa: F401  (perfbench/tracing.py wraps validate here)
     validate,
 )
 from .geometry import pow2_shift
-from .kpoint import CERT_TOL, PairBlock, minimax_kernel, nnls, pairwise_optimum
+from .kpoint import CERT_TOL, KernelBlock, minimax_kernel, nnls, pairwise_optimum
 
 log = logging.getLogger("lipext.vector")
 
@@ -96,19 +99,20 @@ def _move_lengths(moves, m: int) -> np.ndarray:
 class _Block:
     """Pairwise non-adjacent interior vertices, replaced together: their
     rows of u, their neighbours' rows padded to the largest degree, and
-    the pair step over their neighbourhoods."""
+    the local rule over their neighbourhoods."""
 
     rows: np.ndarray
     nbrs: np.ndarray
-    pairs: PairBlock
+    rule: KernelBlock
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        """New values of the rows, read from the (vertices, m) array u; rows
-        where no pair certifies go to the kernel one at a time."""
-        new, certified = self.pairs.step(u.T[:, self.nbrs])
+        """New values of the rows, read from the (vertices, m) array u.  A
+        row that no subset certifies goes to the kernel on its own, which
+        raises NoCertifiedSubset for it."""
+        new, certified = self.rule.step(u.T[:, self.nbrs])
         for r in np.flatnonzero(~certified):
-            n = self.pairs.count[r]
-            new[r] = minimax_kernel(u[self.nbrs[r, :n]], self.pairs.dists[r, :n].tolist())[1]
+            n = self.rule.count[r]
+            new[r] = minimax_kernel(u[self.nbrs[r, :n]], self.rule.dists[r, :n].tolist())[1]
         return new
 
 
@@ -142,14 +146,14 @@ class _Plan:
         batched = [k for k in ks if start[k + 1] - start[k] <= DEGREE_CAP]
         if len(batched) < self.block_min:
             return None, [self._single(k) for k in ks]
-        # rows are padded with repeats of their first neighbour (PairBlock)
+        # rows are padded with repeats of their first neighbour (KernelBlock)
         at = np.array([start[k] for k in batched])
         degree = np.array([start[k + 1] for k in batched]) - at
         col = np.arange(degree.max())
         take = at[:, None] + np.where(col < degree[:, None], col, 0)
         block = _Block(np.array([self.rows[k] for k in batched], dtype=np.intp),
                        np.array(self.cols, dtype=np.intp)[take],
-                       PairBlock(np.array(self.lengths)[take], degree))
+                       KernelBlock(np.array(self.lengths)[take], degree))
         return block, [self._single(k) for k in ks if start[k + 1] - start[k] > DEGREE_CAP]
 
     def sweep_order(self) -> list:

@@ -88,26 +88,28 @@ def _bits(x):
 
 def assert_simplex_paths_agree(values, dists):
     """Run minimax_kernel with every simplex size class tested candidate by
-    candidate, then with every class in one stacked pass, and assert that
-    both give the same bits (lam, point, active set, hull coordinates and
-    violation) or both raise NoCertifiedSubset.  Returns the result, or the
-    error type."""
+    candidate, then with every class in one stacked pass, its roots taken
+    on Python floats and then on arrays, and assert that all three give the
+    same bits (lam, point, active set, hull coordinates and violation) or
+    all raise NoCertifiedSubset.  Returns the result, or the error type."""
     from lipext import kpoint
     from lipext.errors import NoCertifiedSubset
 
     out = []
-    for cutover in (10**9, 0):
+    for stack, roots in ((10**9, 10**9), (0, 10**9), (0, 0)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kpoint, "STACK_CUTOVER", cutover)
+            mp.setattr(kpoint, "STACK_CUTOVER", stack)
+            mp.setattr(kpoint, "ROOT_CUTOVER", roots)
             try:
                 out.append(kpoint.minimax_kernel(values, dists))
             except NoCertifiedSubset:
                 out.append(NoCertifiedSubset)
-    looped, stacked = out
-    if looped is NoCertifiedSubset or stacked is NoCertifiedSubset:
-        assert looped is stacked
-        return looped
-    assert looped[2] == stacked[2] and all(type(i) is int for i in stacked[2])
-    for a, b in zip(looped[:2] + looped[3:], stacked[:2] + stacked[3:]):
-        assert np.array_equal(_bits(a), _bits(b))
-    return stacked
+    looped, *stacked = out
+    for other in stacked:
+        if looped is NoCertifiedSubset or other is NoCertifiedSubset:
+            assert looped is other
+            continue
+        assert looped[2] == other[2] and all(type(i) is int for i in other[2])
+        for a, b in zip(looped[:2] + looped[3:], other[:2] + other[3:]):
+            assert np.array_equal(_bits(a), _bits(b))
+    return stacked[-1]

@@ -310,6 +310,19 @@ def test_kpoint_equilateral(tmp_path, capsys):
     assert doc["point"] == pytest.approx([0.0, 0.0], abs=1e-9)
 
 
+@pytest.mark.parametrize("query", ["-0.5,0.3", "-.5,0.3"])
+def test_kpoint_query_with_a_negative_first_coordinate(tmp_path, capsys, query):
+    # the query is read as the argument, not as an unknown option, also
+    # before --input; "--" is no longer needed
+    f = write_json(tmp_path / "pts.json", {"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                           "values": [[0.0, 0.0], [1.0, 0.5], [-0.3, 1.2]]})
+    assert run("kpoint", query, "--input", f) == 0
+    plain = capsys.readouterr().out
+    assert run("kpoint", "--input", f, "--", "-0.5,0.3") == 0
+    assert capsys.readouterr().out == plain
+    assert json.loads(plain)["active"] == [0, 2]
+
+
 def test_kpoint_check_flag(tmp_path, capsys):
     rng = np.random.default_rng(3)
     f = write_json(tmp_path / "pts.json", {

@@ -16,8 +16,8 @@ from lipext.kpoint import (
     CERT_TOL,
     CONSTANT_TOL,
     NOISE_TOL,
+    KernelBlock,
     LabeledPointSet,
-    PairBlock,
     _kkt_newton,
     certificate_check,
     kpoint_oracle,
@@ -188,6 +188,16 @@ def test_overflowing_query_offsets_rejected():
     s = scalar_set([1e308, 0.0], [0.0, 1.0])
     with pytest.raises(ValueError, match="overflow"):
         kpoint_vector(s, [-1e308])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [[[0.0], [1e10]], [[0.0, 1.0], [1e10, 3.0]]])
+def test_overflowing_answer_rejected(values):
+    # finite samples and query, but lam is about 1e10 / 3e-300
+    s = LabeledPointSet([[0.0], [1e-300]], values)
+    for fn in (kpoint_vector, kpoint_oracle):
+        with pytest.raises(ValueError, match="overflows"):
+            fn(s, [2e-300])
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
@@ -806,7 +816,7 @@ def test_pair_block_rows_of_one_sample():
         dists[1:, 1:] = dists[1:, :1]
         count = np.ones(200, dtype=int)
         count[0] = 3
-        points, certified = PairBlock(dists, count).step(values)
+        points, certified = KernelBlock(dists, count).step(values)
         assert certified[1:].all()
         assert np.array_equal(points[1:], values[:, 1:, 0].T)
 
@@ -965,9 +975,10 @@ def test_simplex_size_classes_take_their_path(monkeypatch):
     def spy(name):
         real = getattr(kpoint, name)
 
-        def run(values, dists, subsets, *args):
-            taken.add((name, len(subsets) > kpoint.STACK_CUTOVER))
-            return real(values, dists, subsets, *args)
+        def run(*args):
+            # both take (..., subsets, bq, scales, tol, dmax)
+            taken.add((name, len(args[-5]) > kpoint.STACK_CUTOVER))
+            return real(*args)
         return run
 
     for name in ("_looped_simplex", "_stacked_simplex"):

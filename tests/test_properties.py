@@ -1,5 +1,5 @@
 """Property tests of the minimax kernel (its two simplex paths included),
-the oracle, the scalar solver and the sweep solvers' batched pair step.
+the oracle, the scalar solver and the sweep solvers' batched step.
 
 Examples are drawn deterministically (derandomize) and their number is
 bounded, so the suite stays reproducible and fast.  Coordinates lie on a
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import assert_simplex_paths_agree, random_graph
 from lipext.errors import NoCertifiedSubset
 from lipext.graph import Graph
-from lipext.kpoint import LabeledPointSet, PairBlock, kpoint_oracle, kpoint_vector, minimax_kernel
+from lipext.kpoint import KernelBlock, LabeledPointSet, kpoint_oracle, kpoint_vector, minimax_kernel
 from lipext.scalar import gauss_seidel_scalar, solve_scalar
 from lipext.vector import _local_rule
 
@@ -80,10 +80,10 @@ SIMPLICES = {2: [[0.0, 1.0], [-0.875, -0.5], [0.875, -0.5]],
 
 
 @st.composite
-def simplex_calls(draw):
+def simplex_calls(draw, m=None):
     """(values, dists) for one kernel call that can reach the simplex
-    phase: 3-8 dyadic values in R^m, m = 2-3, at dyadic distances in
-    (0, 4].  A call is one of three kinds:
+    phase: 3-8 dyadic values in R^m (m = 2-3 unless given) at dyadic
+    distances in (0, 4].  A call is one of three kinds:
     - random rows;
     - a jittered near-regular simplex of m + 1 rows at distances near 1,
       whose answer needs all of them, the other rows inside it and further
@@ -95,7 +95,7 @@ def simplex_calls(draw):
       near-collinear grid.
     Before that, up to three rows repeat another exactly, which makes
     sphere systems singular."""
-    m = draw(st.integers(2, 3))
+    m = draw(st.integers(2, 3)) if m is None else m
     n = draw(st.integers(3 if m == 2 else 4, 8))
     values = np.array(draw(st.lists(row(m), min_size=n, max_size=n)))
     length = st.integers(1, 2**10).map(lambda i: math.ldexp(i, -8))
@@ -247,21 +247,35 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
+def _as_block(calls, m):
+    """(values, dists, count) of kernel calls (values in R^m, dists) as
+    KernelBlock takes them: coordinates first, rows padded to the widest by
+    repeats of their first sample."""
+    count = np.array([len(d) for _, d in calls])
+    width = count.max()
+    values = np.empty((m, len(calls), width))
+    dists = np.empty((len(calls), width))
+    for r, (vals, lens) in enumerate(calls):
+        n = count[r]
+        values[:, r, :n] = np.asarray(vals).T
+        values[:, r, n:] = np.asarray(vals)[:1].T
+        dists[r, :n] = lens
+        dists[r, n:] = lens[0]
+    return values, dists, count
+
+
 @st.composite
 def neighbourhood_blocks(draw):
     """(values, dists, count): 1-6 neighbourhoods of 1-8 samples with
-    values in R^m, m = 1-3, stored as PairBlock takes them (coordinates
-    first, rows padded to the widest by repeats of their first sample).
-    A row's values are dyadic, real (products and quotients round),
-    constant, constant up to 2^-50, or drawn from five levels with lengths
-    1 and 2, full of tied pairs."""
+    values in R^m, m = 1-3, as a block (_as_block).  A row's values are
+    dyadic, real (products and quotients round), constant, constant up to
+    2^-50, or drawn from five levels with lengths 1 and 2, full of tied
+    pairs."""
     m = draw(st.integers(1, 3))
     count = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
-    width = max(count)
-    values = np.empty((m, len(count), width))
-    dists = np.empty((len(count), width))
     length = st.integers(1, 2**10).map(lambda i: math.ldexp(i, -8))
-    for r, n in enumerate(count):
+    calls = []
+    for n in count:
         kind = draw(st.sampled_from(["dyadic", "real", "constant", "near-constant", "tied"]))
         if kind == "tied":
             level = st.integers(-2, 2).map(lambda i: 0.5 * i)
@@ -278,22 +292,27 @@ def neighbourhood_blocks(draw):
             vals = np.repeat(vals[:1], n, axis=0)
         elif kind == "near-constant":
             vals = vals[:1] + np.ldexp(vals, -50)
-        values[:, r, :n] = vals.T
-        values[:, r, n:] = vals[:1].T
-        dists[r, :n] = lens
-        dists[r, n:] = lens[0]
-    return values, dists, np.array(count)
+        calls.append((vals, lens))
+    return _as_block(calls, m)
 
 
-@PROPERTY
-@given(neighbourhood_blocks())
-def test_batched_pair_step_matches_the_local_rule(block):
-    # every row the batched step certifies gets the per-vertex rule's bits;
-    # for m > 1 it certifies exactly the rows that the kernel ends in its
-    # constant test or pair phase, and leaves the simplex exits to it
-    values, dists, count = block
+@st.composite
+def simplex_blocks(draw):
+    """(values, dists, count): 1-6 kernel calls of simplex_calls with one m,
+    m = 2-3, as a block (_as_block): degrees 3-8, padded rows, needle and
+    near-collinear triples, near-regular simplices and repeated values."""
+    m = draw(st.integers(2, 3))
+    calls = draw(st.lists(simplex_calls(m), min_size=1, max_size=6))
+    return _as_block([(vals, dists.tolist()) for vals, dists in calls], m)
+
+
+def _assert_block_is_the_local_rule(values, dists, count):
+    """Every row the batched step certifies gets the per-vertex rule's bits.
+    For m > 1 it certifies exactly the rows that the kernel certifies, in
+    its constant test, pair phase or simplex phase, and the kernel raises
+    NoCertifiedSubset on the others."""
     m = values.shape[0]
-    points, certified = PairBlock(dists, count).step(values)
+    points, certified = KernelBlock(dists, count).step(values)
     step = _local_rule(m)
     for r, n in enumerate(count):
         rows, lens = values[:, r, :n].T, dists[r, :n].tolist()
@@ -302,14 +321,25 @@ def test_batched_pair_step_matches_the_local_rule(block):
             assert _bits(points[r, 0]) == _bits(step(rows[:, 0].tolist(), lens))
             continue
         try:
-            exit_size = len(minimax_kernel(rows, lens)[2])
+            want = step(list(rows), lens)
         except NoCertifiedSubset:
-            exit_size = None
-        if certified[r]:
-            assert exit_size is not None and exit_size <= 2
-            assert np.array_equal(_bits(points[r]), _bits(step(list(rows), lens)))
-        else:
-            assert exit_size is None or exit_size > 2
+            assert not certified[r]
+            continue
+        assert certified[r]
+        assert np.array_equal(_bits(points[r]), _bits(want))
+
+
+@PROPERTY
+@given(neighbourhood_blocks())
+def test_batched_step_matches_the_local_rule(block):
+    _assert_block_is_the_local_rule(*block)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(simplex_blocks())
+def test_batched_simplex_step_matches_the_kernel(block):
+    # rows that reach the simplex phase, several to a stacked pass
+    _assert_block_is_the_local_rule(*block)
 
 
 @settings(PROPERTY, max_examples=15)

@@ -4,7 +4,7 @@ import pytest
 from conftest import grid_graph, random_graph
 from lipext import vector
 from lipext.graph import Graph
-from lipext.kpoint import PairBlock, minimax_kernel, pairwise_optimum
+from lipext.kpoint import KernelBlock, minimax_kernel, pairwise_optimum
 from lipext.scalar import solve_scalar
 from lipext.vector import (
     boundary_hull_gap,
@@ -176,17 +176,28 @@ def two_sided_grid(n):
 
 
 def _recording_kernel(monkeypatch):
-    """Patch vector.minimax_kernel to record the size of each exit."""
-    exits = []
+    """Patch vector.minimax_kernel to record each call as (size of its exit,
+    whether a block step made it)."""
+    calls = []
     kernel = vector.minimax_kernel
+    block_step = vector._Block.step
+    in_block = []
 
     def recording(values, dists, *args):
         result = kernel(values, dists, *args)
-        exits.append(len(result[2]))
+        calls.append((len(result[2]), bool(in_block)))
         return result
 
+    def recording_block_step(self, u):
+        in_block.append(True)
+        try:
+            return block_step(self, u)
+        finally:
+            in_block.pop()
+
     monkeypatch.setattr(vector, "minimax_kernel", recording)
-    return exits
+    monkeypatch.setattr(vector._Block, "step", recording_block_step)
+    return calls
 
 
 def _every_row_to_the_kernel(monkeypatch):
@@ -195,7 +206,34 @@ def _every_row_to_the_kernel(monkeypatch):
     def nothing(self, values):
         return np.zeros((values.shape[1], values.shape[0])), np.zeros(values.shape[1], dtype=bool)
 
-    monkeypatch.setattr(PairBlock, "step", nothing)
+    monkeypatch.setattr(KernelBlock, "step", nothing)
+
+
+def _single_calls(g, sweeps):
+    """Kernel calls of the single vertices of g's vector sweep groups over
+    `sweeps` sweeps, and of its residual group."""
+    order = vector._Plan(g, vector.SWEEP_BLOCK_MIN[1]).sweep_order()
+    plan = vector._Plan(g, vector.RESIDUAL_BLOCK_MIN[1])
+    _, singles = plan.group(list(range(len(plan.rows))))
+    return sweeps * sum(len(group) for _, group in order) + len(singles)
+
+
+def _assert_batched_sweep_is_the_kernel(monkeypatch, g):
+    """iterate_tight on g calls the kernel only for single vertices, and
+    gives the bits, sweeps and residuals of a run that sends every block
+    row to the kernel, in which some rows end in a simplex."""
+    calls = _recording_kernel(monkeypatch)
+    values, report = iterate_tight(g, tol=1e-10)
+    assert not any(in_block for _, in_block in calls)
+    assert len(calls) == _single_calls(g, report.sweeps)
+    calls.clear()
+    _every_row_to_the_kernel(monkeypatch)
+    again, again_report = iterate_tight(g, tol=1e-10)
+    assert again_report == report
+    assert all(np.array_equal(again[v], values[v]) for v in g.ids)
+    exits = [size for size, in_block in calls if in_block]
+    assert exits.count(2) > exits.count(3) > 0
+    return report
 
 
 @pytest.mark.parametrize("make", [
@@ -204,20 +242,17 @@ def _every_row_to_the_kernel(monkeypatch):
     # rows are padded
     lambda: random_graph(np.random.default_rng(71), max_vertices=60, m=2),
 ])
-def test_batched_sweep_calls_the_kernel_only_for_simplex_exits(monkeypatch, make):
-    g = make()
-    exits = _recording_kernel(monkeypatch)
-    values, report = iterate_tight(g, tol=1e-10)
-    assert exits and set(exits) == {3}
-    # the same sweeps with every row sent to the kernel: the same bits, and
-    # the pair and constant exits are what the batched step took over
-    exits.clear()
-    _every_row_to_the_kernel(monkeypatch)
-    again, again_report = iterate_tight(g, tol=1e-10)
-    assert again_report.sweeps == report.sweeps
-    assert again_report.residual_history == report.residual_history
-    assert all(np.array_equal(again[v], values[v]) for v in g.ids)
-    assert exits.count(2) > exits.count(3) > 0
+def test_batched_sweep_calls_the_kernel_only_for_single_vertices(monkeypatch, make):
+    _assert_batched_sweep_is_the_kernel(monkeypatch, make())
+
+
+def test_batched_sweep_on_the_8x8_grid_is_the_kernel(monkeypatch):
+    # m = 2 on every side of the grid: every interior vertex is a block row,
+    # and the batched sweep and residual give the bits of the per-vertex
+    # kernel, sweep for sweep
+    g = grid_graph(8, lambda x, y: [x * x - y, np.sin(3.0 * x) * y])
+    report = _assert_batched_sweep_is_the_kernel(monkeypatch, g)
+    assert _single_calls(g, report.sweeps) == 0 and report.sweeps > 100
 
 
 def with_hub(g, nbrs):
@@ -245,27 +280,9 @@ def test_batched_sweep_with_a_vertex_above_the_degree_cap(monkeypatch):
     assert _has_block_and_single(plan.sweep_order())
     plan = vector._Plan(g, vector.RESIDUAL_BLOCK_MIN[1])
     assert _has_block_and_single([plan.group(list(range(len(plan.rows))))])
-    hub_calls = []
-    kernel = vector.minimax_kernel
-
-    def recording(values, dists, *args):
-        result = kernel(values, dists, *args)
-        hub_calls.append(len(dists) == len(nbrs))
-        exits.append(len(result[2]))
-        return result
-
-    exits = []
-    monkeypatch.setattr(vector, "minimax_kernel", recording)
-    values, report = iterate_tight(g, tol=1e-10)
-    # the hub once in every sweep and in the residual; the rest are the
-    # block rows that exit through a simplex
-    assert sum(hub_calls) == report.sweeps + 1
-    assert {e for e, hub in zip(exits, hub_calls) if not hub} == {3}
-    # the same run with every block row sent to the kernel
-    _every_row_to_the_kernel(monkeypatch)
-    again, again_report = iterate_tight(g, tol=1e-10)
-    assert again_report == report
-    assert all(np.array_equal(again[v], values[v]) for v in g.ids)
+    # the kernel sees the hub alone: once in every sweep and in the residual
+    report = _assert_batched_sweep_is_the_kernel(monkeypatch, g)
+    assert _single_calls(g, report.sweeps) == report.sweeps + 1
 
 
 def test_scalar_residual_with_a_vertex_above_the_degree_cap():
