@@ -236,7 +236,18 @@ def _result_doc(g: Graph, values, *, residual_val, max_principle, ratio, stage_s
     }
 
 
+def _check_budget(tol: float, max_iter: int = 1) -> None:
+    """Reject a --tol that is not a positive finite number and a --max-iter
+    below 1 as bad arguments (exit 1).  argparse's own errors exit 2, the
+    not-converged code, so the commands check these themselves."""
+    if not 0.0 < tol < math.inf:
+        raise ParseError(f"--tol must be a positive finite number, got {tol}")
+    if max_iter < 1:
+        raise ParseError(f"--max-iter must be at least 1, got {max_iter}")
+
+
 def cmd_solve(args) -> int:
+    _check_budget(args.tol, args.max_iter)
     g = load_graph_file(args.input)
     # each solver validates g before anything else, and solve_scalar then
     # raises MethodUnavailable on vector data
@@ -261,6 +272,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_kpoint(args) -> int:
+    _check_budget(args.tol)
     s = load_points_file(args.input)
     try:
         x = np.array([float(t) for t in args.query.split(",")])
@@ -287,6 +299,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_budget(args.tol)
     g = load_graph_file(args.graph)
     require_valid(g)
     doc = load_result_file(args.result)

@@ -228,11 +228,14 @@ def _spread(rows: list[list[float]]) -> tuple[float, bool]:
 def pairwise_optimum(values, dists) -> tuple[float, float, tuple[int, int]]:
     """Scalar closed form: the pair maximizing |u_i - u_j| / (d_i + d_j).
 
-    Returns (value, ratio, (i, j)).  Plain-float loops: this sits in the
-    inner loop of the graph solvers, which pass lists of floats.
+    Returns (value, ratio, (i, j)).  Plain-float loops (`_pair_optimum`).
     """
-    u = list(map(float, values))
-    d = list(map(float, dists))
+    return _pair_optimum(list(map(float, values)), list(map(float, dists)))
+
+
+def _pair_optimum(u: list[float], d: list[float]) -> tuple[float, float, tuple[int, int]]:
+    """`pairwise_optimum` on lists of floats, which it does not copy: the
+    sweep solvers' single step, in their inner loop."""
     n = len(u)
     if n == 1:
         return u[0], 0.0, (0, 0)

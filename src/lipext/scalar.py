@@ -467,7 +467,8 @@ def gauss_seidel_scalar(g: Graph, tol: float = 1e-10, max_iter: int = 100_000) -
     """Sweep solver: replace each interior value by its local optimum.
 
     Initializes the interior at the mean of the boundary data and stops
-    once no value moves by more than tol in a sweep.
+    once no value moves by more than tol in a sweep.  Raises ValueError
+    unless tol is a positive finite number.
     """
     require_valid(g)
     if g.value_dim() != 1:

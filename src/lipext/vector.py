@@ -4,16 +4,19 @@ Each sweep replaces every interior value with the minimax point of its
 neighborhood: the pair formula for scalar data, the kernel for vector
 data.  `iterate_tight` and `scalar.gauss_seidel_scalar` run this one sweep
 loop, and `residual` and `scalar.verify_extension` share one residual
-pass.  On all but small graphs both run over blocks of pairwise
-non-adjacent vertices, whose local rule takes a few numpy passes
-(`kpoint.KernelBlock`): the pair formula, or the kernel's constant test
-and pair phase and then one stacked simplex pass per subset size for the
-rows no pair certifies.  The kernel itself sees the vertices replaced on
-their own, and a block row only where no subset certifies it.  Every
-replacement tightens the local Lipschitz profile, and a fixed point of all
-replacements is an extension in the defining sense; no convergence rate is
-guaranteed, so the iteration certifies whatever limit it reaches through
-its residual.
+pass.  A sweep replaces the colour classes of a greedy colouring of the
+interior in turn, and the residual, which only reads the values, takes the
+whole interior as one group.  A group large enough to batch is a block
+of pairwise non-adjacent vertices, whose local rule takes a few numpy
+passes (`kpoint.KernelBlock`): the pair formula, or the kernel's constant
+test and pair phase and then one stacked simplex pass per subset size for
+the rows no pair certifies.  The rule gives the per-vertex rule's bits, so
+batching changes the cost of a sweep and never its values.  The kernel
+itself sees the vertices replaced on their own, and a block row only
+where no subset certifies it.  Every replacement tightens the local
+Lipschitz profile, and a fixed point of all replacements is an extension
+in the defining sense; no convergence rate is guaranteed, so the iteration
+certifies whatever limit it reaches through its residual.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .graph import (  # noqa: F401  (perfbench/tracing.py wraps validate here)
     validate,
 )
 from .geometry import pow2_shift
-from .kpoint import CERT_TOL, KernelBlock, minimax_kernel, nnls, pairwise_optimum
+from .kpoint import CERT_TOL, KernelBlock, _pair_optimum, minimax_kernel, nnls
 
 log = logging.getLogger("lipext.vector")
 
@@ -49,17 +52,22 @@ class IterationReport:
 
 
 # The fewest vertices replaced in one batched pass, for m = 1 and m > 1;
-# smaller groups go vertex by vertex.  Measured per colour class, a pass
-# costs about as much as 9 pair formulas (m = 1), and as 4 kernel calls on
-# grid classes but 8 to 13 on random graphs (m = 2), whose rows are wider
-# and often end in the kernel's cheap constant test.  A sweep reuses its
-# blocks every sweep; the residual builds its block for one pass, and
-# breaks even at about 40 scalar rows, and at 15 (grids) to 30 (random
-# graphs) vector rows.  The scalar sweep's cutover sits above its
-# break-even so that graphs up to the 8x8 grid (18-vertex classes) keep
-# the plain id-order Gauss-Seidel loop.
-SWEEP_BLOCK_MIN = (20, 10)
-RESIDUAL_BLOCK_MIN = (40, 24)
+# smaller groups go vertex by vertex.  A sweep gives the same values either
+# way (`_Plan.sweep_order`), so these set the cost alone.  Measured per
+# colour class at converged values, batched and vertex by vertex in turn:
+# a scalar pass costs about 45 us, as much as 14 pair formulas on grid
+# classes (gs7's classes of 12 and 13 break even) and 20 to 24 on random
+# graphs, whose vertices have fewer neighbours.  An m = 2 pass costs as
+# much as 5 kernel calls on grid classes (a class of 7 with simplex exits:
+# 1118 us vertex by vertex, 597 us batched) and about 8 on random graphs
+# (classes of 6 to 8 break even), where a class whose rows all end in the
+# kernel's cheap constant test stays cheaper vertex by vertex (a class of
+# 7: 103 against 211 us).  A sweep reuses its blocks every sweep; the
+# residual builds its block for one pass, and breaks even at about 40
+# scalar rows, and at about 10 (grids) to 12-17 (random graphs) vector
+# rows.
+SWEEP_BLOCK_MIN = (16, 7)
+RESIDUAL_BLOCK_MIN = (40, 12)
 # Vertices of higher degree are replaced one at a time: a block pads every
 # row to its largest degree, and the pair step's work per row grows with
 # the cube of the width (m = 2: 6 us at degree 4, 11 us at 8, 78 us at 16).
@@ -68,12 +76,12 @@ DEGREE_CAP = 8
 
 def _local_rule(m: int):
     """Local replacement for m-vector values, held as plain floats when
-    m == 1 and as 1-d arrays otherwise: step(values, lens) is the minimax
-    point of a neighbourhood (the pair formula for scalars, the kernel for
-    vectors)."""
+    m == 1 and as 1-d arrays otherwise: (rule, at), rule(values, lens)[at]
+    being the minimax point of a neighbourhood (the pair formula on lists
+    of floats for scalars, the kernel for vectors)."""
     if m == 1:
-        return lambda values, lens: pairwise_optimum(values, lens)[0]
-    return lambda values, lens: minimax_kernel(values, lens)[1]
+        return _pair_optimum, 0
+    return minimax_kernel, 1
 
 
 def _move_lengths(moves, m: int) -> np.ndarray:
@@ -158,9 +166,10 @@ class _Plan:
 
     def sweep_order(self) -> list:
         """Gauss-Seidel groups: the colour classes of a greedy colouring of
-        the interior in id order (red-black on grids) when one of them is
-        large enough to batch, and else every interior vertex on its own,
-        in id order."""
+        the interior in id order (red-black on grids), each split by
+        `group`.  No two vertices of a class are adjacent, so a class
+        replaced in one batched pass and the same class replaced vertex by
+        vertex give the same values: block_min sets the cost alone."""
         colour: dict[int, int] = {}
         classes: list[list[int]] = []
         for k, row in enumerate(self.rows):
@@ -172,8 +181,6 @@ class _Plan:
             if c == len(classes):
                 classes.append([])
             classes[c].append(k)
-        if max(map(len, classes), default=0) < self.block_min:
-            return [(None, [self._single(k) for k in range(len(self.rows))])]
         return [self.group(c) for c in classes]
 
 
@@ -193,19 +200,22 @@ def _sweep(g: Graph, tol: float, max_iter: int):
     """Gauss-Seidel sweeps of local replacement until no value moves by tol
     or more; at most max_iter sweeps.
 
-    A sweep replaces the groups of `_Plan.sweep_order` in turn: the colour
-    classes of a greedy colouring, each in one batched pass, or on graphs
-    whose classes are too small to batch every vertex on its own in id
-    order.  No two vertices of a class are adjacent, so either way it is a
-    Gauss-Seidel sweep.  Interior values start at the centroid of the
+    A sweep replaces the colour classes of a greedy colouring in turn
+    (`_Plan.sweep_order`): each class of at least SWEEP_BLOCK_MIN vertices
+    in one batched pass, a smaller one vertex by vertex in id order.  No two
+    vertices of a class are adjacent, so both give the same values, sweep
+    counts and histories.  Interior values start at the centroid of the
     boundary data over sorted omega.  Returns (values, history,
-    converged), history holding each sweep's largest move.  The graph is
-    not validated here.
+    converged), history holding each sweep's largest move.  Raises
+    ValueError unless tol is a positive finite number.  The graph is not
+    validated here.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     ids = g.ids
     centroid = _centroid(np.array([g.boundary_values[b] for b in sorted(g.omega)]))
     m = centroid.size
-    step = _local_rule(m)
+    rule, at = _local_rule(m)
     order = _Plan(g, SWEEP_BLOCK_MIN[m > 1]).sweep_order()
     rows = [g.boundary_values[v] if v in g.omega else centroid for v in ids]
     # blocks read and write a (vertices, m) array.  Graphs without a block
@@ -221,20 +231,21 @@ def _sweep(g: Graph, tol: float, max_iter: int):
     converged = False
     for _ in range(max_iter):
         delta = 0.0
+        moves = []
         for block, singles in order:
             if block is not None:
                 new = block.step(u)
                 delta = max(delta, float(_move_lengths(new - u[block.rows], m).max()))
                 u[block.rows] = new
-            moves = []
             for i, idxs, lens in singles:
-                new = step([vals[j] for j in idxs], lens)
+                new = rule([vals[j] for j in idxs], lens)[at]
                 moves.append(new - vals[i])
                 vals[i] = new
-            if moves:
-                # plain float moves: Python's abs and max cost less than numpy
-                longest = max(map(abs, moves)) if m == 1 else float(_move_lengths(moves, m).max())
-                delta = max(delta, longest)
+        if moves:
+            # the single vertices' moves in one pass per sweep; plain float
+            # moves: Python's abs and max cost less than numpy
+            longest = max(map(abs, moves)) if m == 1 else float(_move_lengths(moves, m).max())
+            delta = max(delta, longest)
         history.append(delta)
         if delta < tol:
             converged = True
@@ -248,8 +259,9 @@ def iterate_tight(g: Graph, tol: float = 1e-10, max_iter: int = 100_000):
     """Sweep local replacements until no value moves by more than tol.
 
     Returns (values, report); raises NotConverged with the partial result
-    when the sweep budget runs out.  Interior values start at the centroid
-    of the boundary data, so they remain inside its convex hull throughout.
+    when the sweep budget runs out, and ValueError unless tol is a positive
+    finite number.  Interior values start at the centroid of the boundary
+    data, so they remain inside its convex hull throughout.
     """
     require_valid(g)
     values, history, converged = _sweep(g, tol, max_iter)
@@ -268,12 +280,12 @@ def _worst_move(g: Graph, u: VertexFunction) -> tuple[float, str | None]:
 
     u is only read, so the whole interior is one group (`_Plan.group`)."""
     m = g.value_dim()
-    step = _local_rule(m)
+    rule, at = _local_rule(m)
     plan = _Plan(g, RESIDUAL_BLOCK_MIN[m > 1])
     block, singles = plan.group(list(range(len(plan.rows))))
     # a list for the single steps and an array for the block, as in `_sweep`
     vals = [float(u[v][0]) for v in g.ids] if m == 1 else [u[v] for v in g.ids]
-    lengths = _move_lengths([step([vals[j] for j in idxs], lens) - vals[i]
+    lengths = _move_lengths([rule([vals[j] for j in idxs], lens)[at] - vals[i]
                              for i, idxs, lens in singles], m)
     moves = dict(zip([i for i, _, _ in singles], lengths.tolist()))
     if block is not None:

@@ -72,6 +72,17 @@ def random_graph(rng, max_vertices=60, m=1, extra_edge_factor=0.5):
                  boundary.keys(), boundary)
 
 
+def colour_order(g):
+    """The interior of g in (colour class, id) order, the classes those of
+    a greedy colouring of the interior in id order: the order in which the
+    sweep solvers replace the interior."""
+    colour = {}
+    for v in g.interior():
+        used = {colour.get(w) for w, _ in g.neighbors(v)}
+        colour[v] = next(c for c in range(len(used) + 1) if c not in used)
+    return sorted(g.interior(), key=lambda v: (colour[v], v))
+
+
 @pytest.fixture
 def path4():
     return path_graph()
@@ -113,3 +124,24 @@ def assert_simplex_paths_agree(values, dists):
         for a, b in zip(looped[:2] + looped[3:], other[:2] + other[3:]):
             assert np.array_equal(_bits(a), _bits(b))
     return stacked[-1]
+
+
+def assert_sweep_paths_agree(g, tol=1e-10, max_iter=500):
+    """Run vector._sweep on g with every colour class in one batched pass
+    (SWEEP_BLOCK_MIN (1, 1)), at the module's cutovers, and with every
+    class replaced vertex by vertex (a cutover above every class), and
+    assert that all three give the same value bits, sweeps and history of
+    largest moves.  Returns the first run's (values, history, converged)."""
+    from lipext import vector
+
+    out = []
+    for block_min in ((1, 1), vector.SWEEP_BLOCK_MIN, (len(g.ids) + 1,) * 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vector, "SWEEP_BLOCK_MIN", block_min)
+            out.append(vector._sweep(g, tol, max_iter))
+    values, history, converged = out[0]
+    for other, other_history, other_converged in out[1:]:
+        assert other_converged == converged
+        assert np.array_equal(_bits(other_history), _bits(history))
+        assert all(np.array_equal(_bits(other[v]), _bits(values[v])) for v in g.ids)
+    return out[0]

@@ -141,6 +141,18 @@ def test_solve_exit_2_on_budget(tmp_path, path_graph_file):
     assert doc["report"]["converged"] is False
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "0"), ("--tol", "-1"),
+                                         ("--tol", "inf"), ("--max-iter", "0"), ("--max-iter", "-5")])
+def test_solve_rejects_a_bad_budget(tmp_path, capsys, path_graph_file, flag, value):
+    # a bad argument (exit 1) found before any sweep runs, not a run of every
+    # sweep that ends as not converged (exit 2)
+    out = tmp_path / "res.json"
+    assert run("solve", "--input", path_graph_file, "--method", "iterate", flag, value,
+               "--output", out) == 1
+    assert f"ParseError: {flag} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_file_format_examples(tmp_path):
     # the README's graph file solves, and gives its result file example
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -332,6 +344,18 @@ def test_kpoint_check_flag(tmp_path, capsys):
     assert run("kpoint", "0.05,-0.02", "--input", f, "--check") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["oracle_gap"] <= 1e-6
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_kpoint_and_verify_reject_a_bad_tolerance(tmp_path, capsys, tol):
+    f = write_json(tmp_path / "pts.json", {"points": [[0.0], [2.0]], "values": [[0.0], [4.0]]})
+    assert run("kpoint", "1", "--input", f, "--tol", tol) == 1
+    assert "ParseError: --tol must be" in capsys.readouterr().err
+    g, r = tmp_path / "g.json", tmp_path / "r.json"
+    assert run("gen", "grid", "--size", 5, "--output", g) == 0
+    assert run("solve", "--input", g, "--output", r) == 0
+    assert run("verify", g, r, "--tol", tol) == 1
+    assert "ParseError: --tol must be" in capsys.readouterr().err
 
 
 def test_kpoint_query_on_sample(tmp_path, capsys):

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_simplex_paths_agree, random_graph
+from conftest import assert_simplex_paths_agree, assert_sweep_paths_agree, random_graph
 from lipext.errors import NoCertifiedSubset
 from lipext.graph import Graph
 from lipext.kpoint import KernelBlock, LabeledPointSet, kpoint_oracle, kpoint_vector, minimax_kernel
@@ -313,15 +313,15 @@ def _assert_block_is_the_local_rule(values, dists, count):
     NoCertifiedSubset on the others."""
     m = values.shape[0]
     points, certified = KernelBlock(dists, count).step(values)
-    step = _local_rule(m)
+    rule, at = _local_rule(m)
     for r, n in enumerate(count):
         rows, lens = values[:, r, :n].T, dists[r, :n].tolist()
         if m == 1:
             assert certified[r]
-            assert _bits(points[r, 0]) == _bits(step(rows[:, 0].tolist(), lens))
+            assert _bits(points[r, 0]) == _bits(rule(rows[:, 0].tolist(), lens)[at])
             continue
         try:
-            want = step(list(rows), lens)
+            want = rule(list(rows), lens)[at]
         except NoCertifiedSubset:
             assert not certified[r]
             continue
@@ -340,6 +340,14 @@ def test_batched_step_matches_the_local_rule(block):
 def test_batched_simplex_step_matches_the_kernel(block):
     # rows that reach the simplex phase, several to a stacked pass
     _assert_block_is_the_local_rule(*block)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_batching_does_not_change_the_sweep(seed, m):
+    # every colour class batched, at the module's cutovers, or vertex by
+    # vertex: the same bits, sweeps and largest moves
+    assert_sweep_paths_agree(random_graph(np.random.default_rng(seed), max_vertices=40, m=m))
 
 
 @settings(PROPERTY, max_examples=15)

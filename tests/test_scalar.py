@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import grid_graph, path_graph, random_graph
+from conftest import colour_order, grid_graph, path_graph, random_graph
 from lipext.errors import InvalidPath, NotConverged, ValidationError
 from lipext.graph import Graph, geodesic_distances_from, lipschitz_ratio
 from lipext import scalar
@@ -679,15 +679,16 @@ def test_ratios_skip_zero_length_edges(fb):
 # ---------------------------------------------------------------------------
 
 def _reference_gauss_seidel(g, tol):
-    """The former scalar sweep loop, on plain floats: returns (values by id,
-    sweeps), the sweep count being None when max_iter ran out."""
+    """The former scalar sweep loop on plain floats, over the interior in
+    (colour class, id) order: returns (values by id, sweeps), the sweep
+    count being None when max_iter ran out."""
     ids = g.ids
     index = {v: i for i, v in enumerate(ids)}
     u = [0.0] * len(ids)
     mean = float(np.mean([v[0] for v in g.boundary_values.values()]))
     for v in ids:
         u[index[v]] = float(g.boundary_values[v][0]) if v in g.omega else mean
-    interior = [v for v in ids if v not in g.omega]
+    interior = colour_order(g)
     nbrs = {
         v: ([index[w] for w, _ in g.neighbors(v)], [ln for _, ln in g.neighbors(v)])
         for v in interior

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import grid_graph, random_graph
+from conftest import assert_sweep_paths_agree, colour_order, grid_graph, random_graph
 from lipext import vector
 from lipext.graph import Graph
 from lipext.kpoint import KernelBlock, minimax_kernel, pairwise_optimum
-from lipext.scalar import solve_scalar
+from lipext.scalar import gauss_seidel_scalar, solve_scalar
 from lipext.vector import (
     boundary_hull_gap,
     iterate_tight,
@@ -268,13 +270,16 @@ def _has_block_and_single(groups):
     return any(block is not None and singles for block, singles in groups)
 
 
+# 5 boundary vertices and 5 interior vertices of one colour of the 7x7 grid
+HUB_NBRS = [f"g00_{j:02d}" for j in range(5)] + [
+    f"g{i:02d}_{j:02d}" for i, j in [(2, 2), (2, 4), (3, 3), (4, 2), (4, 4)]]
+
+
 def test_batched_sweep_with_a_vertex_above_the_degree_cap(monkeypatch):
     # the hub joins 5 boundary vertices and 5 interior vertices of the
     # other colour, so it is coloured with 18 grid vertices: that class is
     # a block plus the hub, and so is the residual's one group
-    nbrs = [f"g00_{j:02d}" for j in range(5)] + [
-        f"g{i:02d}_{j:02d}" for i, j in [(2, 2), (2, 4), (3, 3), (4, 2), (4, 4)]]
-    g = with_hub(two_sided_grid(7), nbrs)
+    g = with_hub(two_sided_grid(7), HUB_NBRS)
     assert len(g.neighbors("h")) > vector.DEGREE_CAP
     plan = vector._Plan(g, vector.SWEEP_BLOCK_MIN[1])
     assert _has_block_and_single(plan.sweep_order())
@@ -309,9 +314,9 @@ def test_scalar_residual_with_a_vertex_above_the_degree_cap():
         assert (witness == "h") == (hub_value is not None)
 
 
-def _id_order_sweeps(g, tol):
-    """Gauss-Seidel sweeps of the kernel vertex by vertex in id order, from
-    the boundary centroid: (values by id, sweeps)."""
+def _colour_order_sweeps(g, tol):
+    """Gauss-Seidel sweeps of the kernel vertex by vertex in (colour class,
+    id) order, from the boundary centroid: (values by id, sweeps)."""
     ids = g.ids
     index = {v: i for i, v in enumerate(ids)}
     centroid = np.mean([g.boundary_values[b] for b in sorted(g.omega)], axis=0)
@@ -320,7 +325,7 @@ def _id_order_sweeps(g, tol):
     while True:
         sweeps += 1
         delta = 0.0
-        for v in g.interior():
+        for v in colour_order(g):
             nbrs = g.neighbors(v)
             new = minimax_kernel(np.array([u[index[w]] for w, _ in nbrs]),
                                  [ln for _, ln in nbrs])[1]
@@ -332,11 +337,34 @@ def _id_order_sweeps(g, tol):
 
 def test_small_graph_sweeps_vertex_by_vertex(monkeypatch):
     # classes of 4 are below the cutover: every replacement is a kernel
-    # call, in id order, and so is every residual check
+    # call, in colour order, and so is every residual check
     g = two_sided_grid(4)
-    ref, sweeps = _id_order_sweeps(g, 1e-10)
+    ref, sweeps = _colour_order_sweeps(g, 1e-10)
     exits = _recording_kernel(monkeypatch)
     values, report = iterate_tight(g, tol=1e-10)
     assert report.sweeps == sweeps
     assert all(np.array_equal(values[v], ref[v]) for v in g.ids)
     assert len(exits) == (report.sweeps + 1) * len(g.interior())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grid_graph(6, lambda x, y: x * x - y),
+    lambda: grid_graph(8, lambda x, y: x * x - y),
+    lambda: two_sided_grid(5),
+    lambda: two_sided_grid(7),
+    # a class that is a block plus a vertex above the degree cap
+    lambda: with_hub(two_sided_grid(7), HUB_NBRS),
+], ids=["curved6", "curved8", "sides5", "sides7", "hub"])
+def test_batching_does_not_change_the_sweep(make):
+    # a colour class replaced in one batched pass or vertex by vertex: the
+    # same values, sweeps and largest moves at every cutover
+    _, history, converged = assert_sweep_paths_agree(make(), max_iter=100_000)
+    assert converged and len(history) > 1
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_sweeps_reject_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol"):
+        iterate_tight(vector_path(), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        gauss_seidel_scalar(grid_graph(4), tol=tol)
