@@ -32,7 +32,6 @@ from .geometry import (
     pow2_shift,
     solve_biquadratic,
     solve_biquadratics,
-    sphere_point,
 )
 
 log = logging.getLogger("lipext.kpoint")
@@ -144,10 +143,18 @@ def lip_constant(s: LabeledPointSet) -> float:
 
 
 def pair_candidate(s: LabeledPointSet, i: int, j: int, x) -> tuple[np.ndarray, float]:
-    """Distance-weighted average of f_i, f_j and its ratio at the query."""
+    """Distance-weighted average of f_i, f_j and its ratio at the query.
+
+    Raises ValueError for indices outside range(s.size) or equal, and for
+    a query that is not a finite point of the positions' dimension;
+    QueryCoincidesWithSample when the query lies on sample i or j (a query
+    on another sample is allowed).
+    """
+    if i not in range(s.size) or j not in range(s.size):
+        raise ValueError(f"pair indices must lie in range({s.size})")
     if i == j:
         raise ValueError("pair indices must differ")
-    x = np.asarray(x, dtype=float)
+    x = _query(s, x)
     di = float(np.linalg.norm(x - s.points[i]))
     dj = float(np.linalg.norm(x - s.points[j]))
     if di == 0.0 or dj == 0.0:
@@ -162,28 +169,37 @@ def pair_candidate(s: LabeledPointSet, i: int, j: int, x) -> tuple[np.ndarray, f
 OFFSET_RANGE = (2.0**-500, 2.0**500)
 
 
+def _query(s: LabeledPointSet, x) -> np.ndarray:
+    """The query as a float array; ValueError unless it is a finite point
+    of the positions' dimension."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (s.points.shape[1],):
+        raise ValueError(f"query dimension {x.shape} does not match positions")
+    # on plain floats: for a query of a few coordinates this costs a
+    # seventh of np.isfinite(x).all()
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError("query must be finite")
+    return x
+
+
 def _distances(s: LabeledPointSet, x) -> np.ndarray:
     """Distances from the query to the sample positions.
 
-    One test on the plain norms passes a finite query that lies on no
-    sample and whose distances lie in OFFSET_RANGE.  The rest are sorted
-    out after it: a non-finite query, or offsets that overflow, raise
+    The query passes `_query`.  One test on the plain norms then passes a
+    query that lies on no sample and whose distances lie in OFFSET_RANGE.
+    The rest are sorted out after it: offsets that overflow raise
     ValueError; offsets whose largest component lies outside OFFSET_RANGE
     are scaled by a power of two, as in _spread, which is exact, so the
     result equals the plain norm wherever that neither overflows nor
     underflows; and a zero distance raises QueryCoincidesWithSample.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (s.points.shape[1],):
-        raise ValueError(f"query dimension {x.shape} does not match positions")
+    x = _query(s, x)
     with np.errstate(over="ignore"):
         diff = s.points - x
         # np.linalg.norm's own sum of squares, without its argument checks
         d = np.sqrt(np.add.reduce(diff * diff, axis=1))
     lo, hi = OFFSET_RANGE
     if not (d.min() > 0.0 and lo <= d.max() <= hi):
-        if not np.all(np.isfinite(x)):
-            raise ValueError("query must be finite")
         mag = float(np.abs(diff).max())
         if mag == math.inf:
             raise ValueError("query offsets overflow")
@@ -283,10 +299,8 @@ def minimax_kernel(values, dists, tol: float = CERT_TOL):
     call does only the work its exit needs: pairs are scanned in row-major
     order up to the first certified one, a pair is dropped at its first
     violated sample, and the determinants of a subset size are computed
-    only when the enumeration reaches it.  A size class of more than
-    STACK_CUTOVER subsets is tested in one numpy pass (_stacked_simplex),
-    a smaller one candidate by candidate (_looped_simplex); the two give
-    the same bits.
+    only when the enumeration reaches it.  Every size class is tested in
+    one numpy pass (_stacked_simplex), whatever its number of subsets.
     """
     raw_values = np.asarray(values, dtype=float)
     if raw_values.ndim < 2:
@@ -377,27 +391,14 @@ def minimax_kernel(values, dists, tol: float = CERT_TOL):
         vsq[i, j] = vsq[j, i] = dist * dist
     for size in range(3, min(m + 1, n) + 1):
         subsets, bq, scales = _size_class(vsq, dists, size)
-        if len(subsets) > STACK_CUTOVER:
-            hits = _stacked_simplex(values[None], dists[None], np.zeros(len(subsets), dtype=np.intp),
-                                    subsets, bq, scales, tol, np.array([dmax]))
-            if hits.rows.size:
-                return denorm(float(hits.lam[0]), hits.point[0], tuple(hits.active[0].tolist()),
-                              hits.coords[0], float(hits.viol[0]))
-        else:
-            hit = _looped_simplex(values, dists, subsets, bq, scales, tol, dmax)
-            if hit is not None:
-                return denorm(*hit)
+        hits = _stacked_simplex(values[None], dists[None], np.zeros(len(subsets), dtype=np.intp),
+                                subsets, bq, scales, tol, np.array([dmax]))
+        if hits.rows.size:
+            return denorm(float(hits.lam[0]), hits.point[0], tuple(hits.active[0].tolist()),
+                          hits.coords[0], float(hits.viol[0]))
     raise NoCertifiedSubset(f"no certified subset among {n} samples (m = {m})")
 
 
-# Size classes of more subsets than this go through the simplex phase in one
-# numpy pass (_stacked_simplex), smaller ones candidate by candidate
-# (_looped_simplex).  Both apply one rule and give the same bits.  Measured
-# per class on the classes that random m = 2..8 calls reach, interleaved,
-# the pass costs 1.43x the loop at 5 subsets and 1.28x at 6, and 0.75x at
-# 10, 0.37x at 20 and 0.16x at 56; the cutover sits at the interpolated
-# break-even.  Classes of 7 to 9 subsets arise only for m >= 5.
-STACK_CUTOVER = 8
 # Classes of fewer biquadratics than this take their roots from
 # solve_biquadratic on Python floats, larger ones from solve_biquadratics
 # on arrays; the two give the same bits.  Measured on random coefficients,
@@ -419,11 +420,6 @@ def _size_class(vsq: np.ndarray, dists: np.ndarray, size: int):
     return idx, bq, block.max(axis=(1, 2))
 
 
-def _coefficients(bq: Biquadratic):
-    """The (a, b, c) of every polynomial of bq, as Python floats."""
-    return zip(bq.a.tolist(), bq.b.tolist(), bq.c.tolist())
-
-
 def _positive_roots(bq: Biquadratic) -> tuple[np.ndarray, np.ndarray]:
     """(polynomial, lam) for every positive root of a size class's
     biquadratics: the class's candidates, polynomials in order and each
@@ -431,7 +427,7 @@ def _positive_roots(bq: Biquadratic) -> tuple[np.ndarray, np.ndarray]:
     one by one (solve_biquadratic), more on arrays (solve_biquadratics)."""
     if len(bq.a) < ROOT_CUTOVER:
         poly, lams = [], []
-        for k, coefs in enumerate(_coefficients(bq)):
+        for k, coefs in enumerate(zip(bq.a.tolist(), bq.b.tolist(), bq.c.tolist())):
             for lam in solve_biquadratic(Biquadratic(*coefs)):
                 if lam > 0.0:
                     poly.append(k)
@@ -440,32 +436,6 @@ def _positive_roots(bq: Biquadratic) -> tuple[np.ndarray, np.ndarray]:
     roots, found = solve_biquadratics(bq)
     poly, slot = np.nonzero(found & (roots > 0.0))
     return poly, roots[poly, slot]
-
-
-def _looped_simplex(values, dists, subsets, bq, scales, tol, dmax):
-    """The first certified candidate of a size class as (lam, point, active,
-    coords, violation) on the unit scale, or None; one candidate at a time."""
-    for si, (subset, coefs) in enumerate(zip(subsets.tolist(), _coefficients(bq))):
-        centers = values[subset]
-        dj = dists[subset]
-        for lam in solve_biquadratic(Biquadratic(*coefs)):
-            if lam <= 0.0:
-                continue
-            rad = lam * dj
-            try:
-                coef, y = sphere_point(centers, rad)
-            except np.linalg.LinAlgError:
-                continue
-            lscale = max(float(rad.max()), math.sqrt(float(scales[si])))
-            if abs(float(np.linalg.norm(y - centers[0])) - rad[0]) > CERT_TOL * lscale:
-                continue
-            coords = np.concatenate([[1.0 - coef.sum()], coef])
-            if coords.min() < -HULL_TOL:
-                continue
-            viol = float(np.max(np.linalg.norm(y - values, axis=1) - lam * dists))
-            if viol <= tol * lam * dmax + NOISE_TOL:
-                return lam, y, tuple(subset), coords, viol
-    return None
 
 
 class _Hits(NamedTuple):
@@ -482,8 +452,8 @@ class _Hits(NamedTuple):
 
 
 def _stacked_simplex(values, dists, owner, subsets, bq, scales, tol, dmax) -> _Hits:
-    """_looped_simplex in one numpy pass over the size classes of several
-    rows, bit for bit, row by row.
+    """The simplex phase's candidate test in one numpy pass over the size
+    classes of several rows.
 
     values (rows, width, m), dists (rows, width) and dmax (rows,) are the
     rows' samples on the unit scale.  Subset k is subsets[k] of row
@@ -494,14 +464,17 @@ def _stacked_simplex(values, dists, owner, subsets, bq, scales, tol, dmax) -> _H
     the rows of a block that no pair certifies.
 
     Every candidate (subset, positive root) gets its sphere solve, equality
-    and hull checks at once.  Each operation is the loop's own on a stack:
-    np.linalg.solve and the sum of squares per row match their per-matrix
-    forms, a stacked np.matmul takes the dot products that sphere_point's
-    `s @ b` and a 1-d np.linalg.norm take, and rad[0] ** 2 is squared by C
-    pow on Python floats, as sphere_point's numpy-scalar power is.  A
-    singular system fails only its own subset.  The domination check, the
-    costly one, runs on the survivors in chunks of GAP_ROWS gaps, and a
-    chunk skips the rows that an earlier one has decided.
+    and hull checks at once.  Each operation is the one that a test of the
+    candidate alone (geometry.sphere_point, then 1-d norms) applies, on a
+    stack, so a row gets the bits of testing its candidates one at a time
+    (the tests keep that loop as the reference): np.linalg.solve and the
+    sum of squares per row match their per-matrix forms, a stacked
+    np.matmul takes the dot products that sphere_point's `s @ b` and a 1-d
+    np.linalg.norm take, and rad[0] ** 2 is squared by C pow on Python
+    floats, as sphere_point's numpy-scalar power is.  A singular system
+    fails only its own subset.  The domination check, the costly one, runs
+    on the survivors in chunks of GAP_ROWS gaps, and a chunk skips the rows
+    that an earlier one has decided.
     """
     poly, lam = _positive_roots(bq)
     centers = values[owner[:, None], subsets]
@@ -586,12 +559,14 @@ class KernelBlock:
     for m = 1, and for m > 1 `minimax_kernel`'s at its default tolerance.
     The arithmetic is the per-row code's, operation for operation, so the
     points agree bit for bit.  For m > 1 the constant test and the pair
-    phase run on every row.  A repeat changes no maximum, and every pair it
-    forms ties with an earlier pair or is never steepest, so they need no
-    mask.  The rows that they leave go through the simplex phase, one
-    stacked pass (`_stacked_simplex`) per subset size, sizes ascending, from
-    the pair phase's unit-scale values, spread, centre and pair distances;
-    subsets that hold a repeat are masked.  Rows that no subset certifies,
+    phase run on every row, and a block whose rows are all constant ends
+    after the constant test.  A repeat changes no maximum, and every pair
+    it forms ties with an earlier pair or is never steepest, so they need
+    no mask.  The rows that they leave go through the simplex phase, one
+    stacked pass per subset size, sizes ascending, from the pair phase's
+    unit-scale values, spread, centre and pair distances: the kernel's own
+    pass (`_stacked_simplex`), on several rows at once, with the subsets
+    that hold a repeat masked.  Rows that no subset certifies,
     where the kernel raises NoCertifiedSubset, are reported as not
     certified.
     """
@@ -659,6 +634,8 @@ class KernelBlock:
         top = np.sqrt(sq.max(axis=1))
         spread = np.ldexp(top, -shift)
         constant = top <= CONSTANT_TOL * np.maximum(vmag * sc, top)
+        if constant.all():
+            return values[:, :, 0].T.copy(), np.ones(values.shape[1], dtype=bool)
         # centre and rescale
         center = values[:, :, 0]
         for k, ok in padded:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -97,20 +99,59 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
+def looped_simplex(values, dists, owner, subsets, bq, scales, tol, dmax):
+    """kpoint._stacked_simplex's one-row case (a size class of
+    minimax_kernel) tested one candidate at a time: subsets in order, each
+    one's positive roots ascending, through geometry.sphere_point and 1-d
+    norms, and the first certified candidate wins.  The bitwise reference
+    for the stacked pass; returns kpoint._Hits."""
+    from lipext import kpoint
+    from lipext.geometry import HULL_TOL, Biquadratic, solve_biquadratic, sphere_point
+
+    assert not owner.any()
+    values, dists, dmax = values[0], dists[0], float(dmax[0])
+    coefficients = zip(bq.a.tolist(), bq.b.tolist(), bq.c.tolist())
+    for si, (subset, coefs) in enumerate(zip(subsets.tolist(), coefficients)):
+        centers = values[subset]
+        dj = dists[subset]
+        for lam in solve_biquadratic(Biquadratic(*coefs)):
+            if lam <= 0.0:
+                continue
+            rad = lam * dj
+            try:
+                coef, y = sphere_point(centers, rad)
+            except np.linalg.LinAlgError:
+                continue
+            lscale = max(float(rad.max()), math.sqrt(float(scales[si])))
+            if abs(float(np.linalg.norm(y - centers[0])) - rad[0]) > kpoint.CERT_TOL * lscale:
+                continue
+            coords = np.concatenate([[1.0 - coef.sum()], coef])
+            if coords.min() < -HULL_TOL:
+                continue
+            viol = float(np.max(np.linalg.norm(y - values, axis=1) - lam * dists))
+            if viol <= tol * lam * dmax + kpoint.NOISE_TOL:
+                return kpoint._Hits(np.array([0]), np.array([lam]), y[None], np.array([subset]),
+                                    coords[None], np.array([viol]))
+    size = subsets.shape[1]
+    return kpoint._Hits(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((0, values.shape[1])),
+                        np.zeros((0, size), dtype=np.intp), np.zeros((0, size)), np.zeros(0))
+
+
 def assert_simplex_paths_agree(values, dists):
     """Run minimax_kernel with every simplex size class tested candidate by
-    candidate, then with every class in one stacked pass, its roots taken
-    on Python floats and then on arrays, and assert that all three give the
-    same bits (lam, point, active set, hull coordinates and violation) or
-    all raise NoCertifiedSubset.  Returns the result, or the error type."""
+    candidate (looped_simplex in place of the stacked pass), then through
+    the stacked pass with its roots taken on Python floats and then on
+    arrays, and assert that all three give the same bits (lam, point,
+    active set, hull coordinates and violation) or all raise
+    NoCertifiedSubset.  Returns the result, or the error type."""
     from lipext import kpoint
     from lipext.errors import NoCertifiedSubset
 
     out = []
-    for stack, roots in ((10**9, 10**9), (0, 10**9), (0, 0)):
+    for name, value in (("_stacked_simplex", looped_simplex),
+                        ("ROOT_CUTOVER", 10**9), ("ROOT_CUTOVER", 0)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kpoint, "STACK_CUTOVER", stack)
-            mp.setattr(kpoint, "ROOT_CUTOVER", roots)
+            mp.setattr(kpoint, name, value)
             try:
                 out.append(kpoint.minimax_kernel(values, dists))
             except NoCertifiedSubset:

@@ -247,6 +247,28 @@ def test_pair_query_on_sample():
         pair_candidate(s, 0, 1, [2.0])
 
 
+def test_pair_query_on_a_third_sample():
+    # only samples i and j divide by their distance: a third may hold the query
+    s = scalar_set([0.0, 1.0, 2.0], [0.0, 5.0, 4.0])
+    point, lam = pair_candidate(s, 0, 2, [1.0])
+    assert point == pytest.approx([2.0])
+    assert lam == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("x", [[0.5], [0.5, 0.2, 0.0], [[0.5, 0.2]], [math.nan, 0.2], [0.5, math.inf]])
+def test_pair_rejects_a_bad_query(x):
+    s = LabeledPointSet([[-1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="query"):
+        pair_candidate(s, 0, 1, x)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (0, 2), (2, 0), (1, 1)])
+def test_pair_rejects_a_bad_index(i, j):
+    s = LabeledPointSet([[-1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="pair indices"):
+        pair_candidate(s, i, j, [0.0, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # kpoint_scalar
 # ---------------------------------------------------------------------------
@@ -921,7 +943,7 @@ def test_kernel_matches_reference_at_degree_64():
 
 
 # ---------------------------------------------------------------------------
-# the simplex phase: per-candidate loop and stacked pass
+# the simplex phase: the stacked pass against the per-candidate reference
 # ---------------------------------------------------------------------------
 
 def test_simplex_paths_agree_on_c06_corpus():
@@ -966,28 +988,3 @@ def test_simplex_paths_agree_where_pow_and_square_round_apart():
         values, dists = rng.uniform(-1, 1, (n, m)), rng.uniform(0.2, 1.0, n)
     assert assert_simplex_paths_agree(values, dists)[2] == (0, 2, 7)
 
-
-def test_simplex_size_classes_take_their_path(monkeypatch):
-    # classes of more than STACK_CUTOVER subsets go to the stacked pass,
-    # smaller ones to the loop
-    taken = set()
-
-    def spy(name):
-        real = getattr(kpoint, name)
-
-        def run(*args):
-            # both take (..., subsets, bq, scales, tol, dmax)
-            taken.add((name, len(args[-5]) > kpoint.STACK_CUTOVER))
-            return real(*args)
-        return run
-
-    for name in ("_looped_simplex", "_stacked_simplex"):
-        monkeypatch.setattr(kpoint, name, spy(name))
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        n = int(rng.integers(3, 9))
-        try:
-            minimax_kernel(rng.uniform(-1, 1, (n, 3)), rng.uniform(0.2, 1.0, n))
-        except NoCertifiedSubset:
-            pass
-    assert taken == {("_looped_simplex", False), ("_stacked_simplex", True)}

@@ -124,8 +124,9 @@ def simplex_calls(draw, m=None):
 @settings(PROPERTY, max_examples=200)
 @given(simplex_calls())
 def test_stacked_simplex_matches_the_loop(call):
-    # every simplex size class tested candidate by candidate, or in one
-    # stacked pass: the same bits, or the same NoCertifiedSubset
+    # the kernel's stacked pass against the per-candidate reference loop,
+    # with roots on floats and on arrays: the same bits, or the same
+    # NoCertifiedSubset
     assert_simplex_paths_agree(*call)
 
 
