@@ -556,7 +556,8 @@ class KernelBlock:
     Row r of a block holds count[r] samples, padded to the block's width by
     repeats of its first sample (value and distance).  `step` returns for
     every row the point that the per-row rule returns: `pairwise_optimum`'s
-    for m = 1, and for m > 1 `minimax_kernel`'s at its default tolerance.
+    for m = 1, and for m > 1 `minimax_kernel`'s at its default tolerance,
+    and on request the active set that the rule returns with it.
     The arithmetic is the per-row code's, operation for operation, so the
     points agree bit for bit.  For m > 1 the constant test and the pair
     phase run on every row, and a block whose rows are all constant ends
@@ -602,28 +603,46 @@ class KernelBlock:
                                    self._unit[0][:, subsets] ** 2)
         return self._classes[size]
 
-    def step(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, values: np.ndarray, active: bool = False):
         """(points, certified) for values of shape (m, rows, width): points
-        of shape (rows, m), and whether some subset certifies each row."""
-        certified = np.ones(values.shape[1], dtype=bool)
-        if values.shape[2] == 1:
-            return values[:, :, 0].T.copy(), certified
-        with np.errstate(all="ignore"):
-            if values.shape[0] == 1:
-                return self._scalar(values[0]), certified
-            return self._vector(values)
+        of shape (rows, m), and whether some subset certifies each row.
+        With active, also each row's active set, as the columns of an int
+        array of shape (rows, m + 1): those of its certified pair or
+        subset, ascending, then -1s.  A constant row (every sample equal;
+        for m = 1 a steepest pair of ratio 0) reads (0, -1, ...), and a row
+        that no subset certifies all -1s."""
+        m, n, width = values.shape
+        sets = np.full((n, m + 1), -1, dtype=np.intp) if active else None
+        certified = np.ones(n, dtype=bool)
+        if width == 1:
+            points = values[:, :, 0].T.copy()
+            if active:
+                sets[:, 0] = 0
+        else:
+            with np.errstate(all="ignore"):
+                if m == 1:
+                    points = self._scalar(values[0], sets)
+                else:
+                    points, certified = self._vector(values, sets)
+        return (points, certified, sets) if active else (points, certified)
 
-    def _scalar(self, u: np.ndarray) -> np.ndarray:
+    def _scalar(self, u: np.ndarray, sets: np.ndarray | None) -> np.ndarray:
         first, second, rows = self.first, self.second, self.rows
-        k = np.argmax(np.abs(u[:, first] - u[:, second]) / self.sums, axis=1)
+        ratio = np.abs(u[:, first] - u[:, second]) / self.sums
+        k = np.argmax(ratio, axis=1)
         bi, bj = first[k], second[k]
         ui, uj = u[rows, bi], u[rows, bj]
         di, dj = self.dists[rows, bi], self.dists[rows, bj]
         point = (dj * ui + di * uj) / (di + dj)
         # a single sample is its own optimum (pairwise_optimum's n == 1)
-        return np.where(self.count == 1, u[:, 0], point)[:, None]
+        single = self.count == 1
+        if sets is not None:
+            flat = single | (ratio[rows, k] == 0.0)
+            sets[:, 0] = np.where(flat, 0, bi)
+            sets[:, 1] = np.where(flat, -1, bj)
+        return np.where(single, u[:, 0], point)[:, None]
 
-    def _vector(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _vector(self, values: np.ndarray, sets: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         first, second, rows = self.first, self.second, self.rows
         unit, di, dj, unit_sums, unit_max, padded = self._unit
         # _spread: the largest scaled pair distance and the constant test
@@ -634,6 +653,8 @@ class KernelBlock:
         top = np.sqrt(sq.max(axis=1))
         spread = np.ldexp(top, -shift)
         constant = top <= CONSTANT_TOL * np.maximum(vmag * sc, top)
+        if sets is not None:
+            sets[constant, 0] = 0
         if constant.all():
             return values[:, :, 0].T.copy(), np.ones(values.shape[1], dtype=bool)
         # centre and rescale
@@ -660,18 +681,24 @@ class KernelBlock:
         out = center + point[:, rows, k] * spread
         out = np.where(constant, values[:, :, 0], out)
         done = constant | certified[rows, k]
+        if sets is not None:
+            paired = done & ~constant
+            sets[paired, 0], sets[paired, 1] = first[k[paired]], second[k[paired]]
         left = np.flatnonzero(~done)
         if left.size:
-            hit, y = self._simplex(vals[:, left].transpose(1, 2, 0), dist[left], left)
+            hit, y, subsets = self._simplex(vals[:, left].transpose(1, 2, 0), dist[left], left)
             won = left[hit]
             out[:, won] = center[:, won] + y.T * spread[won]
+            if sets is not None:
+                sets[won] = subsets
             done[won] = True
         return out.T, done
 
     def _simplex(self, values: np.ndarray, dist: np.ndarray, left: np.ndarray):
         """The simplex phase of the block's rows `left`, from their values
         (rows, width, m) and pair distances on the unit scale: whether some
-        subset certifies each row, and the points of those that it does."""
+        subset certifies each row, and the points and subsets (padded with
+        -1 to m + 1 columns) of those that it does."""
         unit, _, _, _, unit_max, _ = self._unit
         dists, dmax = unit[left], unit_max[left]
         width, m = values.shape[1:]
@@ -679,6 +706,7 @@ class KernelBlock:
         vsq[:, self.first, self.second] = vsq[:, self.second, self.first] = dist * dist
         hit = np.zeros(len(left), dtype=bool)
         points = np.empty((len(left), m))
+        subsets_won = np.full((len(left), m + 1), -1, dtype=np.intp)
         todo = np.arange(len(left))
         for size in range(3, min(m + 1, width) + 1):
             subsets, inside, r2 = self._class_constants(size)
@@ -693,10 +721,11 @@ class KernelBlock:
                                     CERT_TOL, dmax)
             hit[hits.rows] = True
             points[hits.rows] = hits.point
+            subsets_won[hits.rows, :size] = hits.active
             todo = todo[~hit[todo]]
             if not todo.size:
                 break
-        return hit, points[hit]
+        return hit, points[hit], subsets_won[hit]
 
 
 def kpoint_vector(s: LabeledPointSet, x, tol: float = CERT_TOL) -> KPointResult:

@@ -168,21 +168,28 @@ def assert_simplex_paths_agree(values, dists):
 
 
 def assert_sweep_paths_agree(g, tol=1e-10, max_iter=500):
-    """Run vector._sweep on g with every colour class in one batched pass
-    (SWEEP_BLOCK_MIN (1, 1)), at the module's cutovers, and with every
-    class replaced vertex by vertex (a cutover above every class), and
-    assert that all three give the same value bits, sweeps and history of
-    largest moves.  Returns the first run's (values, history, converged)."""
+    """Run vector._sweep on g, with the exact finish switched off, with
+    every colour class in one batched pass (SWEEP_BLOCK_MIN (1, 1)), at the
+    module's cutovers, and with every class replaced vertex by vertex (a
+    cutover above every class), and assert that all three give the same
+    value bits, sweeps and history of largest moves.  Then assert the same
+    of the first and last runs with the finish on.  Returns the first run's
+    (values, history, converged), finish off."""
     from lipext import vector
 
-    out = []
-    for block_min in ((1, 1), vector.SWEEP_BLOCK_MIN, (len(g.ids) + 1,) * 2):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(vector, "SWEEP_BLOCK_MIN", block_min)
-            out.append(vector._sweep(g, tol, max_iter))
-    values, history, converged = out[0]
-    for other, other_history, other_converged in out[1:]:
-        assert other_converged == converged
-        assert np.array_equal(_bits(other_history), _bits(history))
-        assert all(np.array_equal(_bits(other[v]), _bits(values[v])) for v in g.ids)
-    return out[0]
+    runs = []
+    for finish_at, cutovers in ((0.0, ((1, 1), vector.SWEEP_BLOCK_MIN, (len(g.ids) + 1,) * 2)),
+                                (vector.FINISH_AT, ((1, 1), (len(g.ids) + 1,) * 2))):
+        out = []
+        for block_min in cutovers:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(vector, "FINISH_AT", finish_at)
+                mp.setattr(vector, "SWEEP_BLOCK_MIN", block_min)
+                out.append(vector._sweep(g, tol, max_iter))
+        values, history, converged = out[0]
+        for other, other_history, other_converged in out[1:]:
+            assert other_converged == converged
+            assert np.array_equal(_bits(other_history), _bits(history))
+            assert all(np.array_equal(_bits(other[v]), _bits(values[v])) for v in g.ids)
+        runs.append(out[0])
+    return runs[0]

@@ -95,6 +95,16 @@ def test_c02_uniqueness_cross_check(scalar_corpus):
     _report(2, "uniqueness cross-check", worst <= 1e-6, f"worst vertex gap {worst:.2e}")
 
 
+def test_sweep_solver_is_exact_on_the_c01_corpus(scalar_corpus):
+    # the sweeps' exact finish: within 1e-12 of the path solver at the
+    # default tolerance, where the sweeps alone stop up to ~1e-8 short
+    worst = 0.0
+    for g, res, _ in scalar_corpus:
+        sweep = gauss_seidel_scalar(g)
+        worst = max(worst, max(abs(res.values[v][0] - sweep.values[v][0]) for v in g.ids))
+    assert worst <= 1e-12
+
+
 def test_c03_slope_monotonicity(scalar_corpus):
     bad = 0
     for _, res, _ in scalar_corpus:
@@ -212,6 +222,9 @@ def test_c09_vector_solver_certificate():
     ok = all_converged and worst_resid <= 1e-9 and worst_hull <= 1e-8
     _report(9, "vector solver certificate", ok,
             f"worst residual {worst_resid:.2e}, worst hull gap {worst_hull:.2e}")
+    # the exact finish ends every graph at rounding level, where the sweeps
+    # alone left residuals of up to 9e-11
+    assert worst_resid <= 1e-14
 
 
 def test_c10_geometry_kernel_values():

@@ -844,18 +844,22 @@ def test_pair_block_rows_of_one_sample():
 
 
 def _c09_sweep_calls():
-    """The inputs of every kernel call iterate_tight makes on the C09 graphs."""
+    """The inputs of every kernel call iterate_tight makes on the C09 graphs,
+    with the exact finish switched off (every sweep to the stop rule) and
+    on (fewer sweeps, and the finish's freezes)."""
     calls = []
 
     def recording(values, dists, *args):
         calls.append(([np.array(v) for v in values], list(dists)))
         return minimax_kernel(values, dists, *args)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vector, "minimax_kernel", recording)
-        rng = np.random.default_rng(909)
-        for _ in range(50):
-            vector.iterate_tight(random_graph(rng, max_vertices=24, m=2), tol=1e-10)
+    for finish_at in (0.0, vector.FINISH_AT):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vector, "minimax_kernel", recording)
+            mp.setattr(vector, "FINISH_AT", finish_at)
+            rng = np.random.default_rng(909)
+            for _ in range(50):
+                vector.iterate_tight(random_graph(rng, max_vertices=24, m=2), tol=1e-10)
     return calls
 
 

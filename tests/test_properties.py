@@ -308,26 +308,35 @@ def simplex_blocks(draw):
 
 
 def _assert_block_is_the_local_rule(values, dists, count):
-    """Every row the batched step certifies gets the per-vertex rule's bits.
-    For m > 1 it certifies exactly the rows that the kernel certifies, in
-    its constant test, pair phase or simplex phase, and the kernel raises
-    NoCertifiedSubset on the others."""
+    """Every row the batched step certifies gets the per-vertex rule's bits
+    and active set: the kernel's active tuple, and for m = 1 the pair
+    formula's pair, or (0,) where its ratio is 0.  For m > 1 it certifies
+    exactly the rows that the kernel certifies, in its constant test, pair
+    phase or simplex phase, and the kernel raises NoCertifiedSubset on the
+    others.  The active sets do not change the points."""
     m = values.shape[0]
-    points, certified = KernelBlock(dists, count).step(values)
+    block = KernelBlock(dists, count)
+    points, certified = block.step(values)
+    again, again_certified, sets = block.step(values, active=True)
+    assert np.array_equal(_bits(again), _bits(points)) and np.array_equal(again_certified, certified)
     rule, at = _local_rule(m)
     for r, n in enumerate(count):
         rows, lens = values[:, r, :n].T, dists[r, :n].tolist()
+        active = tuple(a for a in sets[r].tolist() if a >= 0)
         if m == 1:
             assert certified[r]
-            assert _bits(points[r, 0]) == _bits(rule(rows[:, 0].tolist(), lens)[at])
+            point, ratio, pair = rule(rows[:, 0].tolist(), lens)
+            assert _bits(points[r, 0]) == _bits(point)
+            assert active == (pair if ratio else (0,))
             continue
         try:
-            want = rule(list(rows), lens)[at]
+            want = rule(list(rows), lens)
         except NoCertifiedSubset:
-            assert not certified[r]
+            assert not certified[r] and not active
             continue
         assert certified[r]
-        assert np.array_equal(_bits(points[r]), _bits(want))
+        assert np.array_equal(_bits(points[r]), _bits(want[at]))
+        assert active == want[2]
 
 
 @PROPERTY

@@ -9,7 +9,7 @@ import pytest
 from conftest import colour_order, grid_graph, path_graph, random_graph
 from lipext.errors import InvalidPath, NotConverged, ValidationError
 from lipext.graph import Graph, geodesic_distances_from, lipschitz_ratio
-from lipext import scalar
+from lipext import scalar, vector
 from lipext.kpoint import minimax_kernel, pairwise_optimum
 from lipext.scalar import (
     ConnectingPath,
@@ -714,7 +714,9 @@ def _sweep_graphs():
     return graphs
 
 
-def test_gauss_seidel_matches_reference_loop():
+def test_gauss_seidel_matches_reference_loop(monkeypatch):
+    # the sweeps alone, with the exact finish switched off
+    monkeypatch.setattr(vector, "FINISH_AT", 0.0)
     for g in _sweep_graphs():
         ref, sweeps = _reference_gauss_seidel(g, tol=1e-12)
         assert sweeps is not None
@@ -727,6 +729,17 @@ def test_gauss_seidel_matches_reference_loop():
         values, report = iterate_tight(g, tol=1e-12)
         assert report.sweeps == sweeps
         assert all(values[v][0] == ref[v] for v in g.ids)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16, 32])
+def test_gauss_seidel_is_exact_on_grids(n):
+    # the sweeps' exact finish: within 1e-12 of the path solver at the
+    # default tolerance
+    fns = [lambda x, y: x * x - y, lambda x, y: x, lambda x, y: np.sin(3.0 * x) + y * y]
+    for fn in fns[:1] if n == 32 else fns:
+        g = grid_graph(n, boundary_fn=fn)
+        sweep, exact = gauss_seidel_scalar(g), solve_scalar(g)
+        assert all(abs(sweep.values[v][0] - exact.values[v][0]) <= 1e-12 for v in g.ids)
 
 
 def _kernel_residual(g, u):

@@ -1,4 +1,7 @@
+import logging
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -214,16 +217,18 @@ def _every_row_to_the_kernel(monkeypatch):
 def _single_calls(g, sweeps):
     """Kernel calls of the single vertices of g's vector sweep groups over
     `sweeps` sweeps, and of its residual group."""
-    order = vector._Plan(g, vector.SWEEP_BLOCK_MIN[1]).sweep_order()
-    plan = vector._Plan(g, vector.RESIDUAL_BLOCK_MIN[1])
-    _, singles = plan.group(list(range(len(plan.rows))))
+    plan = vector._Plan(g)
+    order = plan.sweep_order(vector.SWEEP_BLOCK_MIN[1])
+    _, singles = plan.group(list(range(len(plan.rows))), vector.RESIDUAL_BLOCK_MIN[1])
     return sweeps * sum(len(group) for _, group in order) + len(singles)
 
 
 def _assert_batched_sweep_is_the_kernel(monkeypatch, g):
-    """iterate_tight on g calls the kernel only for single vertices, and
-    gives the bits, sweeps and residuals of a run that sends every block
-    row to the kernel, in which some rows end in a simplex."""
+    """iterate_tight on g, with the exact finish switched off, calls the
+    kernel only for single vertices, and gives the bits, sweeps and
+    residuals of a run that sends every block row to the kernel, in which
+    some rows end in a simplex."""
+    monkeypatch.setattr(vector, "FINISH_AT", 0.0)
     calls = _recording_kernel(monkeypatch)
     values, report = iterate_tight(g, tol=1e-10)
     assert not any(in_block for _, in_block in calls)
@@ -281,10 +286,10 @@ def test_batched_sweep_with_a_vertex_above_the_degree_cap(monkeypatch):
     # a block plus the hub, and so is the residual's one group
     g = with_hub(two_sided_grid(7), HUB_NBRS)
     assert len(g.neighbors("h")) > vector.DEGREE_CAP
-    plan = vector._Plan(g, vector.SWEEP_BLOCK_MIN[1])
-    assert _has_block_and_single(plan.sweep_order())
-    plan = vector._Plan(g, vector.RESIDUAL_BLOCK_MIN[1])
-    assert _has_block_and_single([plan.group(list(range(len(plan.rows))))])
+    plan = vector._Plan(g)
+    assert _has_block_and_single(plan.sweep_order(vector.SWEEP_BLOCK_MIN[1]))
+    everything = list(range(len(plan.rows)))
+    assert _has_block_and_single([plan.group(everything, vector.RESIDUAL_BLOCK_MIN[1])])
     # the kernel sees the hub alone: once in every sweep and in the residual
     report = _assert_batched_sweep_is_the_kernel(monkeypatch, g)
     assert _single_calls(g, report.sweeps) == report.sweeps + 1
@@ -296,8 +301,8 @@ def test_scalar_residual_with_a_vertex_above_the_degree_cap():
     nbrs = [f"g00_{j:02d}" for j in range(1, 6)] + [
         f"g{i:02d}_{j:02d}" for i, j in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]]
     g = with_hub(grid_graph(9, lambda x, y: x * x - y), nbrs)
-    plan = vector._Plan(g, vector.RESIDUAL_BLOCK_MIN[0])
-    assert _has_block_and_single([plan.group(list(range(len(plan.rows))))])
+    plan = vector._Plan(g)
+    assert _has_block_and_single([plan.group(list(range(len(plan.rows))), vector.RESIDUAL_BLOCK_MIN[0])])
     rng = np.random.default_rng(5)
     for hub_value in (None, 10.0):
         u = {v: (g.boundary_values[v] if v in g.omega else rng.uniform(-1.0, 1.0, 1))
@@ -336,8 +341,10 @@ def _colour_order_sweeps(g, tol):
 
 
 def test_small_graph_sweeps_vertex_by_vertex(monkeypatch):
-    # classes of 4 are below the cutover: every replacement is a kernel
-    # call, in colour order, and so is every residual check
+    # classes of 4 are below the cutover: with the exact finish switched
+    # off, every replacement is a kernel call, in colour order, and so is
+    # every residual check
+    monkeypatch.setattr(vector, "FINISH_AT", 0.0)
     g = two_sided_grid(4)
     ref, sweeps = _colour_order_sweeps(g, 1e-10)
     exits = _recording_kernel(monkeypatch)
@@ -368,3 +375,242 @@ def test_sweeps_reject_a_tolerance_that_is_not_positive_and_finite(tol):
         iterate_tight(vector_path(), tol=tol)
     with pytest.raises(ValueError, match="tol"):
         gauss_seidel_scalar(grid_graph(4), tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# exact finish
+# ---------------------------------------------------------------------------
+
+def _sweep_without_finish(monkeypatch, g, tol=1e-10):
+    with monkeypatch.context() as mp:
+        mp.setattr(vector, "FINISH_AT", 0.0)
+        return vector._sweep(g, tol, 100_000)
+
+
+def _recording_freeze(monkeypatch):
+    """Patch _Finish._freeze to record what each freeze returns."""
+    frozen = []
+    freeze = vector._Finish._freeze
+
+    def recording(self, x):
+        frozen.append(freeze(self, x))
+        return frozen[-1]
+
+    monkeypatch.setattr(vector._Finish, "_freeze", recording)
+    return frozen
+
+
+def _assert_same_sweep(a, b):
+    (values, history, converged), (other, other_history, other_converged) = a, b
+    assert converged == other_converged
+    assert np.array_equal(np.array(history).view(np.uint64),
+                          np.array(other_history).view(np.uint64))
+    assert all(np.array_equal(values[v].view(np.uint64), other[v].view(np.uint64)) for v in values)
+
+
+def _finish_graphs():
+    return [
+        grid_graph(6, lambda x, y: x * x - y),  # m = 1, no block: a list of values
+        grid_graph(10, lambda x, y: x * x - y),  # m = 1 with blocks: an array
+        two_sided_grid(5),  # m = 2 with blocks
+        random_graph(np.random.default_rng(4), max_vertices=12, m=2),  # m = 2, no block
+    ]
+
+
+@pytest.mark.parametrize("g", _finish_graphs(), ids=["curved6", "curved10", "sides5", "random"])
+def test_finish_is_exact_and_takes_fewer_sweeps(monkeypatch, g):
+    frozen = _recording_freeze(monkeypatch)
+    values, history, converged = vector._sweep(g, 1e-10, 100_000)
+    assert converged and frozen
+    _, plain_history, _ = _sweep_without_finish(monkeypatch, g)
+    assert len(history) < len(plain_history)
+    assert residual(g, values) <= 1e-15
+    if g.value_dim() == 1:
+        exact = solve_scalar(g).values
+        assert all(abs(values[v][0] - exact[v][0]) <= 1e-14 for v in g.ids)
+
+
+@pytest.mark.parametrize("g", _finish_graphs(), ids=["curved6", "curved10", "sides5", "random"])
+@pytest.mark.parametrize("bad", ["off", "none", "nan"])
+def test_a_rejected_finish_leaves_the_sweep_as_it_was(monkeypatch, g, bad):
+    # a candidate that the checking sweep rejects, no candidate, and a
+    # Newton step that is not finite (which must never reach the kernel):
+    # each leaves the values, sweeps and history of the sweeps alone
+    plain = _sweep_without_finish(monkeypatch, g)
+    candidate = vector._Finish.candidate
+    kernel = vector.minimax_kernel
+
+    def moved(self, x, cap):
+        y = candidate(self, x, cap)
+        if y is not None:
+            y[self.rows] += 1e-3
+        return y
+
+    def finite_kernel(values, dists, *args):
+        assert np.isfinite(np.asarray(values, dtype=float)).all()
+        return kernel(values, dists, *args)
+
+    if bad == "off":
+        monkeypatch.setattr(vector._Finish, "candidate", moved)
+    elif bad == "none":
+        monkeypatch.setattr(vector._Finish, "candidate", lambda self, x, cap: None)
+    else:
+        monkeypatch.setattr(vector, "spsolve", lambda a, b: np.full(len(b), np.nan))
+        monkeypatch.setattr(vector, "minimax_kernel", finite_kernel)
+    _assert_same_sweep(vector._sweep(g, 1e-10, 100_000), plain)
+
+
+def test_finish_counts_the_checking_sweep_within_the_budget(monkeypatch):
+    # the accepted candidate's checking sweep is a counted sweep: a budget
+    # that ends just before it leaves the sweeps unconverged
+    g = two_sided_grid(5)
+    values, history, converged = vector._sweep(g, 1e-10, 100_000)
+    assert converged
+    _, short, short_converged = vector._sweep(g, 1e-10, len(history) - 1)
+    assert not short_converged and len(short) == len(history) - 1
+    _, plain_history, _ = _sweep_without_finish(monkeypatch, g)
+    assert short == plain_history[:len(history) - 1]
+
+
+def test_finish_at_a_row_that_is_constant_at_the_answer(monkeypatch):
+    # v2 and v3 hang off v1: they are frozen as a pair and a constant row
+    # while the sweeps move them, and are constant rows at the answer.  The
+    # finish accepts the answer without the active sets agreeing.
+    g = Graph({"a": [0.0, 0.0], "v1": [1.0, 0.0], "b": [2.0, 0.0],
+               "v2": [1.0, 1.0], "v3": [1.0, 2.0]},
+              [("a", "v1", 1.0), ("v1", "b", 3.0), ("v1", "v2", 1.0), ("v2", "v3", 1.0)],
+              ["a", "b"], {"a": [0.0, 0.0], "b": [1.0, 3.0]})
+    frozen = _recording_freeze(monkeypatch)
+    values, history, converged = vector._sweep(g, 1e-10, 100_000)
+    assert converged and frozen
+    finish = vector._Finish(vector._Plan(g), len(g.ids), 2)
+    answer = finish._rule(np.array([values[v] for v in g.ids]))[0]
+    v2 = finish.interior[g.ids.index("v2")]
+    assert (frozen[0].verts[v2] >= 0).sum() == 2 and (answer[v2] >= 0).sum() == 1
+    assert residual(g, values) <= 1e-15
+    assert np.abs(np.array([values["v2"], values["v3"]]) - values["v1"]).max() <= 1e-15
+    _, plain_history, _ = _sweep_without_finish(monkeypatch, g)
+    assert len(history) < len(plain_history)
+
+
+def test_finish_with_hull_coordinates(monkeypatch):
+    # m = 3: a row whose active set holds 3 < m + 1 samples carries hull
+    # coordinates through Newton's method
+    g = random_graph(np.random.default_rng(3), max_vertices=16, m=3)
+    frozen = _recording_freeze(monkeypatch)
+    values, history, converged = vector._sweep(g, 1e-10, 100_000)
+    assert converged
+    hull = ~np.isnan(frozen[-1].coords).all(axis=1)
+    assert hull.any() and ((frozen[-1].verts[hull] >= 0).sum(axis=1) == 3).all()
+    assert residual(g, values) <= 1e-15
+    _, plain_history, _ = _sweep_without_finish(monkeypatch, g)
+    assert len(history) < len(plain_history)
+
+
+def _tied_clique():
+    """Four interior vertices, each joined to the other three and to one
+    boundary vertex, all edges of length 1."""
+    inner = ["p", "q", "r", "s"]
+    vertices = {v: [float(i), 0.0] for i, v in enumerate(inner)}
+    vertices.update({"b" + v: [float(i), 1.0] for i, v in enumerate(inner)})
+    edges = [(a, b, 1.0) for i, a in enumerate(inner) for b in inner[i + 1:]]
+    edges += [(v, "b" + v, 1.0) for v in inner]
+    return Graph(vertices, edges, ["b" + v for v in inner], {"b" + v: [0.5] for v in inner})
+
+
+def test_finish_leaves_a_chain_that_misses_the_boundary_to_the_sweep():
+    # at p = r = 0 and q = s = 1 every steepest pair of an interior vertex
+    # ties with another and the first of them joins two interior vertices:
+    # no chain reaches the boundary, and the frozen system would be
+    # singular.  The freeze refuses it before any solve, without a warning.
+    g = _tied_clique()
+    finish = vector._Finish(vector._Plan(g), len(g.ids), 1)
+    u = {"p": 0.0, "q": 1.0, "r": 0.0, "s": 1.0}
+    x = np.array([[u.get(v, 0.5)] for v in g.ids])
+    verts = finish._rule(x)[0]
+    assert all(g.ids[v] in u for v in verts[verts >= 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert finish._freeze(x) is None
+        assert finish.candidate(x, 1.0) is None
+
+
+def test_finish_refuses_values_that_are_not_finite(monkeypatch):
+    g = two_sided_grid(5)
+    finish = vector._Finish(vector._Plan(g), len(g.ids), 2)
+    x = np.array([g.boundary_values.get(v, [0.5, 0.5]) for v in g.ids], dtype=float)
+    x[finish.rows[0]] = np.nan
+    monkeypatch.setattr(KernelBlock, "step", None)
+    monkeypatch.setattr(vector, "minimax_kernel", None)
+    assert finish._freeze(x) is None
+
+
+def test_sweep_logs_the_finish(caplog):
+    with caplog.at_level(logging.DEBUG, logger="lipext.vector"):
+        vector._sweep(two_sided_grid(5), 1e-10, 100_000)
+    assert re.search(r"finish: 1 attempts, \d+ re-freeze rounds, \d+ Newton steps, accepted=True",
+                     caplog.text)
+
+
+def test_frozen_jacobian_matches_finite_differences():
+    # m = 3, with rows of 3 and of 4 active samples: the analytic Jacobian
+    # of the frozen system against central differences of its equations
+    g = grid_graph(7, lambda x, y: [x * x - y, np.sin(3.0 * x) * y, np.cos(2.0 * y) * x])
+    values, _, _ = vector._sweep(g, 1e-3, 100_000)
+    finish = vector._Finish(vector._Plan(g), len(g.ids), 3)
+    x = np.array([values[v] for v in g.ids])
+    frozen = finish._freeze(x)
+    system = vector._Frozen(frozen, finish.rows, finish.interior, 3)
+    assert sorted(c.hull for c in system.curved) == [False, True]
+    n = len(finish.rows) * 3
+    rng = np.random.default_rng(0)
+    z = system.start + rng.uniform(-1e-3, 1e-3, system.start.size)
+
+    def equations(w):
+        y = x.copy()
+        y[finish.rows] = w[:n].reshape(-1, 3)
+        return system.linearize(y, w[n:])[0]
+
+    w = np.concatenate([x[finish.rows].ravel(), z])
+    jac = system.linearize(x, z)[1].toarray()
+    h = 1e-6
+    for j in range(w.size):
+        e = np.zeros(w.size)
+        e[j] = h
+        assert np.allclose((equations(w + e) - equations(w - e)) / (2 * h), jac[:, j], atol=1e-6)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_freeze_follows_a_constant_row_to_the_boundary(m):
+    # w's samples, the leaf l first and then the boundary vertex z, are
+    # equal: w may follow either, and follows z, since l only follows w
+    g = Graph({"l": [0.0], "w": [1.0], "z": [2.0]}, [("l", "w"), ("w", "z")], ["z"],
+              {"z": [1.0, 2.0][:m]})
+    finish = vector._Finish(vector._Plan(g), len(g.ids), m)
+    x = np.array([[1.0, 2.0][:m]] * 3)
+    l, w, z = (g.ids.index(v) for v in "lwz")
+    row_l, row_w = finish.interior[l], finish.interior[w]
+    assert (finish._rule(x)[0][row_w] >= 0).sum() == 1
+    frozen = finish._freeze(x)
+    assert list(frozen.verts[row_w]) == [z] + [-1] * m
+    assert list(frozen.verts[row_l]) == [w] + [-1] * m
+
+
+@pytest.mark.parametrize("g", _finish_graphs() + [with_hub(two_sided_grid(7), HUB_NBRS)],
+                         ids=["curved6", "curved10", "sides5", "random", "hub"])
+def test_freeze_in_one_batched_pass_is_the_local_rule(monkeypatch, g):
+    # the freeze of every row in one block and of every row on its own
+    # find the same active sets, lam and coordinates, bit for bit
+    values, _, _ = _sweep_without_finish(monkeypatch, g, tol=1e-3)
+    m = g.value_dim()
+    x = np.array([values[v] for v in g.ids])
+    frozen = []
+    for block_min in (1, len(g.ids) + 1):
+        monkeypatch.setattr(vector, "RESIDUAL_BLOCK_MIN", (block_min, block_min))
+        finish = vector._Finish(vector._Plan(g), len(g.ids), m)
+        assert (finish.group[0] is None) == (block_min > 1)
+        frozen.append(finish._freeze(x))
+    assert frozen[0] is not None
+    for a, b in zip(*frozen):
+        assert np.array_equal(a.view(np.uint64) if a.dtype == float else a,
+                              b.view(np.uint64) if b.dtype == float else b)
