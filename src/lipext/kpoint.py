@@ -38,7 +38,8 @@ log = logging.getLogger("lipext.kpoint")
 
 
 # scipy.optimize adds about 0.3 s to `import lipext`, and only the oracle's
-# hull coordinates need it here: import it on first use.
+# hull coordinates of three or more samples need it here (one or two have a
+# closed form): import it on first use.
 def nnls(*args, **kwargs):
     """scipy.optimize.nnls."""
     from scipy.optimize import nnls as scipy_nnls
@@ -182,6 +183,12 @@ def _query(s: LabeledPointSet, x) -> np.ndarray:
     return x
 
 
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(diff, axis=1), its own sum of squares without its
+    argument checks: the same bits."""
+    return np.sqrt(np.add.reduce(diff * diff, axis=1))
+
+
 def _distances(s: LabeledPointSet, x) -> np.ndarray:
     """Distances from the query to the sample positions.
 
@@ -196,8 +203,7 @@ def _distances(s: LabeledPointSet, x) -> np.ndarray:
     x = _query(s, x)
     with np.errstate(over="ignore"):
         diff = s.points - x
-        # np.linalg.norm's own sum of squares, without its argument checks
-        d = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        d = _row_norms(diff)
     lo, hi = OFFSET_RANGE
     if not (d.min() > 0.0 and lo <= d.max() <= hi):
         mag = float(np.abs(diff).max())
@@ -769,7 +775,7 @@ def certificate_check(s: LabeledPointSet, x, lambda0: float, point0, subset, tol
 
 
 def _max_ratio(y: np.ndarray, values: np.ndarray, d: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(y - values, axis=1) / d))
+    return float((_row_norms(y - values) / d).max())
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +786,14 @@ def _max_ratio(y: np.ndarray, values: np.ndarray, d: np.ndarray) -> float:
 # A working set W is accepted when its multipliers are >= -KKT_TOL and its
 # point satisfies k_i ||y - u_i|| <= t (1 + KKT_TOL) on the samples it must
 # cover; Newton stops when its step in (y, t) is at most STEP_TOL max(1, |t|).
+# Over C06 and the `kpoint-check` corpora of seeds 1-10 (5500 queries), every
+# Newton solve that gave nonnegative multipliers took 4 to 9 steps; those
+# that converged to a negative multiplier, which the polish rejects, took 5
+# to 11 or 19, and a triple with no equal-ratio point never converges.  NEWTON_ITERS is about twice
+# the longest certifying solve.
 KKT_TOL = 1e-12
 STEP_TOL = 1e-14
-NEWTON_ITERS = 40
+NEWTON_ITERS = 16
 PIVOT_ITERS = 100
 
 
@@ -843,7 +854,7 @@ def _kkt_newton(u: np.ndarray, k: np.ndarray, y: np.ndarray):
             return None
     except np.linalg.LinAlgError:
         return None
-    if not (math.isfinite(t) and np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
+    if not (math.isfinite(t) and np.isfinite(y).all() and np.isfinite(w).all()):
         return None
     return y, t, w
 
@@ -859,7 +870,7 @@ def _kkt_pair(u: np.ndarray, k: np.ndarray):
     dist = math.sqrt(float(diff @ diff))
     y = (k0 * u[0] + k1 * u[1]) / ks
     t = k0 * k1 * dist / ks
-    if not (dist > 0.0 and math.isfinite(t) and np.all(np.isfinite(y))):
+    if not (dist > 0.0 and math.isfinite(t) and np.isfinite(y).all()):
         return None
     return y, t, np.array([k1, k0]) / ks
 
@@ -881,37 +892,55 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> np.ndarray | No
     t no lower than before; the optimum over W + {j} is such a subset, and
     t never decreases, so the pivot cannot cycle.  The returned point is
     certified: a KKT point of W that covers every sample.
+
+    Every solution's ratios are taken once, over all samples, and serve
+    both its cover test and the pivot's search for a violated sample.  The
+    top-ranked pair, which certifies most queries, is solved by _kkt_pair
+    and certified by that one pass before the pivot starts.
     """
-    if not (np.all(np.isfinite(unit)) and np.all(np.isfinite(k)) and np.all(np.isfinite(y0))):
+    if not (np.isfinite(unit).all() and np.isfinite(k).all() and np.isfinite(y0).all()):
         return None
     n, m = unit.shape
 
-    def ratios(y, idx=slice(None)):
-        diff = y - unit[idx]
-        return k[idx] * np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    def ratios(y):
+        diff = y - unit
+        return k * np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
     def solve(ws, y, cover, floor):
+        """(y, t, ratios at y) for W = ws when its solution is a KKT point
+        with t >= floor that covers the samples `cover`, else None."""
         uw, kw = unit[ws], k[ws]
         sol = _kkt_newton(uw, kw, y)
         if sol is None or sol[2].min() < -KKT_TOL:
             sol = _kkt_newton(uw, kw, kw @ uw / kw.sum())
-        if (sol is not None and sol[1] >= floor and sol[2].min() >= -KKT_TOL
-                and ratios(sol[0], cover).max() <= sol[1] * (1.0 + KKT_TOL)):
-            return sol
-        return None
+        if sol is None or not (sol[1] >= floor and sol[2].min() >= -KKT_TOL):
+            return None
+        r = ratios(sol[0])
+        return (sol[0], sol[1], r) if r[cover].max() <= sol[1] * (1.0 + KKT_TOL) else None
 
     rank = np.argsort(-ratios(y0), kind="stable")
-    for size in range(2, min(n, m + 1) + 1):
-        ws = rank[:size].tolist()
-        sol = solve(ws, y0, ws, -math.inf)
-        if sol is not None:
-            y, t = sol[0], sol[1]
-            break
-    else:
-        ws = rank[:1].tolist()
-        y, t = unit[ws[0]].copy(), 0.0
-    for _ in range(PIVOT_ITERS):
+    ws, sol = rank[:2].tolist(), None
+    pair = _kkt_pair(unit[ws], k[ws]) if n > 1 else None
+    if pair is not None:
+        y, t, _ = pair
         r = ratios(y)
+        bound = t * (1.0 + KKT_TOL)
+        if r.max() <= bound:
+            return y
+        if r[ws].max() <= bound:
+            sol = y, t, r
+    if sol is None:
+        for size in range(3, min(n, m + 1) + 1):
+            ws = rank[:size].tolist()
+            sol = solve(ws, y0, ws, -math.inf)
+            if sol is not None:
+                break
+        else:
+            ws = rank[:1].tolist()
+            y = unit[ws[0]].copy()
+            sol = y, 0.0, ratios(y)
+    y, t, r = sol
+    for _ in range(PIVOT_ITERS):
         j = int(np.argmax(r))
         if r[j] <= t * (1.0 + KKT_TOL):
             return y
@@ -924,7 +953,7 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> np.ndarray | No
                 break
         else:
             return None
-        ws, y, t = cand, sol[0], sol[1]
+        ws, (y, t, r) = cand, sol
     return None
 
 
@@ -958,10 +987,10 @@ def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
     # k_i = 1 / (t0 d_i).  The start and the guard are taken in these units
     # too: in the scaled frame the rounding of values far larger than their
     # spread can exceed the guard's 1e-9.
-    center = values.mean(axis=0)
+    center = np.add.reduce(values, axis=0) / s.size  # values.mean(axis=0)
     unit = (values - center) / spread
     i, j = _pair_indices(s.size)
-    k = int(np.argmax(np.linalg.norm(unit[i] - unit[j], axis=1) / (d[i] + d[j])))
+    k = int(np.argmax(_row_norms(unit[i] - unit[j]) / (d[i] + d[j])))
     a, b = i[k], j[k]
     z0 = (d[b] * unit[a] + d[a] * unit[b]) / (d[a] + d[b])
     t0 = _max_ratio(z0, unit, d)
@@ -971,17 +1000,37 @@ def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
                     "keeping the steepest pair's weighted point", np.asarray(x).tolist())
         z = z0
     point = center + spread * z
-    lam = _max_ratio(point, values, d)
+    lam, active, viol, hull = _oracle_tail(values, d, point)
+    try:
+        lam = math.ldexp(lam, dshift - vshift)
+    except OverflowError:
+        lam = math.inf
+    return KPointResult(_finite(lam), np.ldexp(point, -vshift), active, math.ldexp(viol, -vshift), hull)
 
-    ratios = np.linalg.norm(point - values, axis=1) / d
-    active = tuple(int(i) for i in np.flatnonzero(ratios >= lam * (1.0 - 1e-6)))
+
+def _oracle_tail(values: np.ndarray, d: np.ndarray, point: np.ndarray):
+    """(lam, active, max_violation, hull_coords) of the oracle's point in
+    its scaled frame: lam the largest ratio ||point - f_i|| / d_i, the
+    samples within 1e-6 of it (else the largest alone), the largest
+    ||point - f_i|| - lam d_i and the active samples' hull coordinates.
+    One pass over the point's sample distances serves all four."""
+    dist = _row_norms(point - values)
+    ratios = dist / d
+    lam = float(ratios.max())
+    active = tuple(np.flatnonzero(ratios >= lam * (1.0 - 1e-6)).tolist())
     if not active:
         active = (int(np.argmax(ratios)),)
-    viol = float(np.max(np.linalg.norm(point - values, axis=1) - lam * d))
-    hull = _nnls_hull_coords(values[list(active)], point)
-    with np.errstate(over="ignore"):
-        lam = float(np.ldexp(lam, dshift - vshift))
-    return KPointResult(_finite(lam), np.ldexp(point, -vshift), active, math.ldexp(viol, -vshift), hull)
+    viol = float((dist - lam * d).max())
+    if len(active) == 1:
+        hull = np.array([1.0])
+    elif len(active) == 2:
+        # the ratio of the distances: the coordinates of a point on the
+        # segment between the two, where a certified polish puts it
+        da, db = dist[active[0]], dist[active[1]]
+        hull = np.array([db, da]) / (da + db)
+    else:
+        hull = _nnls_hull_coords(values[list(active)], point)
+    return lam, active, viol, hull
 
 
 def _nnls_hull_coords(vertices: np.ndarray, y: np.ndarray) -> np.ndarray | None:

@@ -137,6 +137,23 @@ def looped_simplex(values, dists, owner, subsets, bq, scales, tol, dmax):
                         np.zeros((0, size), dtype=np.intp), np.zeros((0, size)), np.zeros(0))
 
 
+def reference_oracle_tail(values, d, point):
+    """kpoint._oracle_tail as it was before it shared one distance pass:
+    lam, the active set and the violation from three norm passes, and the
+    active set's hull coordinates by nnls whatever its size.  The reference
+    for the one-pass tail and its closed-form hull coordinates; run it with
+    kpoint.NEWTON_ITERS at its former 40."""
+    from lipext import kpoint
+
+    lam = float(np.max(np.linalg.norm(point - values, axis=1) / d))
+    ratios = np.linalg.norm(point - values, axis=1) / d
+    active = tuple(int(i) for i in np.flatnonzero(ratios >= lam * (1.0 - 1e-6)))
+    if not active:
+        active = (int(np.argmax(ratios)),)
+    viol = float(np.max(np.linalg.norm(point - values, axis=1) - lam * d))
+    return lam, active, viol, kpoint._nnls_hull_coords(values[list(active)], point)
+
+
 def assert_simplex_paths_agree(values, dists):
     """Run minimax_kernel with every simplex size class tested candidate by
     candidate (looped_simplex in place of the stacked pass), then through

@@ -53,10 +53,14 @@ def kpoint_corpus():
     rng = np.random.default_rng(20260810)
     out = []
     # warm-up excludes library initialisation from the first measurement,
-    # and collection pauses are kept out of the per-instance timings
-    warm = LabeledPointSet([[0.0], [1.0]], [[0.0], [1.0]])
-    kpoint_vector(warm, [0.5])
-    kpoint_oracle(warm, [0.5])
+    # and collection pauses are kept out of the per-instance timings.  A
+    # pair and a triple: only an oracle answer with three or more active
+    # samples loads scipy.optimize, for its hull coordinates
+    triangle = [[1.0, 0.0], [-0.5, 0.75], [-0.5, -0.75]]
+    for warm, x in ((LabeledPointSet([[0.0], [1.0]], [[0.0], [1.0]]), [0.5]),
+                    (LabeledPointSet(triangle, triangle), [0.0, 0.0])):
+        kpoint_vector(warm, x)
+        assert len(kpoint_oracle(warm, x).active) == len(warm.values)
     gc.collect()
     gc.disable()
     try:

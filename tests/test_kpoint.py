@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import assert_simplex_paths_agree, random_graph
+from conftest import _bits, assert_simplex_paths_agree, random_graph, reference_oracle_tail
 from lipext import kpoint, vector
 from lipext.errors import NoCertifiedSubset, QueryCoincidesWithSample
 from lipext.geometry import HULL_TOL, SIMPLEX_TOL, Biquadratic, is_simplex, solve_biquadratic
@@ -73,17 +73,35 @@ def c06_instances():
 # lip_constant
 # ---------------------------------------------------------------------------
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # only the oracle and the hull certificates load scipy.optimize,
-    # on first use
+def _scipy_optimize_loaded_after(code):
+    """Whether scipy.optimize is loaded after running code in a fresh
+    interpreter that imports lipext from this tree."""
     import lipext
 
     src = os.path.dirname(os.path.dirname(lipext.__file__))
-    code = "import sys, lipext, lipext.cli; print('scipy.optimize' in sys.modules)"
+    code += "\nimport sys; print('scipy.optimize' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the oracle's hull coordinates of three or more samples and the
+    # vector solver's hull certificates load scipy.optimize, on first use
+    assert not _scipy_optimize_loaded_after("import lipext, lipext.cli")
+
+
+def test_pair_exit_kpoint_check_leaves_scipy_optimize_unloaded(tmp_path):
+    # a query whose kernel and oracle both end with a pair: the oracle's
+    # hull coordinates of two samples are in closed form, so
+    # `lipext kpoint --check` never imports scipy.optimize
+    f = tmp_path / "pts.json"
+    f.write_text('{"points": [[0.0], [1.0], [3.0]], "values": [[0.0, 0.0], [2.0, 1.0], [2.5, 1.5]]}')
+    s = LabeledPointSet([[0.0], [1.0], [3.0]], [[0.0, 0.0], [2.0, 1.0], [2.5, 1.5]])
+    assert len(kpoint_vector(s, [0.4]).active) == len(kpoint_oracle(s, [0.4]).active) == 2
+    code = f"from lipext.cli import main; assert main(['kpoint', '0.4', '--input', {str(f)!r}, '--check']) == 0"
+    assert not _scipy_optimize_loaded_after(code)
 
 
 def test_duplicate_positions_rejected():
@@ -464,6 +482,81 @@ def test_kkt_pair_is_exact():
 def test_kkt_pair_rejects_coincident_rows():
     u = np.array([[0.5, -0.25], [0.5, -0.25]])
     assert _kkt_newton(u, np.array([1.0, 2.0]), np.zeros(2)) is None
+
+
+def test_oracle_tail_matches_its_reference_on_c06_corpus(monkeypatch):
+    # the one-pass tail with closed-form hull coordinates below three
+    # samples, and the Newton budget, against the three-pass tail with nnls
+    # coordinates and 40 Newton steps: the same lam, point, active set and
+    # violation, bit for bit, and the same hull coordinates to rounding
+    sizes = set()
+    for points, values, x in c06_instances():
+        s = LabeledPointSet(points, values)
+        fast = kpoint_oracle(s, x)
+        with monkeypatch.context() as mp:
+            mp.setattr(kpoint, "_oracle_tail", reference_oracle_tail)
+            mp.setattr(kpoint, "NEWTON_ITERS", 40)
+            ref = kpoint_oracle(s, x)
+        assert fast.active == ref.active
+        for a, b in ((fast.lam, ref.lam), (fast.point, ref.point),
+                     (fast.max_violation, ref.max_violation)):
+            assert np.array_equal(_bits(a), _bits(b))
+        hull = fast.hull_coords
+        assert np.abs(hull - ref.hull_coords).max() <= 1e-12
+        assert hull.min() >= 0.0 and hull.sum() == pytest.approx(1.0, abs=1e-12)
+        sizes.add(len(fast.active))
+    assert {1, 2, 3, 4} <= sizes
+
+
+# one of the working sets that the polish meets in every round of the
+# kpoint-check benchmark (seed 1, query 153): three rows whose ratio
+# spheres k_i ||y - u_i|| = t have no common point, so Newton cannot converge
+NO_EQUAL_RATIO = (
+    np.array([[-0.2404457782367302, -0.4065493509430697],
+              [0.402942445761304, -0.22444083309179466],
+              [0.5553061765543238, 0.19907332568505665]]),
+    np.array([1.4943185256415348, 1.0774023334529723, 1.1140243361249254]),
+    np.array([-0.2146165917433754, 0.09363179606554797]),
+)
+
+
+def _counting_solve(monkeypatch):
+    """Count np.linalg.solve calls, one per Newton step of _kkt_newton."""
+    solve, calls = np.linalg.solve, []
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def test_kkt_newton_gives_up_within_its_budget(monkeypatch):
+    calls = _counting_solve(monkeypatch)
+    assert _kkt_newton(*NO_EQUAL_RATIO) is None
+    assert 0 < len(calls) <= kpoint.NEWTON_ITERS
+
+
+def test_certifying_newton_solves_use_at_most_half_the_budget(monkeypatch):
+    # every Newton solve of three or more rows that gives nonnegative
+    # multipliers on C06 converges within half of NEWTON_ITERS: a change
+    # that slows convergence fails here before the budget cuts solves off
+    calls = _counting_solve(monkeypatch)
+    newton, steps = kpoint._kkt_newton, []
+
+    def spy(u, k, y):
+        calls.clear()
+        sol = newton(u, k, y)
+        if len(u) > 2 and sol is not None and sol[2].min() >= -kpoint.KKT_TOL:
+            steps.append(len(calls))
+        return sol
+
+    monkeypatch.setattr(kpoint, "_kkt_newton", spy)
+    for points, values, x in c06_instances():
+        kpoint_oracle(LabeledPointSet(points, values), x)
+    assert len(steps) > 50
+    assert max(steps) <= kpoint.NEWTON_ITERS // 2
 
 
 @pytest.mark.parametrize("polish", [

@@ -545,6 +545,30 @@ def test_finish_refuses_values_that_are_not_finite(monkeypatch):
     assert finish._freeze(x) is None
 
 
+@pytest.mark.parametrize("make", [
+    lambda: two_sided_grid(7),
+    lambda: grid_graph(16, lambda x, y: [x * x - y, math.sin(3 * x) * y]),
+], ids=["sides7", "curved16"])
+def test_finish_skips_a_newton_step_predicted_to_be_rounding(monkeypatch, caplog, make):
+    # with the predicted stop, the finish's Newton solves end a step
+    # sooner than when each must take a step below 2**-40 of the largest
+    # value, and the sweep still ends at rounding: the same sweeps,
+    # values within 1e-14 and residual <= 4e-16
+    g = make()
+    runs = []
+    for stop in (vector.PREDICTED_STOP, 0.0):
+        monkeypatch.setattr(vector, "PREDICTED_STOP", stop)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="lipext.vector"):
+            values, history, converged = vector._sweep(g, 1e-10, 100_000)
+        steps = int(re.search(r"(\d+) Newton steps, accepted=True", caplog.text).group(1))
+        runs.append((values, len(history), steps))
+        assert converged and residual(g, values) <= 4e-16
+    (values, sweeps, steps), (full_values, full_sweeps, full_steps) = runs
+    assert sweeps == full_sweeps and steps < full_steps
+    assert max(float(np.abs(values[v] - full_values[v]).max()) for v in g.ids) <= 1e-14
+
+
 def test_sweep_logs_the_finish(caplog):
     with caplog.at_level(logging.DEBUG, logger="lipext.vector"):
         vector._sweep(two_sided_grid(5), 1e-10, 100_000)
