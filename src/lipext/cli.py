@@ -92,8 +92,10 @@ def load_graph_file(path: str) -> Graph:
         vertices = {v["id"]: v["pos"] for v in doc["vertices"]}
         if len(vertices) != len(doc["vertices"]):
             raise ParseError(f"{path}: duplicate vertex ids")
-        edges = [tuple(e) for e in doc["edges"]]
+        edges = doc["edges"]
         boundary = doc["boundary"]
+        if not isinstance(boundary, dict):
+            raise ParseError(f"{path}: boundary is not an object of vertex values")
         return Graph(vertices, edges, boundary.keys(), boundary)
     except ParseError:
         raise
@@ -142,6 +144,8 @@ def _boundary_fn(spec: str):
             vals = [float(t) for t in spec.split(":", 1)[1].split(",")]
         except ValueError as exc:
             raise BadParams(f"bad constant value in {spec!r}") from exc
+        if not all(map(math.isfinite, vals)):
+            raise BadParams(f"non-finite constant value in {spec!r}")
         return lambda p: list(vals)
     if spec == "corners":
         return None  # resolved against the bounding box, see below
@@ -196,6 +200,8 @@ def generate(kind: str, size: int, seed: int | None, boundary: str) -> Graph:
     elif kind == "random":
         if seed is None:
             raise BadParams("random generator requires --seed")
+        if seed < 0:
+            raise BadParams(f"--seed must be nonnegative, got {seed}")
         rng = np.random.default_rng(seed)
         width = len(str(size - 1))
         ids = [f"v{i:0{width}d}" for i in range(size)]

@@ -34,7 +34,8 @@ class Graph:
     ----------
     vertices : mapping id -> position (sequence of floats)
     edges : iterable of (a, b) or (a, b, length); length defaults to the
-        Euclidean distance between the endpoint positions
+        Euclidean distance between the endpoint positions.  Any other edge
+        raises ValueError.
     omega : iterable of boundary vertex ids
     boundary_values : mapping id -> value (scalar or sequence), defined on
         exactly the omega set
@@ -49,6 +50,8 @@ class Graph:
             raise ValueError(f"positions have mixed dimensions {sorted(dims)}")
         lengths: dict[tuple[str, str], float] = {}
         for edge in edges:
+            if isinstance(edge, (str, dict)) or len(edge) not in (2, 3):
+                raise ValueError(f"edge {edge!r} is not (a, b) or (a, b, length)")
             a, b = str(edge[0]), str(edge[1])
             if a not in pos:
                 raise UnknownVertex(a)

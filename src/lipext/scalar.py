@@ -230,6 +230,16 @@ class _PathSearch:
     search's slope, the newly labeled ones included, then every other row
     whose bound reaches its best slope less the margin.  No row left out
     can hold a pair at the best slope, so the tie rule sees every such pair.
+
+    Once a search returns slope 0, every later search takes the first
+    connected pair (`_first_connected`).  That search saw every reachable
+    pair at a computed slope of 0, so with equal values (unless a nonzero
+    difference over its distance underflows to 0); a zero-slope path
+    labels its interior with its start's value exactly, and cutting arcs
+    never shortens a distance, so every pair reachable later was reachable
+    through that start and still has slope 0.  All later slopes are 0 or
+    unreachable, and the first row in id order with a reachable later
+    column, at its first such column, is the pair the tie rule picks.
     """
 
     def __init__(self, g: Graph, state: SubgraphState, edges):
@@ -286,6 +296,8 @@ class _PathSearch:
         rows = cols[self.live[cols] > 0]
         f = self.f[cols]
         sinks = cols + self.n
+        if self.last == 0.0:
+            return self._first_connected(rows, cols, sinks, f)
         best = [-1.0, -1, -1]
         cross = np.full(cols.size, -1.0)
 
@@ -317,6 +329,27 @@ class _PathSearch:
             run(rest[self.bound[rest] >= best[0] * (1.0 - BOUND_MARGIN)])
         self.last = best[0]
         return None if best[0] < 0.0 else (best[1], best[2])
+
+    def _first_connected(self, rows: np.ndarray, cols: np.ndarray, sinks: np.ndarray,
+                         f: np.ndarray) -> tuple[int, int] | None:
+        """The first row with a reachable later column, and its first such
+        column: the steepest pair once the slope is 0.  Rows run in id order,
+        in blocks of 1, 2, 4, ... up to SOURCE_BLOCK."""
+        start, size = 0, 1
+        while start < rows.size:
+            r = rows[start:start + size]
+            slope = _slopes(self.graph, r, sinks, self.f[r], f)
+            slope[cols <= r[:, None]] = -1.0
+            hit = np.flatnonzero((slope >= 0.0).any(axis=1))
+            if hit.size:
+                i = int(hit[0])
+                c = int(np.argmax(slope[i]))
+                self.last = float(slope[i, c])
+                return int(r[i]), int(cols[c])
+            start += size
+            size = min(2 * size, SOURCE_BLOCK)
+        self.last = -1.0
+        return None
 
     def interior_path(self, g: Graph, state: SubgraphState) -> ConnectingPath | None:
         """Steepest connecting path with at least one interior vertex."""

@@ -75,6 +75,19 @@ def test_gen_rejects_bad_size(capsys):
     assert "BadParams" in capsys.readouterr().err
 
 
+def test_gen_rejects_a_negative_seed(capsys):
+    assert run("gen", "random", "--size", 5, "--seed", -1) == 1
+    assert "BadParams" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "1e400", "1,-inf"])
+def test_gen_rejects_a_non_finite_constant(tmp_path, capsys, value):
+    out = tmp_path / "g.json"
+    assert run("gen", "grid", "--size", 3, "--boundary", f"constant:{value}", "--output", out) == 1
+    assert "BadParams" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -174,6 +187,32 @@ def test_solve_invalid_graph(tmp_path, capsys):
     f = write_json(tmp_path / "bad.json", doc)
     assert run("solve", "--input", f, "--output", tmp_path / "x.json") == 1
     assert "Disconnected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", [["a"], [], ["a", "m", 1.0, 2.0], "am", {"a": "m"}, 5])
+def test_solve_rejects_a_malformed_edge(tmp_path, capsys, edge):
+    doc = {
+        "vertices": [{"id": "a", "pos": [0.0]}, {"id": "m", "pos": [1.0]}],
+        "edges": [edge],
+        "boundary": {"a": [0.0]},
+    }
+    f = write_json(tmp_path / "bad.json", doc)
+    out = tmp_path / "x.json"
+    assert run("solve", "--input", f, "--output", out) == 1
+    assert "error: ParseError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("boundary", [[], [["a", [0.0]]], "a", None])
+def test_solve_rejects_a_boundary_that_is_not_an_object(tmp_path, capsys, boundary):
+    doc = {
+        "vertices": [{"id": "a", "pos": [0.0]}, {"id": "m", "pos": [1.0]}],
+        "edges": [["a", "m"]],
+        "boundary": boundary,
+    }
+    f = write_json(tmp_path / "bad.json", doc)
+    assert run("solve", "--input", f, "--output", tmp_path / "x.json") == 1
+    assert "error: ParseError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["pos", "value", "length"])

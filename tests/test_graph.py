@@ -293,3 +293,6 @@ def test_constructor_rejects_bad_edges():
         Graph({"a": [0.0]}, [("a", "zzz")], ["a"], {"a": 0.0})
     with pytest.raises(ValueError):
         Graph({"a": [0.0], "b": [1.0]}, [("a", "a")], ["a"], {"a": 0.0})
+    for edge in [("a",), (), ("a", "b", 1.0, 2.0), "ab", {"a": "b"}]:
+        with pytest.raises(ValueError, match="is not"):
+            Graph({"a": [0.0], "b": [1.0]}, [edge], ["a"], {"a": 0.0})

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import colour_order, grid_graph, path_graph, random_graph
+from lipext.cli import generate
 from lipext.errors import InvalidPath, NotConverged, ValidationError
 from lipext.graph import Graph, geodesic_distances_from, lipschitz_ratio
 from lipext import scalar, vector
@@ -542,10 +543,11 @@ def test_search_matches_per_source_reference(monkeypatch, block):
         assert all(res.values[v][0] == values[v] for v in g.ids)
 
 
-def _tie_graphs(count):
-    """Random graphs with values in {0, 1, 2} and lengths in {1, 2}: many
-    pairs tie at the best slope, on both sides of the row bounds."""
-    rng = np.random.default_rng(5)
+def _tie_graphs(count, levels=3, seed=5, extra=1.0):
+    """Random graphs with values in {0, ..., levels - 1}, lengths in {1, 2}
+    and up to extra * |V| edges beside a spanning tree: many pairs tie at
+    the best slope, on both sides of the row bounds."""
+    rng = np.random.default_rng(seed)
     graphs = []
     for _ in range(count):
         n = int(rng.integers(30, 60))
@@ -553,10 +555,11 @@ def _tie_graphs(count):
         order = rng.permutation(n)
         pairs = {tuple(sorted((int(order[k]), int(order[rng.integers(0, k)]))))
                  for k in range(1, n)}
-        pairs |= {tuple(sorted(p)) for p in rng.integers(0, n, (n, 2)) if p[0] != p[1]}
+        pairs |= {tuple(sorted(p)) for p in rng.integers(0, n, (int(extra * n), 2))
+                  if p[0] != p[1]}
         edges = [(ids[a], ids[b], float(rng.integers(1, 3))) for a, b in sorted(pairs)]
         picked = rng.choice(n, int(rng.integers(2, n // 2)), replace=False)
-        boundary = {ids[i]: float(rng.integers(0, 3)) for i in picked}
+        boundary = {ids[i]: float(rng.integers(0, levels)) for i in picked}
         graphs.append(Graph({v: [float(i)] for i, v in enumerate(ids)}, edges,
                             boundary.keys(), boundary))
     return graphs
@@ -572,20 +575,23 @@ def test_solver_search_matches_per_source_reference(monkeypatch, block, small):
     if small is not None:
         monkeypatch.setattr(scalar, "SMALL_SEARCH", small)
     search = scalar._PathSearch.interior_path
-    calls = []
+    calls, zero = [], []
 
     def checked(self, g, state):
+        zero.append(self.last == 0.0)  # the first-connected-pair branch
         path = search(self, g, state)
         assert path == _reference_interior_path(g, state)
         calls.append(path)
         return path
 
     monkeypatch.setattr(scalar._PathSearch, "interior_path", checked)
-    graphs = (_fast_path_graphs() + _tie_graphs(8)
-              + [grid_graph(9, boundary_fn=lambda x, y: x * x - y)])
+    graphs = (_fast_path_graphs() + _tie_graphs(8) + _tie_graphs(6, levels=2, seed=14, extra=0.5)
+              + [grid_graph(9, boundary_fn=lambda x, y: x * x - y),
+                 generate("grid", 12, None, "corners")])
     for g in graphs:
         solve_scalar(g)
     assert len(calls) > len(graphs)
+    assert sum(zero) > 50
 
 
 def _arc_rows(g, state):
@@ -619,6 +625,34 @@ def test_bounds_skip_search_rows(monkeypatch):
     assert res.report.passed
     # the parent's per-stage search ran every row at every stage
     assert 2 * sum(rows) < sum(unbounded)
+
+
+@pytest.mark.parametrize("size", [12, 24])
+def test_zero_slope_searches_run_few_rows(monkeypatch, size):
+    # once the steepest slope is 0, a search stops at the first row with a
+    # reachable later column; running every bounded row took 28 rows per
+    # search at 12 x 12 and 64 at 24 x 24
+    g = generate("grid", size, None, "corners")
+    n = len(g.ids)
+    rows, zero = [], []
+    real = scalar.dijkstra
+    steepest = scalar._PathSearch.steepest
+
+    def counting(graph, directed, indices):
+        if graph.shape[0] == 2 * n and zero[-1]:
+            rows.append(len(indices))
+        return real(graph, directed=directed, indices=indices)
+
+    def flagged(self):
+        zero.append(self.last == 0.0)
+        return steepest(self)
+
+    monkeypatch.setattr(scalar, "dijkstra", counting)
+    monkeypatch.setattr(scalar._PathSearch, "steepest", flagged)
+    res = solve_scalar(g)
+    assert res.report.passed
+    assert sum(zero) > size
+    assert sum(rows) <= 2 * sum(zero)
 
 
 def _all_pairs_ratios(g, u, pairs_in=None):
