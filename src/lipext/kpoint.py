@@ -17,7 +17,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import NoCertifiedSubset, QueryCoincidesWithSample
 from .geometry import (
     HULL_TOL,
     Biquadratic,
+    biquadratic_coefficients,
     bordered_determinants,
     in_convex_hull,
     is_simplex,
@@ -155,7 +156,7 @@ def pair_candidate(s: LabeledPointSet, i: int, j: int, x) -> tuple[np.ndarray, f
         raise ValueError(f"pair indices must lie in range({s.size})")
     if i == j:
         raise ValueError("pair indices must differ")
-    x = _query(s, x)
+    x = np.array(_query(s, x))
     di = float(np.linalg.norm(x - s.points[i]))
     dj = float(np.linalg.norm(x - s.points[j]))
     if di == 0.0 or dj == 0.0:
@@ -170,27 +171,51 @@ def pair_candidate(s: LabeledPointSet, i: int, j: int, x) -> tuple[np.ndarray, f
 OFFSET_RANGE = (2.0**-500, 2.0**500)
 
 
-def _query(s: LabeledPointSet, x) -> np.ndarray:
-    """The query as a float array; ValueError unless it is a finite point
-    of the positions' dimension."""
+def _query(s: LabeledPointSet, x) -> list[float]:
+    """The query's coordinates as floats; ValueError unless it is a finite
+    point of the positions' dimension."""
     x = np.asarray(x, dtype=float)
     if x.shape != (s.points.shape[1],):
         raise ValueError(f"query dimension {x.shape} does not match positions")
-    # on plain floats: for a query of a few coordinates this costs a
-    # seventh of np.isfinite(x).all()
-    if not all(map(math.isfinite, x.tolist())):
+    x = x.tolist()
+    if not all(map(math.isfinite, x)):
         raise ValueError("query must be finite")
     return x
 
 
-def _row_norms(diff: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(diff, axis=1), its own sum of squares without its
-    argument checks: the same bits."""
-    return np.sqrt(np.add.reduce(diff * diff, axis=1))
+def _norm(a, b) -> float:
+    """||a - b|| for two sequences of floats, the squares added in
+    coordinate order: the bits of np.linalg.norm below eight coordinates,
+    and of the kernel's pair phase."""
+    sq = 0.0
+    for p, q in zip(a, b):
+        t = p - q
+        sq += t * t
+    return math.sqrt(sq)
 
 
-def _distances(s: LabeledPointSet, x) -> np.ndarray:
-    """Distances from the query to the sample positions.
+def _lane_norm(a, b) -> float:
+    """||a - b|| for two sequences of floats, the squares of the even
+    coordinates and of the odd ones added in two sums that are then added,
+    as np.einsum("ij,ij->i") adds them below eight coordinates.  The polish
+    ranks its samples and tests its cover with it: the order of two samples
+    whose ratios tie to rounding sets the row order of a Newton solve, and
+    with it the last bits of the oracle's answer, which the tests compare
+    with a reference on arrays."""
+    even = odd = 0.0
+    pairs = zip(a, b)
+    for p, q in pairs:
+        t = p - q
+        even += t * t
+        for p, q in pairs:  # the next coordinate, if any, is odd
+            t = p - q
+            odd += t * t
+            break
+    return math.sqrt(even + odd)
+
+
+def _distances(s: LabeledPointSet, x) -> list[float]:
+    """Distances from the query to the sample positions, as floats.
 
     The query passes `_query`.  One test on the plain norms then passes a
     query that lies on no sample and whose distances lie in OFFSET_RANGE.
@@ -201,25 +226,28 @@ def _distances(s: LabeledPointSet, x) -> np.ndarray:
     underflows; and a zero distance raises QueryCoincidesWithSample.
     """
     x = _query(s, x)
-    with np.errstate(over="ignore"):
-        diff = s.points - x
-        d = _row_norms(diff)
+    rows = s.points.tolist()
+    d = [_norm(p, x) for p in rows]
     lo, hi = OFFSET_RANGE
-    if not (d.min() > 0.0 and lo <= d.max() <= hi):
-        mag = float(np.abs(diff).max())
+    if not (min(d) > 0.0 and lo <= max(d) <= hi):
+        diff = [[a - b for a, b in zip(p, x)] for p in rows]
+        mag = max([abs(t) for row in diff for t in row])
         if mag == math.inf:
             raise ValueError("query offsets overflow")
         if not lo <= mag <= hi:
             shift = pow2_shift(mag)
-            d = np.ldexp(np.linalg.norm(np.ldexp(diff, shift), axis=1), -shift)
-        if not d.min() > 0.0:
+            zero = [0.0] * len(x)
+            d = np.ldexp([_norm([math.ldexp(t, shift) for t in row], zero) for row in diff],
+                         -shift).tolist()
+        if not min(d) > 0.0:
             raise QueryCoincidesWithSample("query equals a sample position")
     return d
 
 
 def _canonical_order(s: LabeledPointSet) -> list[int]:
-    """Sample order that is stable under permutation of the input."""
-    return sorted(range(s.size), key=lambda i: (tuple(s.points[i]), tuple(s.values[i])))
+    """Sample order that is stable under permutation of the input: by
+    position, which LabeledPointSet keeps distinct."""
+    return sorted(range(s.size), key=s.points.tolist().__getitem__)
 
 
 def _spread(rows: list[list[float]]) -> tuple[float, bool]:
@@ -277,7 +305,7 @@ def kpoint_scalar(s: LabeledPointSet, x) -> KPointResult:
     """Minimax value for real-valued samples via the pair formula."""
     if s.value_dim != 1:
         raise ValueError("kpoint_scalar requires one-dimensional values")
-    d = _distances(s, x)
+    d = np.array(_distances(s, x))
     order = _canonical_order(s)
     u = s.values[order, 0]
     dd = d[order]
@@ -739,9 +767,9 @@ def kpoint_vector(s: LabeledPointSet, x, tol: float = CERT_TOL) -> KPointResult:
     d = _distances(s, x)
     order = _canonical_order(s)
     lam, point, active_local, coords, viol = minimax_kernel(
-        s.values[order], d[order], tol
+        s.values[order], [d[i] for i in order], tol
     )
-    pairs = sorted(zip((order[a] for a in active_local), coords))
+    pairs = sorted(zip((order[a] for a in active_local), coords.tolist()))
     active = tuple(p[0] for p in pairs)
     hull = np.array([p[1] for p in pairs])
     return KPointResult(_finite(lam), point, active, viol, hull)
@@ -760,7 +788,7 @@ def certificate_check(s: LabeledPointSet, x, lambda0: float, point0, subset, tol
     subset = tuple(subset)
     if not subset:
         raise ValueError("subset must be nonempty")
-    d = _distances(s, x)
+    d = np.array(_distances(s, x))
     point0 = np.asarray(point0, dtype=float)
     thr = tol * lambda0 * float(d.max()) + NOISE_TOL * float(np.abs(s.values).max())
     vals = s.values[list(subset)]
@@ -774,8 +802,9 @@ def certificate_check(s: LabeledPointSet, x, lambda0: float, point0, subset, tol
     return in_convex_hull(vals, point0)
 
 
-def _max_ratio(y: np.ndarray, values: np.ndarray, d: np.ndarray) -> float:
-    return float((_row_norms(y - values) / d).max())
+def _max_ratio(y, rows, d) -> float:
+    """Largest ratio ||y - u_i|| / d_i over rows u_i, on floats."""
+    return max([_norm(y, u) / di for u, di in zip(rows, d)])
 
 
 # ---------------------------------------------------------------------------
@@ -799,20 +828,16 @@ PIVOT_ITERS = 100
 
 def _kkt_newton(u: np.ndarray, k: np.ndarray, y: np.ndarray):
     """Newton's method on the KKT system of min t s.t. k_i ||y - u_i|| <= t
-    with every row of u active, started at y.
+    with every row of u active, started at y; u has three or more rows (a
+    pair has a closed form, _kkt_pair).
 
     The unknowns are y, t and the multipliers w; the equations are
     sum_i w_i k_i n_i = 0 (n_i the unit vector from u_i to y), sum_i w_i = 1
     and k_i ||y - u_i|| = t.  w starts as the least-squares multipliers at
     y, clipped to >= 0 and renormalised.  Returns (y, t, w), or None on a
     singular system, a non-finite value, a zero distance or no convergence.
-    Two rows have a closed-form solution (_kkt_pair), and y is unused there.
     """
     s, m = u.shape
-    if s == 1:
-        return u[0].copy(), 0.0, np.ones(1)
-    if s == 2:
-        return _kkt_pair(u, k)
     size = m + 1 + s
     jac = np.zeros((size, size))
     jac[m, m + 1:] = 1.0
@@ -859,20 +884,31 @@ def _kkt_newton(u: np.ndarray, k: np.ndarray, y: np.ndarray):
     return y, t, w
 
 
-def _kkt_pair(u: np.ndarray, k: np.ndarray):
-    """Exact KKT point of min t s.t. k_i ||y - u_i|| <= t for two rows: y on
-    the segment with k_0 r_0 = k_1 r_1, that is y = (k_0 u_0 + k_1 u_1) /
-    (k_0 + k_1), t = k_0 k_1 ||u_1 - u_0|| / (k_0 + k_1) and w = (k_1, k_0) /
-    (k_0 + k_1).  Returns None on coincident rows or a non-finite value."""
-    k0, k1 = float(k[0]), float(k[1])
+def _kkt_pair(u: list[list[float]], k: list[float]):
+    """Exact KKT point of min t s.t. k_i ||y - u_i|| <= t for two rows, on
+    floats: y on the segment with k_0 r_0 = k_1 r_1, that is y = (k_0 u_0 +
+    k_1 u_1) / (k_0 + k_1), t = k_0 k_1 ||u_1 - u_0|| / (k_0 + k_1) and w =
+    (k_1, k_0) / (k_0 + k_1).  Returns None on coincident rows or a
+    non-finite value."""
+    (u0, u1), (k0, k1) = u, k
     ks = k0 + k1
-    diff = u[1] - u[0]
-    dist = math.sqrt(float(diff @ diff))
-    y = (k0 * u[0] + k1 * u[1]) / ks
+    dist = _norm(u1, u0)
+    y = [(k0 * a + k1 * b) / ks for a, b in zip(u0, u1)]
     t = k0 * k1 * dist / ks
-    if not (dist > 0.0 and math.isfinite(t) and np.isfinite(y).all()):
+    if not (dist > 0.0 and math.isfinite(t) and all(map(math.isfinite, y))):
         return None
-    return y, t, np.array([k1, k0]) / ks
+    return y, t, [k1 / ks, k0 / ks]
+
+
+def _share_no_point(u: np.ndarray, k: np.ndarray) -> bool:
+    """Whether the ratio spheres k_i ||y - u_i|| = t of a working set surely
+    meet in no point of its rows' affine hull, where every KKT point of the
+    set lies: the rows span a simplex, and the bordered determinant with
+    radii t d_i, d_i = 1 / k_i, a biquadratic in t, has no root.  A test
+    that is unsure reports a common point: a degenerate simplex, or a
+    discriminant within rounding of zero, which solve_biquadratic takes
+    for a double root."""
+    return is_simplex(u) and not solve_biquadratic(biquadratic_coefficients(u, 1.0 / k))
 
 
 def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> np.ndarray | None:
@@ -880,10 +916,11 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> np.ndarray | No
     rows of unit), by an active-set pivot from y0, or None if no working
     set certifies.
 
-    Each working set W of at most m + 1 samples is solved exactly by
-    _kkt_newton: a pair in closed form, a larger set by Newton from the
-    current point, and again from the k-weighted centroid of W when that
-    fails or gives a negative multiplier.  The first W is the shortest
+    Each working set W of at most m + 1 samples is solved exactly: a pair
+    in closed form (_kkt_pair), a larger set by Newton (_kkt_newton) from
+    the current point, and again from the k-weighted centroid of W when
+    that gives a negative multiplier, or fails on a set whose ratio spheres
+    may share a point (_share_no_point).  The first W is the shortest
     prefix of size 2 ... m + 1 of the samples ranked by their ratio at y0
     whose solution is a KKT point that covers the prefix, and else the top
     sample alone (y = u_i, t = 0).  While some sample j
@@ -893,57 +930,67 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> np.ndarray | No
     t never decreases, so the pivot cannot cycle.  The returned point is
     certified: a KKT point of W that covers every sample.
 
-    Every solution's ratios are taken once, over all samples, and serve
-    both its cover test and the pivot's search for a violated sample.  The
-    top-ranked pair, which certifies most queries, is solved by _kkt_pair
-    and certified by that one pass before the pivot starts.
+    The pivot runs on Python floats, which for the few samples of a query
+    cost less than numpy calls; arrays are built only for Newton on three
+    or more samples.  Every solution's ratios are taken once, over all
+    samples, and serve both its cover test and the pivot's search for a
+    violated sample.  The top-ranked pair, which certifies most queries, is
+    certified by that one pass before the pivot starts.
     """
-    if not (np.isfinite(unit).all() and np.isfinite(k).all() and np.isfinite(y0).all()):
+    unit, k, y0 = unit.tolist(), k.tolist(), y0.tolist()
+    if not all(map(math.isfinite, chain(k, y0, *unit))):
         return None
-    n, m = unit.shape
+    n, m = len(unit), len(y0)
 
     def ratios(y):
-        diff = y - unit
-        return k * np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return [ki * _lane_norm(y, u) for u, ki in zip(unit, k)]
 
     def solve(ws, y, cover, floor):
         """(y, t, ratios at y) for W = ws when its solution is a KKT point
         with t >= floor that covers the samples `cover`, else None."""
-        uw, kw = unit[ws], k[ws]
-        sol = _kkt_newton(uw, kw, y)
-        if sol is None or sol[2].min() < -KKT_TOL:
-            sol = _kkt_newton(uw, kw, kw @ uw / kw.sum())
-        if sol is None or not (sol[1] >= floor and sol[2].min() >= -KKT_TOL):
+        if len(ws) == 2:
+            sol = _kkt_pair([unit[i] for i in ws], [k[i] for i in ws])
+        else:
+            uw, kw = np.array([unit[i] for i in ws]), np.array([k[i] for i in ws])
+            sol = _kkt_newton(uw, kw, np.array(y))
+            if sol is None and _share_no_point(uw, kw):
+                return None
+            if sol is None or sol[2].min() < -KKT_TOL:
+                sol = _kkt_newton(uw, kw, kw @ uw / kw.sum())
+            if sol is not None:
+                sol = sol[0].tolist(), sol[1], sol[2].tolist()
+        if sol is None or not (sol[1] >= floor and min(sol[2]) >= -KKT_TOL):
             return None
         r = ratios(sol[0])
-        return (sol[0], sol[1], r) if r[cover].max() <= sol[1] * (1.0 + KKT_TOL) else None
+        return (sol[0], sol[1], r) if max([r[i] for i in cover]) <= sol[1] * (1.0 + KKT_TOL) else None
 
-    rank = np.argsort(-ratios(y0), kind="stable")
-    ws, sol = rank[:2].tolist(), None
-    pair = _kkt_pair(unit[ws], k[ws]) if n > 1 else None
+    r0 = ratios(y0)
+    rank = sorted(range(n), key=r0.__getitem__, reverse=True)
+    ws, sol = rank[:2], None
+    pair = _kkt_pair([unit[i] for i in ws], [k[i] for i in ws]) if n > 1 else None
     if pair is not None:
         y, t, _ = pair
         r = ratios(y)
         bound = t * (1.0 + KKT_TOL)
-        if r.max() <= bound:
-            return y
-        if r[ws].max() <= bound:
+        if max(r) <= bound:
+            return np.array(y)
+        if max([r[i] for i in ws]) <= bound:
             sol = y, t, r
     if sol is None:
         for size in range(3, min(n, m + 1) + 1):
-            ws = rank[:size].tolist()
+            ws = rank[:size]
             sol = solve(ws, y0, ws, -math.inf)
             if sol is not None:
                 break
         else:
-            ws = rank[:1].tolist()
-            y = unit[ws[0]].copy()
+            ws = rank[:1]
+            y = list(unit[ws[0]])
             sol = y, 0.0, ratios(y)
     y, t, r = sol
     for _ in range(PIVOT_ITERS):
-        j = int(np.argmax(r))
+        j = max(range(n), key=r.__getitem__)
         if r[j] <= t * (1.0 + KKT_TOL):
-            return y
+            return np.array(y)
         cover = ws + [j]
         subsets = (list(rest) + [j] for size in range(1, min(len(ws), m) + 1)
                    for rest in combinations(ws, size))
@@ -969,17 +1016,22 @@ def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
     warning on the lipext.kpoint logger.  Either way lam is the largest
     ratio at the returned point, an upper bound on the optimum.  Values and
     distances are scaled by powers of two on entry and back on exit, so no
-    square overflows or underflows at extreme scales.
+    square overflows or underflows at extreme scales.  The values'
+    scaling, their centre and the unit values are taken on arrays, the rest
+    on Python floats, but for Newton on three or more samples.
     """
     d = _distances(s, x)
-    spread, constant = _spread(s.values.tolist())
+    raw = s.values.tolist()
+    spread, constant = _spread(raw)
     if s.size == 1 or constant:
         point = s.values[0].copy()
         return KPointResult(0.0, point, (0,), 0.0, np.array([1.0]))
-    vshift = pow2_shift(float(np.abs(s.values).max()))
-    dshift = pow2_shift(float(d.max()))
+    n = s.size
+    vshift = pow2_shift(max([abs(v) for row in raw for v in row]))
+    dshift = pow2_shift(max(d))
     values = np.ldexp(s.values, vshift)
-    d = np.ldexp(d, dshift)
+    rows = values.tolist()
+    d = [math.ldexp(di, dshift) for di in d]
     spread = math.ldexp(spread, vshift)
     # the polish works in units where every quantity is of order one: the
     # point as (y - center) / spread, and t as a multiple of the start's
@@ -987,20 +1039,28 @@ def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
     # k_i = 1 / (t0 d_i).  The start and the guard are taken in these units
     # too: in the scaled frame the rounding of values far larger than their
     # spread can exceed the guard's 1e-9.
-    center = np.add.reduce(values, axis=0) / s.size  # values.mean(axis=0)
-    unit = (values - center) / spread
-    i, j = _pair_indices(s.size)
-    k = int(np.argmax(_row_norms(unit[i] - unit[j]) / (d[i] + d[j])))
-    a, b = i[k], j[k]
-    z0 = (d[b] * unit[a] + d[a] * unit[b]) / (d[a] + d[b])
+    center = np.add.reduce(values, axis=0) / n  # values.mean(axis=0)
+    unit_array = (values - center) / spread
+    center, unit = center.tolist(), unit_array.tolist()
+    # the steepest pair: the first largest ratio in row-major order
+    best, a, b = -1.0, 0, 0
+    for i in range(n):
+        ui, di = unit[i], d[i]
+        for j in range(i + 1, n):
+            ratio = _norm(ui, unit[j]) / (di + d[j])
+            if ratio > best:
+                best, a, b = ratio, i, j
+    da, db = d[a], d[b]
+    z0 = [(db * p + da * q) / (da + db) for p, q in zip(unit[a], unit[b])]
     t0 = _max_ratio(z0, unit, d)
-    z = minimize(unit, 1.0 / (t0 * d), z0)
+    z = minimize(unit_array, np.array([1.0 / (t0 * di) for di in d]), np.array(z0))
+    z = None if z is None else z.tolist()
     if z is None or _max_ratio(z, unit, d) > t0 * (1.0 + 1e-9):
         log.warning("oracle polish certified no point at query %s; "
                     "keeping the steepest pair's weighted point", np.asarray(x).tolist())
         z = z0
-    point = center + spread * z
-    lam, active, viol, hull = _oracle_tail(values, d, point)
+    point = [c + spread * p for c, p in zip(center, z)]
+    lam, active, viol, hull = _oracle_tail(rows, d, point)
     try:
         lam = math.ldexp(lam, dshift - vshift)
     except OverflowError:
@@ -1008,28 +1068,26 @@ def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
     return KPointResult(_finite(lam), np.ldexp(point, -vshift), active, math.ldexp(viol, -vshift), hull)
 
 
-def _oracle_tail(values: np.ndarray, d: np.ndarray, point: np.ndarray):
+def _oracle_tail(rows: list[list[float]], d: list[float], point: list[float]):
     """(lam, active, max_violation, hull_coords) of the oracle's point in
-    its scaled frame: lam the largest ratio ||point - f_i|| / d_i, the
-    samples within 1e-6 of it (else the largest alone), the largest
-    ||point - f_i|| - lam d_i and the active samples' hull coordinates.
-    One pass over the point's sample distances serves all four."""
-    dist = _row_norms(point - values)
-    ratios = dist / d
-    lam = float(ratios.max())
-    active = tuple(np.flatnonzero(ratios >= lam * (1.0 - 1e-6)).tolist())
-    if not active:
-        active = (int(np.argmax(ratios)),)
-    viol = float((dist - lam * d).max())
+    its scaled frame, on floats: lam the largest ratio ||point - f_i|| /
+    d_i, the samples within 1e-6 of it, the largest ||point - f_i|| - lam
+    d_i and the active samples' hull coordinates.  One pass over the
+    point's sample distances serves all four."""
+    dist = [_norm(point, f) for f in rows]
+    ratios = [di / dd for di, dd in zip(dist, d)]
+    lam = max(ratios)
+    active = tuple(i for i, r in enumerate(ratios) if r >= lam * (1.0 - 1e-6))
+    viol = max([di - lam * dd for di, dd in zip(dist, d)])
     if len(active) == 1:
         hull = np.array([1.0])
     elif len(active) == 2:
         # the ratio of the distances: the coordinates of a point on the
         # segment between the two, where a certified polish puts it
         da, db = dist[active[0]], dist[active[1]]
-        hull = np.array([db, da]) / (da + db)
+        hull = np.array([db / (da + db), da / (da + db)])
     else:
-        hull = _nnls_hull_coords(values[list(active)], point)
+        hull = _nnls_hull_coords(np.array([rows[i] for i in active]), np.array(point))
     return lam, active, viol, hull
 
 

@@ -322,7 +322,9 @@ class _PathSearch:
         else:
             first = self.bound[rows] >= self.last
             run(rows[first])
-            old = ~np.isin(cols, rows[first])
+            ran = np.zeros(self.labeled.size, dtype=bool)
+            ran[rows[first]] = True
+            old = ~ran[cols]
             self.bound[cols[old]] = np.maximum(self.bound[cols[old]],
                                                cross[old] * (1.0 + BOUND_MARGIN))
             rest = rows[~first]

@@ -8,7 +8,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import _bits, assert_simplex_paths_agree, random_graph, reference_oracle_tail
+from conftest import (
+    _bits,
+    assert_same_result,
+    assert_simplex_paths_agree,
+    random_graph,
+    reference_distances,
+    reference_kpoint_oracle,
+    reference_kpoint_vector,
+    reference_oracle_tail,
+)
 from lipext import kpoint, vector
 from lipext.errors import NoCertifiedSubset, QueryCoincidesWithSample
 from lipext.geometry import HULL_TOL, SIMPLEX_TOL, Biquadratic, is_simplex, solve_biquadratic
@@ -470,7 +479,8 @@ def test_kkt_pair_is_exact():
         u, k = rng.uniform(-1, 1, (2, m)), rng.uniform(0.5, 2.0, 2)
         if np.linalg.norm(u[1] - u[0]) < 1.0:
             continue
-        y, t, w = _kkt_newton(u, k, rng.uniform(-1, 1, m))
+        y, t, w = kpoint._kkt_pair(u.tolist(), k.tolist())
+        y, w = np.array(y), np.array(w)
         r = np.linalg.norm(y - u, axis=1)
         assert w.min() > 0.0 and w.sum() == pytest.approx(1.0, rel=1e-15)
         # stationarity: the pulls w_i k_i n_i of the two rows cancel
@@ -480,8 +490,7 @@ def test_kkt_pair_is_exact():
 
 
 def test_kkt_pair_rejects_coincident_rows():
-    u = np.array([[0.5, -0.25], [0.5, -0.25]])
-    assert _kkt_newton(u, np.array([1.0, 2.0]), np.zeros(2)) is None
+    assert kpoint._kkt_pair([[0.5, -0.25], [0.5, -0.25]], [1.0, 2.0]) is None
 
 
 def test_oracle_tail_matches_its_reference_on_c06_corpus(monkeypatch):
@@ -644,6 +653,101 @@ def test_oracle_at_extreme_scales(scale):
     assert r.lam / scale == pytest.approx(base.lam, rel=1e-12)
     assert np.allclose(r.point / scale, base.point, rtol=0.0, atol=1e-12)
     assert r.active == base.active
+
+
+# ---------------------------------------------------------------------------
+# the query path on floats against its numpy reference
+# ---------------------------------------------------------------------------
+
+def _assert_query_paths_agree(s, x):
+    assert_same_result(kpoint_vector(s, x), reference_kpoint_vector(s, x))
+    assert_same_result(kpoint_oracle(s, x), reference_kpoint_oracle(s, x))
+
+
+def test_query_path_matches_its_numpy_reference_on_c06_corpus(caplog):
+    with caplog.at_level(logging.WARNING, logger="lipext.kpoint"):
+        for points, values, x in c06_instances():
+            _assert_query_paths_agree(LabeledPointSet(points, values), x)
+    assert caplog.records == []
+
+
+def test_query_path_matches_its_numpy_reference_on_eight_scalar_samples():
+    # numpy sums eight or more rows of one column pairwise: the oracle's
+    # centre has to keep that order
+    rng = np.random.default_rng(88)
+    for _ in range(150):
+        n = int(rng.integers(1, 4))
+        points, values = rng.uniform(-1, 1, (8, n)), rng.uniform(-1, 1, (8, 1))
+        _assert_query_paths_agree(LabeledPointSet(points, values), rng.uniform(-1, 1, n))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_query_path_matches_its_numpy_reference_at_extreme_scales(scale):
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    values = np.array([[0.0, 0.0], [1.0, 0.5], [-0.3, 1.2]])
+    x = np.array([0.4, 0.3])
+    _assert_query_paths_agree(LabeledPointSet(points, values * scale), x)
+    _assert_query_paths_agree(LabeledPointSet(points * scale, values), x * scale)
+
+
+def _same_distances(s, x):
+    """kpoint._distances and its numpy reference: the same error, or the
+    same bits."""
+    try:
+        expected = reference_distances(s, x)
+    except (ValueError, QueryCoincidesWithSample) as exc:
+        with pytest.raises(type(exc)) as got:
+            kpoint._distances(s, x)
+        assert str(got.value) == str(exc)
+        return type(exc)
+    got = kpoint._distances(s, x)
+    assert type(got) is list and np.array_equal(_bits(got), _bits(expected))
+    return None
+
+
+@pytest.mark.filterwarnings("error")
+def test_distances_match_their_numpy_reference():
+    plane = LabeledPointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0.0], [1.0], [2.0]])
+    errors = [_same_distances(plane, x) for x in
+              ([0.4, math.nan], [math.inf, 0.3], [0.4], [[0.4, 0.3]], [1.0, 0.0])]
+    assert errors == [ValueError] * 4 + [QueryCoincidesWithSample]
+    assert _same_distances(scalar_set([1e308, 0.0], [0.0, 1.0]), [-1e308]) is ValueError
+    # offsets below and above OFFSET_RANGE are rescaled by a power of two
+    rng = np.random.default_rng(89)
+    for scale in (1e-200, 1e-300, 1.0, 1e200, 1e300):
+        for n in (1, 2, 3):
+            points = rng.uniform(-1, 1, (5, n)) * scale
+            s = LabeledPointSet(points, rng.uniform(-1, 1, (5, 2)))
+            assert _same_distances(s, rng.uniform(-1, 1, n) * scale) is None
+            # a query on a sample, and one an offset of one ulp away
+            assert _same_distances(s, points[2]) is QueryCoincidesWithSample
+            assert _same_distances(s, np.nextafter(points[2], 2.0)) is None
+    # large positions with a query a tiny offset away
+    s = scalar_set([1e300, -1.0], [0.0, 1.0])
+    assert _same_distances(s, [np.nextafter(1e300, 2e300)]) is None
+
+
+def test_polish_skips_the_retry_only_on_sets_whose_spheres_share_no_point(monkeypatch):
+    # Newton on NO_EQUAL_RATIO cannot converge, and its ratio spheres have
+    # no common point; on C06 every set that the test rules out fails its
+    # centroid retry too, so skipping that retry changes no result
+    assert kpoint._share_no_point(*NO_EQUAL_RATIO[:2])
+    u, k = NO_EQUAL_RATIO[0], np.ones(3)
+    assert not kpoint._share_no_point(u, k)  # equal radii: the circumcentre
+    collinear = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    assert not kpoint._share_no_point(collinear, NO_EQUAL_RATIO[1])  # unsure
+    test, skipped = kpoint._share_no_point, []
+
+    def spy(u, k):
+        out = test(u, k)
+        if out:
+            skipped.append(_kkt_newton(u, k, k @ u / k.sum()))
+        return out
+
+    monkeypatch.setattr(kpoint, "_share_no_point", spy)
+    for points, values, x in c06_instances():
+        kpoint_oracle(LabeledPointSet(points, values), x)
+    assert skipped and all(sol is None for sol in skipped)
 
 
 def test_oracle_never_above_kernel_on_c06_corpus():
