@@ -115,7 +115,8 @@ def load_result_file(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        doc["values"]
+        if not isinstance(doc["values"], dict):
+            raise TypeError("values must be an object mapping vertex ids to values")
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return doc

@@ -38,9 +38,9 @@ from .geometry import (
 log = logging.getLogger("lipext.kpoint")
 
 
-# scipy.optimize adds about 0.3 s to `import lipext`, and only the oracle's
-# hull coordinates of three or more samples need it here (one or two have a
-# closed form): import it on first use.
+# scipy.optimize adds about 0.3 s to `import lipext`, and only the vector
+# solver's hull certificate (vector.boundary_hull_gap, which imports it from
+# here) needs it: import it on first use.
 def nnls(*args, **kwargs):
     """scipy.optimize.nnls."""
     from scipy.optimize import nnls as scipy_nnls
@@ -117,7 +117,8 @@ class LabeledPointSet:
 
 @dataclass(frozen=True)
 class KPointResult:
-    """Minimax value at a query point with its certificate data."""
+    """Minimax value at a query point with its certificate data: hull_coords
+    holds the point's coordinates over `active` (>= 0, sum 1), or None."""
 
     lam: float
     point: np.ndarray
@@ -911,10 +912,11 @@ def _share_no_point(u: np.ndarray, k: np.ndarray) -> bool:
     return is_simplex(u) and not solve_biquadratic(biquadratic_coefficients(u, 1.0 / k))
 
 
-def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> np.ndarray | None:
+def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> tuple[list, list, list] | None:
     """Epigraph polish: the point y minimizing max_i k_i ||y - u_i|| (the
-    rows of unit), by an active-set pivot from y0, or None if no working
-    set certifies.
+    rows of unit), by an active-set pivot from y0, with its certificate:
+    (y, W, w) on floats, W the final working set and w its KKT multipliers,
+    summing to 1.  None if no working set certifies.
 
     Each working set W of at most m + 1 samples is solved exactly: a pair
     in closed form (_kkt_pair), a larger set by Newton (_kkt_newton) from
@@ -946,8 +948,8 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> np.ndarray | No
         return [ki * _lane_norm(y, u) for u, ki in zip(unit, k)]
 
     def solve(ws, y, cover, floor):
-        """(y, t, ratios at y) for W = ws when its solution is a KKT point
-        with t >= floor that covers the samples `cover`, else None."""
+        """(y, t, w, ratios at y) for W = ws when its solution is a KKT
+        point with t >= floor that covers the samples `cover`, else None."""
         if len(ws) == 2:
             sol = _kkt_pair([unit[i] for i in ws], [k[i] for i in ws])
         else:
@@ -962,20 +964,20 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> np.ndarray | No
         if sol is None or not (sol[1] >= floor and min(sol[2]) >= -KKT_TOL):
             return None
         r = ratios(sol[0])
-        return (sol[0], sol[1], r) if max([r[i] for i in cover]) <= sol[1] * (1.0 + KKT_TOL) else None
+        return (*sol, r) if max([r[i] for i in cover]) <= sol[1] * (1.0 + KKT_TOL) else None
 
     r0 = ratios(y0)
     rank = sorted(range(n), key=r0.__getitem__, reverse=True)
     ws, sol = rank[:2], None
     pair = _kkt_pair([unit[i] for i in ws], [k[i] for i in ws]) if n > 1 else None
     if pair is not None:
-        y, t, _ = pair
+        y, t, w = pair
         r = ratios(y)
         bound = t * (1.0 + KKT_TOL)
         if max(r) <= bound:
-            return np.array(y)
+            return y, ws, w
         if max([r[i] for i in ws]) <= bound:
-            sol = y, t, r
+            sol = y, t, w, r
     if sol is None:
         for size in range(3, min(n, m + 1) + 1):
             ws = rank[:size]
@@ -985,12 +987,12 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> np.ndarray | No
         else:
             ws = rank[:1]
             y = list(unit[ws[0]])
-            sol = y, 0.0, ratios(y)
-    y, t, r = sol
+            sol = y, 0.0, [1.0], ratios(y)
+    y, t, w, r = sol
     for _ in range(PIVOT_ITERS):
         j = max(range(n), key=r.__getitem__)
         if r[j] <= t * (1.0 + KKT_TOL):
-            return np.array(y)
+            return y, ws, w
         cover = ws + [j]
         subsets = (list(rest) + [j] for size in range(1, min(len(ws), m) + 1)
                    for rest in combinations(ws, size))
@@ -1000,7 +1002,7 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> np.ndarray | No
                 break
         else:
             return None
-        ws, (y, t, r) = cand, sol
+        ws, (y, t, w, r) = cand, sol
     return None
 
 
@@ -1014,11 +1016,13 @@ def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
     minimax ratio of that start by more than 1e-9 relative.  Otherwise (no
     certified point, or a worse one) the start itself is returned, with a
     warning on the lipext.kpoint logger.  Either way lam is the largest
-    ratio at the returned point, an upper bound on the optimum.  Values and
-    distances are scaled by powers of two on entry and back on exit, so no
-    square overflows or underflows at extreme scales.  The values'
-    scaling, their centre and the unit values are taken on arrays, the rest
-    on Python floats, but for Newton on three or more samples.
+    ratio at the returned point, an upper bound on the optimum.  Its hull
+    coordinates w_i k_i^2 / sum_j w_j k_j^2 over W (by stationarity) are
+    those of the certificate (W, w) of the polish or of the start's pair.
+    Values and distances are scaled by powers of two on entry and back on
+    exit, so no square overflows or underflows at extreme scales.  The
+    values' scaling, their centre and the unit values are taken on arrays,
+    the rest on Python floats, but for Newton on three or more samples.
     """
     d = _distances(s, x)
     raw = s.values.tolist()
@@ -1053,14 +1057,18 @@ def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
     da, db = d[a], d[b]
     z0 = [(db * p + da * q) / (da + db) for p, q in zip(unit[a], unit[b])]
     t0 = _max_ratio(z0, unit, d)
-    z = minimize(unit_array, np.array([1.0 / (t0 * di) for di in d]), np.array(z0))
-    z = None if z is None else z.tolist()
-    if z is None or _max_ratio(z, unit, d) > t0 * (1.0 + 1e-9):
+    k = [1.0 / (t0 * di) for di in d]
+    cert = minimize(unit_array, np.array(k), np.array(z0))
+    if cert is None or _max_ratio(cert[0], unit, d) > t0 * (1.0 + 1e-9):
         log.warning("oracle polish certified no point at query %s; "
                     "keeping the steepest pair's weighted point", np.asarray(x).tolist())
-        z = z0
+        cert = z0, (a, b), [da, db]  # its pair's KKT point (_kkt_pair), w up to a factor
+    z, ws, w = cert
+    # the polish accepts multipliers down to -KKT_TOL: those count as 0
+    q = [max(wi, 0.0) * k[i] * k[i] for i, wi in zip(ws, w)]
+    total = math.fsum(q)
     point = [c + spread * p for c, p in zip(center, z)]
-    lam, active, viol, hull = _oracle_tail(rows, d, point)
+    lam, active, viol, hull = _oracle_tail(rows, d, point, {i: c / total for i, c in zip(ws, q)})
     try:
         lam = math.ldexp(lam, dshift - vshift)
     except OverflowError:
@@ -1068,12 +1076,14 @@ def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
     return KPointResult(_finite(lam), np.ldexp(point, -vshift), active, math.ldexp(viol, -vshift), hull)
 
 
-def _oracle_tail(rows: list[list[float]], d: list[float], point: list[float]):
+def _oracle_tail(rows: list[list[float]], d: list[float], point: list[float], coords: dict):
     """(lam, active, max_violation, hull_coords) of the oracle's point in
     its scaled frame, on floats: lam the largest ratio ||point - f_i|| /
     d_i, the samples within 1e-6 of it, the largest ||point - f_i|| - lam
     d_i and the active samples' hull coordinates.  One pass over the
-    point's sample distances serves all four."""
+    point's sample distances serves all four.  Three or more active
+    samples take theirs from coords, the certificate's by sample, 0 off
+    it, or None if it holds an inactive sample."""
     dist = [_norm(point, f) for f in rows]
     ratios = [di / dd for di, dd in zip(dist, d)]
     lam = max(ratios)
@@ -1087,17 +1097,5 @@ def _oracle_tail(rows: list[list[float]], d: list[float], point: list[float]):
         da, db = dist[active[0]], dist[active[1]]
         hull = np.array([db / (da + db), da / (da + db)])
     else:
-        hull = _nnls_hull_coords(np.array([rows[i] for i in active]), np.array(point))
+        hull = np.array([coords.get(i, 0.0) for i in active]) if coords.keys() <= set(active) else None
     return lam, active, viol, hull
-
-
-def _nnls_hull_coords(vertices: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """Nonnegative weights summing to one that best reconstruct y."""
-    scale = max(float(np.abs(vertices).max()), 1e-300)
-    a = np.vstack([vertices.T / scale, np.ones(vertices.shape[0])])
-    b = np.concatenate([np.asarray(y, dtype=float) / scale, [1.0]])
-    try:
-        w, _ = nnls(a, b)
-    except RuntimeError:
-        return None
-    return w

@@ -137,15 +137,30 @@ def looped_simplex(values, dists, owner, subsets, bq, scales, tol, dmax):
                         np.zeros((0, size), dtype=np.intp), np.zeros((0, size)), np.zeros(0))
 
 
-def reference_oracle_tail(values, d, point):
+def nnls_hull_coords(vertices, y):
+    """Nonnegative weights summing to one that best reconstruct y, by
+    scipy.optimize.nnls: an independent check of the oracle's hull
+    coordinates, which it takes from its own certificate."""
+    from scipy.optimize import nnls
+
+    scale = max(float(np.abs(vertices).max()), 1e-300)
+    a = np.vstack([vertices.T / scale, np.ones(vertices.shape[0])])
+    b = np.concatenate([np.asarray(y, dtype=float) / scale, [1.0]])
+    try:
+        w, _ = nnls(a, b)
+    except RuntimeError:
+        return None
+    return w
+
+
+def reference_oracle_tail(values, d, point, cert):
     """kpoint._oracle_tail as it was before it shared one distance pass:
     lam, the active set and the violation from three norm passes, and the
-    active set's hull coordinates by nnls whatever its size, on arrays made
-    from the scaled rows, distances and point that the oracle passes.  The
-    reference for the one-pass tail and its closed-form hull coordinates;
-    run it with kpoint.NEWTON_ITERS at its former 40."""
-    from lipext import kpoint
-
+    active set's hull coordinates by nnls whatever its size (the
+    certificate is ignored), on arrays made from the scaled rows, distances
+    and point that the oracle passes.  The reference for the one-pass tail
+    and its hull coordinates; run it with kpoint.NEWTON_ITERS at its former
+    40."""
     values, d, point = np.array(values), np.array(d), np.array(point)
     lam = float(np.max(np.linalg.norm(point - values, axis=1) / d))
     ratios = np.linalg.norm(point - values, axis=1) / d
@@ -153,7 +168,7 @@ def reference_oracle_tail(values, d, point):
     if not active:
         active = (int(np.argmax(ratios)),)
     viol = float(np.max(np.linalg.norm(point - values, axis=1) - lam * d))
-    return lam, active, viol, kpoint._nnls_hull_coords(values[list(active)], point)
+    return lam, active, viol, nnls_hull_coords(values[list(active)], point)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +232,8 @@ def _reference_kkt_pair(u, k):
 
 def reference_minimize(unit, k, y0):
     """kpoint.minimize on arrays: ratios by np.einsum, the pair in closed
-    form on arrays, and every failed Newton run retried from the centroid."""
+    form on arrays, and every failed Newton run retried from the centroid.
+    Returns the certificate (y, W, w) or None, as minimize does."""
     from itertools import combinations
 
     from lipext import kpoint
@@ -242,19 +258,19 @@ def reference_minimize(unit, k, y0):
         if sol is None or not (sol[1] >= floor and sol[2].min() >= -tol):
             return None
         r = ratios(sol[0])
-        return (sol[0], sol[1], r) if r[cover].max() <= sol[1] * (1.0 + tol) else None
+        return (*sol, r) if r[cover].max() <= sol[1] * (1.0 + tol) else None
 
     rank = np.argsort(-ratios(y0), kind="stable")
     ws, sol = rank[:2].tolist(), None
     pair = _reference_kkt_pair(unit[ws], k[ws]) if n > 1 else None
     if pair is not None:
-        y, t, _ = pair
+        y, t, w = pair
         r = ratios(y)
         bound = t * (1.0 + tol)
         if r.max() <= bound:
-            return y
+            return y, ws, w
         if r[ws].max() <= bound:
-            sol = y, t, r
+            sol = y, t, w, r
     if sol is None:
         for size in range(3, min(n, m + 1) + 1):
             ws = rank[:size].tolist()
@@ -264,12 +280,12 @@ def reference_minimize(unit, k, y0):
         else:
             ws = rank[:1].tolist()
             y = unit[ws[0]].copy()
-            sol = y, 0.0, ratios(y)
-    y, t, r = sol
+            sol = y, 0.0, np.array([1.0]), ratios(y)
+    y, t, w, r = sol
     for _ in range(kpoint.PIVOT_ITERS):
         j = int(np.argmax(r))
         if r[j] <= t * (1.0 + tol):
-            return y
+            return y, ws, w
         cover = ws + [j]
         subsets = (list(rest) + [j] for size in range(1, min(len(ws), m) + 1)
                    for rest in combinations(ws, size))
@@ -279,13 +295,14 @@ def reference_minimize(unit, k, y0):
                 break
         else:
             return None
-        ws, (y, t, r) = cand, sol
+        ws, (y, t, w, r) = cand, sol
     return None
 
 
 def reference_kpoint_oracle(s, x):
     """kpoint.kpoint_oracle on arrays: its start, the polish
-    (reference_minimize) and its one-pass tail."""
+    (reference_minimize), the hull coordinates of its certificate and its
+    one-pass tail."""
     from lipext import kpoint
     from lipext.geometry import pow2_shift
 
@@ -312,9 +329,13 @@ def reference_kpoint_oracle(s, x):
         return float((np.sqrt(np.add.reduce(diff * diff, axis=1)) / d).max())
 
     t0 = max_ratio(z0)
-    z = reference_minimize(unit, 1.0 / (t0 * d), z0)
-    if z is None or max_ratio(z) > t0 * (1.0 + 1e-9):
-        z = z0
+    k = 1.0 / (t0 * d)
+    cert = reference_minimize(unit, k, z0)
+    if cert is None or max_ratio(cert[0]) > t0 * (1.0 + 1e-9):
+        cert = z0, [int(a), int(b)], np.array([d[a], d[b]])
+    z, ws, w = cert
+    q = np.maximum(w, 0.0) * k[ws] * k[ws]
+    coords = q / math.fsum(q)
     point = center + spread * z
     diff = point - values
     dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
@@ -327,8 +348,11 @@ def reference_kpoint_oracle(s, x):
     elif len(active) == 2:
         da, db = dist[active[0]], dist[active[1]]
         hull = np.array([db, da]) / (da + db)
+    elif set(ws) <= set(active):
+        by_sample = dict(zip(ws, coords.tolist()))
+        hull = np.array([by_sample.get(i, 0.0) for i in active])
     else:
-        hull = kpoint._nnls_hull_coords(values[list(active)], point)
+        hull = None
     try:
         lam = math.ldexp(lam, dshift - vshift)
     except OverflowError:

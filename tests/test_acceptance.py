@@ -54,8 +54,8 @@ def kpoint_corpus():
     out = []
     # warm-up excludes library initialisation from the first measurement,
     # and collection pauses are kept out of the per-instance timings.  A
-    # pair and a triple: only an oracle answer with three or more active
-    # samples loads scipy.optimize, for its hull coordinates
+    # pair and a triple: the triple's oracle answer runs Newton on arrays,
+    # which a pair exit never reaches
     triangle = [[1.0, 0.0], [-0.5, 0.75], [-0.5, -0.75]]
     for warm, x in ((LabeledPointSet([[0.0], [1.0]], [[0.0], [1.0]]), [0.5]),
                     (LabeledPointSet(triangle, triangle), [0.0, 0.0])):

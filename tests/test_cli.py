@@ -486,6 +486,16 @@ def test_verify_rejects_unusable_value(tmp_path, capsys, value):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", [[[1], [2]], 5])
+def test_verify_rejects_values_that_are_not_an_object(tmp_path, capsys, values):
+    g = tmp_path / "g.json"
+    r = tmp_path / "r.json"
+    assert run("gen", "path", "--size", 4, "--output", g) == 0
+    write_json(r, {"values": values})
+    assert run("verify", g, r) == 1
+    assert "ParseError" in capsys.readouterr().err
+
+
 def test_verify_vector_result(tmp_path, vector_graph_file, capsys):
     r = tmp_path / "r.json"
     assert run("solve", "--input", vector_graph_file, "--method", "iterate",

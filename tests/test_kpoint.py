@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import os
@@ -12,6 +13,7 @@ from conftest import (
     _bits,
     assert_same_result,
     assert_simplex_paths_agree,
+    nnls_hull_coords,
     random_graph,
     reference_distances,
     reference_kpoint_oracle,
@@ -96,20 +98,26 @@ def _scipy_optimize_loaded_after(code):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only the oracle's hull coordinates of three or more samples and the
-    # vector solver's hull certificates load scipy.optimize, on first use
+    # only the vector solver's hull certificates load scipy.optimize, on
+    # first use
     assert not _scipy_optimize_loaded_after("import lipext, lipext.cli")
 
 
-def test_pair_exit_kpoint_check_leaves_scipy_optimize_unloaded(tmp_path):
-    # a query whose kernel and oracle both end with a pair: the oracle's
-    # hull coordinates of two samples are in closed form, so
+@pytest.mark.parametrize("points, values, query, active", [
+    # kernel and oracle both end with a pair
+    ([[0.0], [1.0], [3.0]], [[0.0, 0.0], [2.0, 1.0], [2.5, 1.5]], "0.4", (0, 1)),
+    # the CI workflow's points file: both end with all three samples
+    ([[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 0.5], [-0.3, 1.2]], "0.4,0.3", (0, 1, 2)),
+], ids=["pair", "triple"])
+def test_kpoint_check_leaves_scipy_optimize_unloaded(tmp_path, points, values, query, active):
+    # the oracle's hull coordinates of one or two samples are in closed
+    # form, and those of more come from its polish's certificate, so
     # `lipext kpoint --check` never imports scipy.optimize
     f = tmp_path / "pts.json"
-    f.write_text('{"points": [[0.0], [1.0], [3.0]], "values": [[0.0, 0.0], [2.0, 1.0], [2.5, 1.5]]}')
-    s = LabeledPointSet([[0.0], [1.0], [3.0]], [[0.0, 0.0], [2.0, 1.0], [2.5, 1.5]])
-    assert len(kpoint_vector(s, [0.4]).active) == len(kpoint_oracle(s, [0.4]).active) == 2
-    code = f"from lipext.cli import main; assert main(['kpoint', '0.4', '--input', {str(f)!r}, '--check']) == 0"
+    f.write_text(json.dumps({"points": points, "values": values}))
+    s, x = LabeledPointSet(points, values), [float(t) for t in query.split(",")]
+    assert kpoint_vector(s, x).active == kpoint_oracle(s, x).active == active
+    code = f"from lipext.cli import main; assert main(['kpoint', {query!r}, '--input', {str(f)!r}, '--check']) == 0"
     assert not _scipy_optimize_loaded_after(code)
 
 
@@ -428,8 +436,8 @@ def test_polish_pivots_to_the_optimal_working_set():
         far = np.full(values.shape[1], 10.0)
         top = np.argsort(-np.linalg.norm(far - values, axis=1) / d)[:len(active)]
         assert set(top.tolist()) != set(active)
-        y = minimize(values, 1.0 / d, far)
-        assert y is not None
+        y, ws, w = minimize(values, 1.0 / d, far)
+        assert tuple(sorted(ws)) == active and sum(w) == pytest.approx(1.0, rel=1e-12)
         assert _max_ratio(values, d, y) == pytest.approx(kernel.lam, rel=1e-14)
         assert np.linalg.norm(y - kernel.point) <= 1e-14
 
@@ -452,8 +460,9 @@ def test_polish_starts_from_one_sample_on_clustered_values():
     x = np.array([0.31382297521935665, -0.17854051598606735, 0.9609186318624017])
     d = np.linalg.norm(points - x, axis=1)
     kernel = kpoint_vector(LabeledPointSet(points, values), x)
-    y = minimize(values, 1.0 / d, values.mean(axis=0))
-    assert y is not None
+    cert = minimize(values, 1.0 / d, values.mean(axis=0))
+    assert cert is not None
+    y = cert[0]
     assert _max_ratio(values, d, y) == pytest.approx(kernel.lam, rel=1e-13)
     oracle = kpoint_oracle(LabeledPointSet(points, values), x)
     assert oracle.lam == pytest.approx(kernel.lam, rel=1e-13)
@@ -517,6 +526,60 @@ def test_oracle_tail_matches_its_reference_on_c06_corpus(monkeypatch):
     assert {1, 2, 3, 4} <= sizes
 
 
+# positions -1, 1, 0.5 with values 0, 2, 1.5 at query 0: the pairs (0, 1)
+# and (0, 2) tie, and at the optimum 1 all three samples are active while
+# the polish exits on the pair (0, 1)
+TIE = ([[-1.0], [1.0], [0.5]], [0.0, 2.0, 1.5], [0.0])
+
+
+def _assert_hull_coords(s, r):
+    """r's hull coordinates are convex coordinates of its point over its
+    active samples."""
+    c = r.hull_coords
+    assert c.min() >= 0.0 and abs(c.sum() - 1.0) <= 1e-12
+    assert np.abs(c @ s.values[list(r.active)] - r.point).max() <= 1e-12
+
+
+def test_oracle_hull_coords_give_a_tied_sample_zero():
+    s = LabeledPointSet(*TIE[:2])
+    r = kpoint_oracle(s, TIE[2])
+    assert r.active == (0, 1, 2)
+    _assert_hull_coords(s, r)
+    assert r.hull_coords[2] == 0.0
+    assert np.abs(r.hull_coords - nnls_hull_coords(s.values, r.point)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+def test_oracle_hull_coords_of_its_start(monkeypatch, caplog, order):
+    # no certified point: the certificate is the start's pair, with the
+    # weights of its weighted point.  In the second order the start's pair
+    # is (0.5, -1), at unequal distances.
+    monkeypatch.setattr(kpoint, "minimize", lambda unit, k, y0: None)
+    s = LabeledPointSet(*(np.array(a)[list(order)] for a in TIE[:2]))
+    with caplog.at_level(logging.WARNING, logger="lipext.kpoint"):
+        r = kpoint_oracle(s, TIE[2])
+    assert [rec.levelname for rec in caplog.records] == ["WARNING"]
+    assert r.active == (0, 1, 2)
+    _assert_hull_coords(s, r)
+
+
+def test_oracle_hull_coords_need_an_active_certificate(monkeypatch):
+    # a fourth sample, inactive at the optimum, added to the polish's
+    # working set with multiplier 0: the certificate holds a sample that is
+    # not active, and the oracle gives no hull coordinates
+    minimize_impl = kpoint.minimize
+
+    def padded(unit, k, y0):
+        y, ws, w = minimize_impl(unit, k, y0)
+        return y, ws + [3], w + [0.0]
+
+    s = LabeledPointSet(TIE[0] + [[3.0]], TIE[1] + [2.0])
+    assert kpoint_oracle(s, TIE[2]).active == (0, 1, 2)
+    monkeypatch.setattr(kpoint, "minimize", padded)
+    r = kpoint_oracle(s, TIE[2])
+    assert r.active == (0, 1, 2) and r.hull_coords is None
+
+
 # one of the working sets that the polish meets in every round of the
 # kpoint-check benchmark (seed 1, query 153): three rows whose ratio
 # spheres k_i ||y - u_i|| = t have no common point, so Newton cannot converge
@@ -571,7 +634,7 @@ def test_certifying_newton_solves_use_at_most_half_the_budget(monkeypatch):
 @pytest.mark.parametrize("polish", [
     lambda unit, k, y0: None,
     # a point far outside the samples' hull, which the ratio guard rejects
-    lambda unit, k, y0: y0 + 10.0,
+    lambda unit, k, y0: ((y0 + 10.0).tolist(), [0], [1.0]),
 ])
 def test_oracle_keeps_its_start_without_a_polished_point(monkeypatch, caplog, polish):
     # when the polish's point is not kept, the oracle returns its start z0,
@@ -599,7 +662,7 @@ def test_oracle_keeps_its_start_without_a_polished_point(monkeypatch, caplog, po
             continue
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "keeping the steepest pair's weighted point" in caplog.records[0].getMessage()
-        polishes.append(lambda unit, k, y0: y0)
+        polishes.append(lambda unit, k, y0: (y0.tolist(), [0], [1.0]))
         kept = kpoint_oracle(s, x)
         polishes.pop()
         assert len(starts) == 2 and np.array_equal(starts[0], starts[1])
@@ -620,17 +683,18 @@ def test_oracle_polish_certifies_every_c06_instance(monkeypatch, caplog):
     minimize_impl, calls = kpoint.minimize, []
 
     def spy(unit, k, y0):
-        z = minimize_impl(unit, k, y0)
-        calls.append((unit, k, y0, z))
-        return z
+        cert = minimize_impl(unit, k, y0)
+        calls.append((unit, k, y0, cert))
+        return cert
 
     monkeypatch.setattr(kpoint, "minimize", spy)
     with caplog.at_level(logging.WARNING, logger="lipext.kpoint"):
         for p, v, x in c06_instances():
             kpoint_oracle(LabeledPointSet(p, v), x)
     assert len(calls) > 400 and caplog.records == []
-    for unit, k, y0, z in calls:
-        assert z is not None
+    for unit, k, y0, cert in calls:
+        assert cert is not None
+        z = cert[0]
         worst = np.max(k * np.linalg.norm(z - unit, axis=1))
         assert worst <= np.max(k * np.linalg.norm(y0 - unit, axis=1)) * (1.0 + 1e-9)
 
