@@ -90,19 +90,28 @@ def cayley_menger_points(points) -> float:
     return cayley_menger(SquaredDistanceMatrix.from_points(points))
 
 
+def _squared_distances(points) -> SquaredDistanceMatrix:
+    """The squared-distance matrix of the points, or the points' matrix
+    itself when it is given: a caller that needs several tests of the same
+    points builds it once."""
+    if isinstance(points, SquaredDistanceMatrix):
+        return points
+    return SquaredDistanceMatrix.from_points(points)
+
+
 def is_simplex(points, tol: float = SIMPLEX_TOL) -> bool:
-    """True iff the k points span a nondegenerate (k-1)-simplex.
+    """True iff the k points span a nondegenerate (k-1)-simplex; points may
+    be their SquaredDistanceMatrix.
 
     The test is |det| > tol * scale**(k-1) with scale the largest pairwise
     squared distance; the determinant of k points is homogeneous of degree
     k-1 in the squared distances, so this ratio is scale-free.  A single
     point always counts as a 0-simplex.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    k = pts.shape[0]
+    sq = _squared_distances(points)
+    k = sq.d2.shape[0]
     if k == 1:
         return True
-    sq = SquaredDistanceMatrix.from_points(pts)
     scale = float(sq.d2.max())
     if scale == 0.0:
         return False
@@ -188,19 +197,18 @@ def sphere_point(centers: np.ndarray, rad: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def biquadratic_coefficients(values, dists) -> Biquadratic:
-    """Even-quartic coefficients of the substituted bordered determinant.
+    """Even-quartic coefficients of the substituted bordered determinant;
+    values may be their SquaredDistanceMatrix.
 
     The unknown point's squared distances to the k data values are replaced
     by mu * dists**2 with mu = lam**2; see bordered_determinants.
     """
-    vals = np.atleast_2d(np.asarray(values, dtype=float))
+    vsq = _squared_distances(values).d2
     d = np.asarray(dists, dtype=float)
-    k = vals.shape[0]
-    if k < 2:
+    if vsq.shape[0] < 2:
         raise ValueError("need at least two values")
     if np.any(d <= 0.0):
         raise ValueError("distances must be positive")
-    vsq = SquaredDistanceMatrix.from_points(vals).d2
     bq = bordered_determinants(vsq[None], (d**2)[None])
     return Biquadratic(*(float(coef[0]) for coef in bq))
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import NoCertifiedSubset, QueryCoincidesWithSample
 from .geometry import (
     HULL_TOL,
     Biquadratic,
+    SquaredDistanceMatrix,
     biquadratic_coefficients,
     bordered_determinants,
     in_convex_hull,
@@ -87,12 +89,19 @@ class LabeledPointSet:
     values: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.asarray(self.points, dtype=float)
         vals = np.asarray(self.values, dtype=float)
+        if pts.ndim > 2:
+            raise ValueError(f"points must be a position or a list of positions, not of rank {pts.ndim}")
+        if vals.ndim not in (1, 2):
+            raise ValueError(f"values must be a list of one number or one row per point, not of rank {vals.ndim}")
+        pts = np.atleast_2d(pts)
         if vals.ndim == 1:
             vals = vals[:, None]
         if pts.shape[0] != vals.shape[0] or pts.shape[0] < 1:
             raise ValueError("need one value per point, at least one point")
+        if pts.shape[1] == 0 or vals.shape[1] == 0:
+            raise ValueError("positions and values need at least one coordinate")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
             raise ValueError("points and values must be finite")
         # the kernel's centre sums the values and the spread takes their
@@ -816,71 +825,112 @@ def _max_ratio(y, rows, d) -> float:
 # A working set W is accepted when its multipliers are >= -KKT_TOL and its
 # point satisfies k_i ||y - u_i|| <= t (1 + KKT_TOL) on the samples it must
 # cover; Newton stops when its step in (y, t) is at most STEP_TOL max(1, |t|).
-# Over C06 and the `kpoint-check` corpora of seeds 1-10 (5500 queries), every
-# Newton solve that gave nonnegative multipliers took 4 to 9 steps; those
-# that converged to a negative multiplier, which the polish rejects, took 5
-# to 11 or 19, and a triple with no equal-ratio point never converges.  NEWTON_ITERS is about twice
-# the longest certifying solve.
+# Over C06 and the `kpoint-check` corpora of seeds 1-10 (5500 queries), the
+# 1436 Newton solves that gave nonnegative multipliers took (steps: solves)
+# 4: 18, 5: 296, 6: 803, 7: 272, 8: 42 and 9: 5, and on C06 alone at most 8;
+# the 199 that converged to a negative multiplier, which the polish rejects,
+# took 5 to 10, and the 33 on triples with no equal-ratio point ran to the
+# budget.  NEWTON_ITERS is about twice the longest certifying solve.
 KKT_TOL = 1e-12
 STEP_TOL = 1e-14
 NEWTON_ITERS = 16
 PIVOT_ITERS = 100
 
 
-def _kkt_newton(u: np.ndarray, k: np.ndarray, y: np.ndarray):
-    """Newton's method on the KKT system of min t s.t. k_i ||y - u_i|| <= t
-    with every row of u active, started at y; u has three or more rows (a
-    pair has a closed form, _kkt_pair).
-
-    The unknowns are y, t and the multipliers w; the equations are
-    sum_i w_i k_i n_i = 0 (n_i the unit vector from u_i to y), sum_i w_i = 1
-    and k_i ||y - u_i|| = t.  w starts as the least-squares multipliers at
-    y, clipped to >= 0 and renormalised.  Returns (y, t, w), or None on a
-    singular system, a non-finite value, a zero distance or no convergence.
-    """
-    s, m = u.shape
-    size = m + 1 + s
-    jac = np.zeros((size, size))
-    jac[m, m + 1:] = 1.0
-    jac[m + 1:, m] = -1.0
-    res = np.empty(size)
-    w = t = None
-    try:
-        for _ in range(NEWTON_ITERS):
-            diff = y - u
-            r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            if not r.min() > 0.0:
-                return None
-            g = diff * (k / r)[:, None]  # k_i n_i
-            if w is None:
-                # least squares for sum_i w_i k_i n_i = 0, sum_i w_i = 1
-                e = np.zeros(m + 1)
-                e[m] = 1.0
-                w = np.linalg.lstsq(np.vstack([g.T, np.ones(s)]), e, rcond=None)[0]
-                w = np.maximum(w, 0.0)
-                w = w / w.sum() if w.sum() > 0.0 else np.full(s, 1.0 / s)
-                t = float(np.max(k * r))
-            # d/dy of sum_i w_i k_i n_i is sum_i (w_i k_i / r_i) (I - n_i n_i^T)
-            h = -(g.T * (w / (k * r))) @ g
-            h.flat[::m + 1] += float(np.dot(w, k / r))
-            jac[:m, :m] = h
-            jac[:m, m + 1:] = g.T
-            jac[m + 1:, :m] = g
-            res[:m] = g.T @ w
-            res[m] = w.sum() - 1.0
-            res[m + 1:] = k * r - t
-            step = np.linalg.solve(jac, res)
-            y = y - step[:m]
-            t -= float(step[m])
-            w = w - step[m + 1:]
-            dyt = step[:m + 1]
-            if float(dyt @ dyt) <= (STEP_TOL * max(1.0, abs(t))) ** 2:
-                break
-        else:
+def _solve(a: list[list[float]], b: list[float]) -> list[float] | None:
+    """x with a x = b for a small square system on floats, or None when it
+    is singular: by Cramer's rule for two unknowns, else by Gaussian
+    elimination with partial pivoting."""
+    if len(b) == 2:
+        (a00, a01), (a10, a11) = a
+        det = a00 * a11 - a01 * a10
+        if det == 0.0:
             return None
-    except np.linalg.LinAlgError:
+        return [(b[0] * a11 - a01 * b[1]) / det, (a00 * b[1] - a10 * b[0]) / det]
+    n = len(b)
+    a = [row + [bi] for row, bi in zip(a, b)]
+    for col in range(n):
+        p = max(range(col, n), key=lambda i: abs(a[i][col]))
+        a[col], a[p] = a[p], a[col]
+        top = a[col]
+        if top[col] == 0.0:
+            return None
+        for row in a[col + 1:]:
+            f = row[col] / top[col]
+            for j in range(col + 1, n + 1):
+                row[j] -= f * top[j]
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        x[i] = (row[n] - sum(map(mul, row[i + 1:n], x[i + 1:]))) / row[i]
+    return x
+
+
+def _kkt_newton(u: list[list[float]], k: list[float], y: list[float] | None = None):
+    """The KKT point of min t s.t. k_i ||y - u_i|| <= t with every row of u
+    active, by Newton's method in the rows' affine hull, on floats; u has
+    three or more rows (a pair has a closed form, _kkt_pair).
+
+    Stationarity puts the point in that hull: y = u_0 + sum_j c_j e_j with
+    e_j = u_j - u_0, j = 1 ... q.  Every row is active, so k_i r_i = t
+    (r_i = ||y - u_i||), and subtracting row 0 leaves the q equations
+    k_j r_j - k_0 r_0 = 0 in the q unknowns c: each Newton step solves a
+    q-square system (_solve), and t's step follows from row 0.  The start
+    is y projected onto the hull (one solve with the Gram matrix G of the
+    e_j), or with y None the k-weighted centroid, c_j = k_j / sum_i k_i.
+    Newton stops when its step in (y, t) is at most STEP_TOL max(1, |t|),
+    where ||dy||^2 = dc G dc.  With the barycentric coordinates b = (1 -
+    sum_j c_j, c) of y, stationarity sum_i w_i k_i^2 (y - u_i) = 0 gives
+    the multipliers w_i = (b_i / k_i^2) / sum_j b_j / k_j^2.  Returns
+    (y, t, w), or None on a singular system, a non-finite value, a zero
+    distance or no convergence.
+    """
+    u0 = u[0]
+    e = [[p - q for p, q in zip(row, u0)] for row in u[1:]]
+    cols = list(zip(*e))
+    gram = [[sum(map(mul, a, b)) for b in e] for a in e]
+    if y is None:
+        total = sum(k)
+        c = [ki / total for ki in k[1:]]
+    else:
+        v = [p - q for p, q in zip(y, u0)]
+        c = _solve(gram, [sum(map(mul, a, v)) for a in e])
+        if c is None:
+            return None
+    for _ in range(NEWTON_ITERS):
+        y = [p + sum(map(mul, c, col)) for p, col in zip(u0, cols)]
+        g, kr = [], []  # k_i n_i and k_i r_i, n_i the unit vector from u_i to y
+        for ui, ki in zip(u, k):
+            v = [p - q for p, q in zip(y, ui)]
+            r = math.sqrt(sum(map(mul, v, v)))
+            if not r > 0.0:
+                return None
+            f = ki / r
+            g.append([f * p for p in v])
+            kr.append(ki * r)
+        t = kr[0]
+        dt0 = [sum(map(mul, g[0], ej)) for ej in e]  # d(k_0 r_0) / dc
+        jac = [[sum(map(mul, gj, el)) - a for el, a in zip(e, dt0)] for gj in g[1:]]
+        dc = _solve(jac, [ti - t for ti in kr[1:]])
+        if dc is None:
+            return None
+        c = [ci - di for ci, di in zip(c, dc)]
+        dt = sum(map(mul, dt0, dc))
+        t -= dt
+        dy2 = sum([di * sum(map(mul, row, dc)) for di, row in zip(dc, gram)])
+        tol = STEP_TOL * max(1.0, abs(t))
+        if dy2 + dt * dt <= tol * tol:
+            break
+    else:
         return None
-    if not (math.isfinite(t) and np.isfinite(y).all() and np.isfinite(w).all()):
+    y = [p + sum(map(mul, c, col)) for p, col in zip(u0, cols)]
+    b = [1.0 - sum(c), *c]
+    q = [bi / (ki * ki) for bi, ki in zip(b, k)]
+    total = sum(q)
+    if total == 0.0:
+        return None
+    w = [qi / total for qi in q]
+    if not all(map(math.isfinite, chain((t,), y, w))):
         return None
     return y, t, w
 
@@ -901,15 +951,17 @@ def _kkt_pair(u: list[list[float]], k: list[float]):
     return y, t, [k1 / ks, k0 / ks]
 
 
-def _share_no_point(u: np.ndarray, k: np.ndarray) -> bool:
+def _share_no_point(u: list[list[float]], k: list[float]) -> bool:
     """Whether the ratio spheres k_i ||y - u_i|| = t of a working set surely
     meet in no point of its rows' affine hull, where every KKT point of the
     set lies: the rows span a simplex, and the bordered determinant with
     radii t d_i, d_i = 1 / k_i, a biquadratic in t, has no root.  A test
     that is unsure reports a common point: a degenerate simplex, or a
     discriminant within rounding of zero, which solve_biquadratic takes
-    for a double root."""
-    return is_simplex(u) and not solve_biquadratic(biquadratic_coefficients(u, 1.0 / k))
+    for a double root.  Both tests take the rows' one squared-distance
+    matrix."""
+    sq = SquaredDistanceMatrix.from_points(u)
+    return is_simplex(sq) and not solve_biquadratic(biquadratic_coefficients(sq, 1.0 / np.asarray(k)))
 
 
 def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> tuple[list, list, list] | None:
@@ -919,10 +971,11 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> tuple[list, lis
     summing to 1.  None if no working set certifies.
 
     Each working set W of at most m + 1 samples is solved exactly: a pair
-    in closed form (_kkt_pair), a larger set by Newton (_kkt_newton) from
-    the current point, and again from the k-weighted centroid of W when
-    that gives a negative multiplier, or fails on a set whose ratio spheres
-    may share a point (_share_no_point).  The first W is the shortest
+    in closed form (_kkt_pair), a larger set by Newton in its rows' affine
+    hull (_kkt_newton) from the current point's projection onto that hull,
+    and again from the k-weighted centroid of W when that gives a negative
+    multiplier, or fails on a set whose ratio spheres may share a point
+    (_share_no_point).  The first W is the shortest
     prefix of size 2 ... m + 1 of the samples ranked by their ratio at y0
     whose solution is a KKT point that covers the prefix, and else the top
     sample alone (y = u_i, t = 0).  While some sample j
@@ -932,9 +985,9 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> tuple[list, lis
     t never decreases, so the pivot cannot cycle.  The returned point is
     certified: a KKT point of W that covers every sample.
 
-    The pivot runs on Python floats, which for the few samples of a query
-    cost less than numpy calls; arrays are built only for Newton on three
-    or more samples.  Every solution's ratios are taken once, over all
+    The pivot and its solves run on Python floats, which for the few
+    samples of a query cost less than numpy calls; only _share_no_point
+    builds arrays.  Every solution's ratios are taken once, over all
     samples, and serve both its cover test and the pivot's search for a
     violated sample.  The top-ranked pair, which certifies most queries, is
     certified by that one pass before the pivot starts.
@@ -950,17 +1003,15 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> tuple[list, lis
     def solve(ws, y, cover, floor):
         """(y, t, w, ratios at y) for W = ws when its solution is a KKT
         point with t >= floor that covers the samples `cover`, else None."""
+        uw, kw = [unit[i] for i in ws], [k[i] for i in ws]
         if len(ws) == 2:
-            sol = _kkt_pair([unit[i] for i in ws], [k[i] for i in ws])
+            sol = _kkt_pair(uw, kw)
         else:
-            uw, kw = np.array([unit[i] for i in ws]), np.array([k[i] for i in ws])
-            sol = _kkt_newton(uw, kw, np.array(y))
+            sol = _kkt_newton(uw, kw, y)
             if sol is None and _share_no_point(uw, kw):
                 return None
-            if sol is None or sol[2].min() < -KKT_TOL:
-                sol = _kkt_newton(uw, kw, kw @ uw / kw.sum())
-            if sol is not None:
-                sol = sol[0].tolist(), sol[1], sol[2].tolist()
+            if sol is None or min(sol[2]) < -KKT_TOL:
+                sol = _kkt_newton(uw, kw)  # from the centroid
         if sol is None or not (sol[1] >= floor and min(sol[2]) >= -KKT_TOL):
             return None
         r = ratios(sol[0])
@@ -1022,7 +1073,7 @@ def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
     Values and distances are scaled by powers of two on entry and back on
     exit, so no square overflows or underflows at extreme scales.  The
     values' scaling, their centre and the unit values are taken on arrays,
-    the rest on Python floats, but for Newton on three or more samples.
+    the rest, the polish's Newton included, on Python floats.
     """
     d = _distances(s, x)
     raw = s.values.tolist()

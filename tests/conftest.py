@@ -230,9 +230,70 @@ def _reference_kkt_pair(u, k):
     return y, t, np.array([k1, k0]) / ks
 
 
+def reference_kkt_newton(u, k, y):
+    """kpoint._kkt_newton as it was on arrays: Newton's method on the full
+    KKT system of min t s.t. k_i ||y - u_i|| <= t, every row of u active,
+    started at y.  The unknowns are y, t and the multipliers w; the
+    equations are sum_i w_i k_i n_i = 0 (n_i the unit vector from u_i to
+    y), sum_i w_i = 1 and k_i ||y - u_i|| = t.  w starts as the
+    least-squares multipliers at y, clipped to >= 0 and renormalised; each
+    step solves the (m + 1 + s)-square Jacobian with np.linalg.solve.
+    Returns (y, t, w) as arrays, or None on a singular system, a non-finite
+    value, a zero distance or no convergence: the independent reference for
+    the Newton on the working set's hull."""
+    from lipext import kpoint
+
+    s, m = u.shape
+    size = m + 1 + s
+    jac = np.zeros((size, size))
+    jac[m, m + 1:] = 1.0
+    jac[m + 1:, m] = -1.0
+    res = np.empty(size)
+    w = t = None
+    try:
+        for _ in range(kpoint.NEWTON_ITERS):
+            diff = y - u
+            r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            if not r.min() > 0.0:
+                return None
+            g = diff * (k / r)[:, None]  # k_i n_i
+            if w is None:
+                # least squares for sum_i w_i k_i n_i = 0, sum_i w_i = 1
+                e = np.zeros(m + 1)
+                e[m] = 1.0
+                w = np.linalg.lstsq(np.vstack([g.T, np.ones(s)]), e, rcond=None)[0]
+                w = np.maximum(w, 0.0)
+                w = w / w.sum() if w.sum() > 0.0 else np.full(s, 1.0 / s)
+                t = float(np.max(k * r))
+            # d/dy of sum_i w_i k_i n_i is sum_i (w_i k_i / r_i) (I - n_i n_i^T)
+            h = -(g.T * (w / (k * r))) @ g
+            h.flat[::m + 1] += float(np.dot(w, k / r))
+            jac[:m, :m] = h
+            jac[:m, m + 1:] = g.T
+            jac[m + 1:, :m] = g
+            res[:m] = g.T @ w
+            res[m] = w.sum() - 1.0
+            res[m + 1:] = k * r - t
+            step = np.linalg.solve(jac, res)
+            y = y - step[:m]
+            t -= float(step[m])
+            w = w - step[m + 1:]
+            dyt = step[:m + 1]
+            if float(dyt @ dyt) <= (kpoint.STEP_TOL * max(1.0, abs(t))) ** 2:
+                break
+        else:
+            return None
+    except np.linalg.LinAlgError:
+        return None
+    if not (math.isfinite(t) and np.isfinite(y).all() and np.isfinite(w).all()):
+        return None
+    return y, t, w
+
+
 def reference_minimize(unit, k, y0):
     """kpoint.minimize on arrays: ratios by np.einsum, the pair in closed
     form on arrays, and every failed Newton run retried from the centroid.
+    Newton is kpoint._kkt_newton, on the rows' lists, as in minimize.
     Returns the certificate (y, W, w) or None, as minimize does."""
     from itertools import combinations
 
@@ -247,14 +308,17 @@ def reference_minimize(unit, k, y0):
         diff = y - unit
         return k * np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
-    def newton(uw, kw, y):
-        return _reference_kkt_pair(uw, kw) if len(uw) == 2 else kpoint._kkt_newton(uw, kw, y)
+    def newton(uw, kw, y=None):
+        if len(uw) == 2:
+            return _reference_kkt_pair(uw, kw)
+        sol = kpoint._kkt_newton(uw.tolist(), kw.tolist(), None if y is None else y.tolist())
+        return None if sol is None else (np.array(sol[0]), sol[1], np.array(sol[2]))
 
     def solve(ws, y, cover, floor):
         uw, kw = unit[ws], k[ws]
         sol = newton(uw, kw, y)
         if sol is None or sol[2].min() < -tol:
-            sol = newton(uw, kw, kw @ uw / kw.sum())
+            sol = newton(uw, kw)  # from the centroid
         if sol is None or not (sol[1] >= floor and sol[2].min() >= -tol):
             return None
         r = ratios(sol[0])

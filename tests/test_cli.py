@@ -441,6 +441,20 @@ def test_kpoint_rejects_overflow(tmp_path, capsys, doc, query):
     assert captured.err.startswith("error: ParseError") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("doc", [
+    {"points": 3, "values": 4},
+    {"points": [[1], [2]], "values": 5},
+    {"points": [[[1]], [[2]]], "values": [[3], [4]]},
+    {"points": [[1], [2]], "values": [[], []]},
+], ids=["scalars", "scalar-values", "rank-3-points", "empty-values"])
+def test_kpoint_rejects_ill_shaped_points_files(tmp_path, capsys, doc):
+    f = write_json(tmp_path / "pts.json", doc)
+    assert run("kpoint", "1", "--input", f, "--check") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParseError") and "Traceback" not in captured.err
+
+
 def test_kpoint_dimension_mismatch(tmp_path, capsys):
     f = write_json(tmp_path / "pts.json", {"points": [[0.0], [2.0]], "values": [[0.0], [4.0]]})
     assert run("kpoint", "1,2", "--input", f) == 1

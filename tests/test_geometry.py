@@ -206,6 +206,23 @@ def _substituted_det(values, dists, mu):
     return float(np.linalg.det(m))
 
 
+def test_simplex_test_and_biquadratic_take_a_squared_distance_matrix():
+    # a caller that runs both on the same points builds their matrix once:
+    # the same answers, bit for bit, as from the points
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 3, 4):
+        for m in (1, 2, 3):
+            pts = rng.uniform(-1, 1, (k, m))
+            sq = SquaredDistanceMatrix.from_points(pts)
+            assert is_simplex(sq) == is_simplex(pts)
+            if k >= 2:
+                d = rng.uniform(0.5, 2.0, k)
+                assert biquadratic_coefficients(sq, d) == biquadratic_coefficients(pts, d)
+    assert not is_simplex(SquaredDistanceMatrix.from_points([[0.0], [1.0], [2.0]]))
+    with pytest.raises(ValueError):
+        biquadratic_coefficients(SquaredDistanceMatrix.from_points([[0.0, 1.0]]), [1.0])
+
+
 def test_constant_data_has_zero_constant_term():
     bq = biquadratic_coefficients([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0])
     assert bq.c == pytest.approx(0.0, abs=1e-12)

@@ -16,6 +16,7 @@ from conftest import (
     nnls_hull_coords,
     random_graph,
     reference_distances,
+    reference_kkt_newton,
     reference_kpoint_oracle,
     reference_kpoint_vector,
     reference_oracle_tail,
@@ -84,6 +85,13 @@ def c06_instances():
 # lip_constant
 # ---------------------------------------------------------------------------
 
+# the CI workflow's m = 3 points file and query: the oracle's polish solves
+# four triples and then all four samples by Newton
+QUADRUPLE = ([[-0.6, 0.2, 0.8], [-0.3, -0.3, -0.2], [0.4, 0.6, 0.9], [-0.2, 0.4, -0.3]],
+             [[0.6, -0.5, 0.7], [0.0, 0.5, 0.1], [-0.4, 0.0, -0.9], [-0.9, 0.1, 0.0]],
+             [0.7, -1.0, 0.1])
+
+
 def _scipy_optimize_loaded_after(code):
     """Whether scipy.optimize is loaded after running code in a fresh
     interpreter that imports lipext from this tree."""
@@ -108,7 +116,9 @@ def test_import_leaves_scipy_optimize_unloaded():
     ([[0.0], [1.0], [3.0]], [[0.0, 0.0], [2.0, 1.0], [2.5, 1.5]], "0.4", (0, 1)),
     # the CI workflow's points file: both end with all three samples
     ([[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 0.5], [-0.3, 1.2]], "0.4,0.3", (0, 1, 2)),
-], ids=["pair", "triple"])
+    # the CI workflow's m = 3 points file: both end with all four samples
+    (QUADRUPLE[0], QUADRUPLE[1], "0.7,-1.0,0.1", (0, 1, 2, 3)),
+], ids=["pair", "triple", "quadruple"])
 def test_kpoint_check_leaves_scipy_optimize_unloaded(tmp_path, points, values, query, active):
     # the oracle's hull coordinates of one or two samples are in closed
     # form, and those of more come from its polish's certificate, so
@@ -124,6 +134,19 @@ def test_kpoint_check_leaves_scipy_optimize_unloaded(tmp_path, points, values, q
 def test_duplicate_positions_rejected():
     with pytest.raises(ValueError):
         LabeledPointSet([[0.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]])
+
+
+@pytest.mark.parametrize("points, values", [
+    (3.0, 4.0),
+    ([[1.0], [2.0]], 5.0),
+    ([[[1.0]], [[2.0]]], [[3.0], [4.0]]),
+    ([[1.0], [2.0]], [[[3.0]], [[4.0]]]),
+    ([[1.0], [2.0]], [[], []]),
+    ([[], []], [1.0, 2.0]),
+])
+def test_ill_shaped_samples_rejected(points, values):
+    with pytest.raises(ValueError):
+        LabeledPointSet(points, values)
 
 
 def test_lip_two_points():
@@ -593,20 +616,40 @@ NO_EQUAL_RATIO = (
 
 
 def _counting_solve(monkeypatch):
-    """Count np.linalg.solve calls, one per Newton step of _kkt_newton."""
-    solve, calls = np.linalg.solve, []
+    """Count kpoint._solve calls.  _kkt_newton makes one per Newton step,
+    after one that projects its start onto the working set's hull when it
+    is given a start point."""
+    solve, calls = kpoint._solve, []
 
-    def counting(*args):
+    def counting(a, b):
         calls.append(1)
-        return solve(*args)
+        return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(kpoint, "_solve", counting)
     return calls
+
+
+def test_small_solve_pivots_and_reports_singular_systems():
+    # Newton's q-square systems: a zero leading entry takes a row swap, a
+    # singular system gives None, and larger systems agree with LAPACK
+    assert kpoint._solve([[2.0, 1.0], [1.0, 3.0]], [4.0, 7.0]) == pytest.approx([1.0, 2.0], rel=1e-15)
+    a = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+    assert kpoint._solve(a, [5.0, 3.0, 3.0]) == pytest.approx([1.0, 1.0, 2.0], rel=1e-15)
+    assert kpoint._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]) is None
+    assert kpoint._solve([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]], [1.0, 2.0, 3.0]) is None
+    rng = np.random.default_rng(95)
+    for q in (3, 4, 5):
+        a, b = rng.uniform(-1, 1, (q, q)), rng.uniform(-1, 1, q)
+        assert np.allclose(kpoint._solve(a.tolist(), b.tolist()), np.linalg.solve(a, b), rtol=0.0, atol=1e-12)
 
 
 def test_kkt_newton_gives_up_within_its_budget(monkeypatch):
     calls = _counting_solve(monkeypatch)
-    assert _kkt_newton(*NO_EQUAL_RATIO) is None
+    u, k, y = (a.tolist() for a in NO_EQUAL_RATIO)
+    assert _kkt_newton(u, k, y) is None
+    assert 0 < len(calls) - 1 <= kpoint.NEWTON_ITERS
+    calls.clear()
+    assert _kkt_newton(u, k) is None  # from the centroid, with no projection
     assert 0 < len(calls) <= kpoint.NEWTON_ITERS
 
 
@@ -617,18 +660,48 @@ def test_certifying_newton_solves_use_at_most_half_the_budget(monkeypatch):
     calls = _counting_solve(monkeypatch)
     newton, steps = kpoint._kkt_newton, []
 
-    def spy(u, k, y):
+    def spy(u, k, y=None):
         calls.clear()
         sol = newton(u, k, y)
-        if len(u) > 2 and sol is not None and sol[2].min() >= -kpoint.KKT_TOL:
-            steps.append(len(calls))
+        if sol is not None and min(sol[2]) >= -kpoint.KKT_TOL:
+            steps.append(len(calls) - (y is not None))
         return sol
 
     monkeypatch.setattr(kpoint, "_kkt_newton", spy)
     for points, values, x in c06_instances():
         kpoint_oracle(LabeledPointSet(points, values), x)
     assert len(steps) > 50
-    assert max(steps) <= kpoint.NEWTON_ITERS // 2
+    assert min(steps) > 0 and max(steps) <= kpoint.NEWTON_ITERS // 2
+
+
+def test_kkt_newton_matches_its_reference_on_c06_corpus(monkeypatch):
+    # the Newton in the working set's hull on floats against the Newton on
+    # the full KKT system on arrays, on every working set the polish meets
+    # on C06 and from the same start: no set that the reference accepts is
+    # rejected, and where both accept they give the same KKT point to
+    # rounding
+    newton, runs = kpoint._kkt_newton, []
+
+    def spy(u, k, y=None):
+        sol = newton(u, k, y)
+        runs.append((u, k, y, sol))
+        return sol
+
+    monkeypatch.setattr(kpoint, "_kkt_newton", spy)
+    for points, values, x in c06_instances():
+        kpoint_oracle(LabeledPointSet(points, values), x)
+    both = 0
+    for u, k, y, sol in runs:
+        u, k = np.array(u), np.array(k)
+        ref = reference_kkt_newton(u, k, k @ u / k.sum() if y is None else np.array(y))
+        if ref is None or ref[2].min() < -kpoint.KKT_TOL:
+            continue
+        assert sol is not None and min(sol[2]) >= -kpoint.KKT_TOL
+        assert np.abs(np.array(sol[0]) - ref[0]).max() <= 1e-14
+        assert abs(sol[1] - ref[1]) <= 1e-14
+        assert np.abs(np.array(sol[2]) - ref[2]).max() <= 1e-12
+        both += 1
+    assert len(runs) > 100 and both > 100
 
 
 @pytest.mark.parametrize("polish", [
@@ -805,13 +878,31 @@ def test_polish_skips_the_retry_only_on_sets_whose_spheres_share_no_point(monkey
     def spy(u, k):
         out = test(u, k)
         if out:
-            skipped.append(_kkt_newton(u, k, k @ u / k.sum()))
+            skipped.append(_kkt_newton(u, k))  # the centroid retry
         return out
 
     monkeypatch.setattr(kpoint, "_share_no_point", spy)
     for points, values, x in c06_instances():
         kpoint_oracle(LabeledPointSet(points, values), x)
     assert skipped and all(sol is None for sol in skipped)
+
+
+def test_polish_solves_the_ci_quadruple_by_newton(monkeypatch):
+    newton, sizes = kpoint._kkt_newton, []
+
+    def spy(u, k, y=None):
+        sol = newton(u, k, y)
+        sizes.append((len(u), sol is not None and min(sol[2]) >= -kpoint.KKT_TOL))
+        return sol
+
+    monkeypatch.setattr(kpoint, "_kkt_newton", spy)
+    s = LabeledPointSet(*QUADRUPLE[:2])
+    r = kpoint_oracle(s, QUADRUPLE[2])
+    assert sizes == [(3, True)] * 4 + [(4, True)]
+    assert r.active == (0, 1, 2, 3)
+    _assert_hull_coords(s, r)
+    kernel = kpoint_vector(s, QUADRUPLE[2])
+    assert abs(r.lam - kernel.lam) <= 1e-14 and np.abs(r.point - kernel.point).max() <= 1e-14
 
 
 def test_oracle_never_above_kernel_on_c06_corpus():
