@@ -324,6 +324,12 @@ def cmd_verify(args) -> int:
     dims = {v.shape[0] for v in values.values()}
     if dims != {m}:
         raise DimensionMismatch(f"result dimensions {sorted(dims)} vs boundary {m}")
+    # equal as floats, not bit for bit: the JSON output writes -0.0 as -0,
+    # which reads back as 0.0
+    moved = next((v for v in g.ids if v in g.omega
+                  and not np.array_equal(values[v], g.boundary_values[v])), None)
+    if moved is not None:
+        raise ParseError(f"{args.result}: boundary vertex {moved!r} has a value other than the graph's")
     if m == 1:
         rep = verify_extension(g, values, tol=args.tol)
         out = {

@@ -143,9 +143,15 @@ def _dijkstra(g: Graph, source: str, target: str | None = None) -> dict[str, flo
     return dist
 
 
+_FLOAT = np.dtype(float)
+
+
 def as_vertex_function(values) -> VertexFunction:
-    """Normalize a mapping of vertex values to 1-d float arrays."""
-    return {str(k): np.atleast_1d(np.asarray(v, dtype=float)) for k, v in dict(values).items()}
+    """Normalize a mapping of vertex values to 1-d float arrays.  A value
+    that already is one is kept as it is, which is what the conversion
+    would return, at a fraction of its cost."""
+    return {str(k): v if type(v) is np.ndarray and v.ndim == 1 and v.dtype == _FLOAT
+            else np.atleast_1d(np.asarray(v, dtype=float)) for k, v in dict(values).items()}
 
 
 def edge_arrays(g: Graph) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray, np.ndarray]:

@@ -40,9 +40,10 @@ from .geometry import (
 log = logging.getLogger("lipext.kpoint")
 
 
-# scipy.optimize adds about 0.3 s to `import lipext`, and only the vector
-# solver's hull certificate (vector.boundary_hull_gap, which imports it from
-# here) needs it: import it on first use.
+# scipy.optimize adds about 0.3 s to `import lipext`, and only the nnls
+# fallback of the boundary hull certificate (vector.boundary_hull_gap, which
+# imports it from here) needs it, for a value that the certificate's facet
+# test does not place inside the hull: import it on first use.
 def nnls(*args, **kwargs):
     """scipy.optimize.nnls."""
     from scipy.optimize import nnls as scipy_nnls
@@ -964,11 +965,12 @@ def _share_no_point(u: list[list[float]], k: list[float]) -> bool:
     return is_simplex(sq) and not solve_biquadratic(biquadratic_coefficients(sq, 1.0 / np.asarray(k)))
 
 
-def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> tuple[list, list, list] | None:
+def minimize(unit: list[list[float]], k: list[float], y0: list[float]) -> tuple[list, list, list] | None:
     """Epigraph polish: the point y minimizing max_i k_i ||y - u_i|| (the
     rows of unit), by an active-set pivot from y0, with its certificate:
     (y, W, w) on floats, W the final working set and w its KKT multipliers,
-    summing to 1.  None if no working set certifies.
+    summing to 1.  None if no working set certifies.  The arguments are
+    lists of Python floats, which are only read.
 
     Each working set W of at most m + 1 samples is solved exactly: a pair
     in closed form (_kkt_pair), a larger set by Newton in its rows' affine
@@ -992,7 +994,6 @@ def minimize(unit: np.ndarray, k: np.ndarray, y0: np.ndarray) -> tuple[list, lis
     violated sample.  The top-ranked pair, which certifies most queries, is
     certified by that one pass before the pivot starts.
     """
-    unit, k, y0 = unit.tolist(), k.tolist(), y0.tolist()
     if not all(map(math.isfinite, chain(k, y0, *unit))):
         return None
     n, m = len(unit), len(y0)
@@ -1095,8 +1096,7 @@ def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
     # too: in the scaled frame the rounding of values far larger than their
     # spread can exceed the guard's 1e-9.
     center = np.add.reduce(values, axis=0) / n  # values.mean(axis=0)
-    unit_array = (values - center) / spread
-    center, unit = center.tolist(), unit_array.tolist()
+    center, unit = center.tolist(), ((values - center) / spread).tolist()
     # the steepest pair: the first largest ratio in row-major order
     best, a, b = -1.0, 0, 0
     for i in range(n):
@@ -1109,7 +1109,7 @@ def kpoint_oracle(s: LabeledPointSet, x) -> KPointResult:
     z0 = [(db * p + da * q) / (da + db) for p, q in zip(unit[a], unit[b])]
     t0 = _max_ratio(z0, unit, d)
     k = [1.0 / (t0 * di) for di in d]
-    cert = minimize(unit_array, np.array(k), np.array(z0))
+    cert = minimize(unit, k, z0)
     if cert is None or _max_ratio(cert[0], unit, d) > t0 * (1.0 + 1e-9):
         log.warning("oracle polish certified no point at query %s; "
                     "keeping the steepest pair's weighted point", np.asarray(x).tolist())

@@ -751,27 +751,92 @@ def local_replacement_tightens(g: Graph, u, x: str, tol: float = CERT_TOL) -> bo
     return is_tighter(g, v, u)
 
 
-def boundary_hull_gap(g: Graph, u) -> tuple[float, str | None]:
-    """Worst normalized distance from a value to the boundary hull.
+def convex_hull_equations(points: np.ndarray) -> np.ndarray | None:
+    """The facets of the convex hull of the rows of points, by
+    scipy.spatial.ConvexHull (Qhull: Barber, Dobkin and Huhdanpaa, 1996):
+    rows (normal, offset), normal . x + offset being at most 0 inside.
+    None when Qhull fails.  scipy.spatial is imported on first use (see
+    `scalar.csr_array`)."""
+    from scipy.spatial import ConvexHull, QhullError
 
-    Nonnegative-least-squares reconstruction of each value as a convex
-    combination of the boundary values; the distance is relative to the
-    spread of the boundary data, after discounting coordinate rounding
-    noise so that (near-)constant data does not explode the ratio.
+    try:
+        return ConvexHull(points).equations
+    except QhullError:
+        return None
+
+
+def _inside_boundary_hull(bvals: np.ndarray, center: np.ndarray, vals: np.ndarray,
+                          noise: float) -> np.ndarray:
+    """Which rows of vals lie within noise / 2 of the convex hull of the
+    rows of bvals, by one batched test; False where the test cannot tell.
+
+    The centred boundary values are cut to the smallest rank r whose
+    discarded singular values have a root sum of squares of at most noise
+    / 4, so every boundary value lies within noise / 4 of the affine
+    subspace of rank r through center.  A row passes when it lies within
+    noise / 4 of that subspace and its projection lies in the hull of the
+    boundary values' projections: then its projection is a convex
+    combination of those projections, and the same combination of the
+    boundary values lies within noise / 4 of it.  In r coordinates the hull
+    is a point (r = 0), an interval (r = 1), or the facets of Qhull (r >=
+    2), where a failure of Qhull passes no row.  A row bit-equal to a
+    boundary value passes too.  No row passes when some value is not
+    finite."""
+    if not (np.isfinite(bvals).all() and np.isfinite(vals).all()):
+        return np.zeros(len(vals), dtype=bool)
+    slack = 0.25 * noise
+    centred = bvals - center
+    _, s, vt = np.linalg.svd(centred, full_matrices=False)
+    tail = np.sqrt(np.cumsum((s * s)[::-1]))[::-1]  # tail[r]: the root sum of s[r:]^2
+    r = int(np.count_nonzero(tail > slack))
+    basis = vt[:r]
+    offsets = vals - center
+    x = offsets @ basis.T
+    off = offsets - x @ basis
+    inside = np.sqrt((off * off).sum(axis=1)) <= slack
+    points = centred @ basis.T
+    if r == 1:
+        inside &= (points.min() <= x[:, 0]) & (x[:, 0] <= points.max())
+    elif r >= 2:
+        facets = convex_hull_equations(points)
+        if facets is None:
+            inside[:] = False
+        else:
+            inside &= (x @ facets[:, :-1].T + facets[:, -1] <= 0.0).all(axis=1)
+    known = set(map(bytes, bvals))
+    for i in np.flatnonzero(~inside).tolist():
+        inside[i] = bytes(vals[i]) in known
+    return inside
+
+
+def boundary_hull_gap(g: Graph, u) -> tuple[float, str | None]:
+    """Worst normalized distance from a value to the boundary hull, with
+    the first vertex in id order that attains it (None when it is 0).
+
+    A value's distance is relative to the spread of the boundary data,
+    after discounting a noise floor of 1e-13 times the value magnitude, so
+    that coordinate rounding on (near-)constant data does not explode the
+    ratio: a value within the floor of the hull has distance 0.  One
+    batched facet test (`_inside_boundary_hull`) places most values within
+    half the floor of the hull, where the distance is 0 without a solve.
+    Each other value is reconstructed as a convex combination of the
+    boundary values by nonnegative least squares (Lawson and Hanson), one
+    `nnls` call per value, whose residual gives its distance.
     """
     u = as_vertex_function(u)
     bvals = np.array([g.boundary_values[b] for b in sorted(g.omega)])
+    vals = np.array([u[v] for v in g.ids])
     center = bvals.mean(axis=0)
     spread = float(np.linalg.norm(bvals - center, axis=1).max())
-    vmag = max(float(np.abs(bvals).max()), *(float(np.abs(u[v]).max()) for v in g.ids))
+    vmag = max(float(np.abs(bvals).max()), float(np.abs(vals).max()))
     noise = 1e-13 * vmag
     scale = max(spread, noise, 1e-300)
     a = np.vstack([(bvals - center).T / scale, np.ones(len(bvals))])
     worst, witness = 0.0, None
-    for v in g.ids:
-        b = np.concatenate([(u[v] - center) / scale, [1.0]])
+    for i in np.flatnonzero(~_inside_boundary_hull(bvals, center, vals, noise)).tolist():
+        b = np.concatenate([(vals[i] - center) / scale, [1.0]])
         _, rnorm = nnls(a, b)
         gap = max(0.0, float(rnorm) * scale - noise) / scale
         if gap > worst:
-            worst, witness = gap, v
+            worst, witness = gap, g.ids[i]
     return worst, witness

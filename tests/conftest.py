@@ -153,6 +153,33 @@ def nnls_hull_coords(vertices, y):
     return w
 
 
+def reference_hull_gap(g, u):
+    """vector.boundary_hull_gap as it was before its facet test: every
+    value reconstructed from the boundary values by scipy.optimize.nnls.
+    The reference for the gaps and witnesses of the facet test and its
+    nnls fallback."""
+    from scipy.optimize import nnls
+
+    from lipext.graph import as_vertex_function
+
+    u = as_vertex_function(u)
+    bvals = np.array([g.boundary_values[b] for b in sorted(g.omega)])
+    center = bvals.mean(axis=0)
+    spread = float(np.linalg.norm(bvals - center, axis=1).max())
+    vmag = max(float(np.abs(bvals).max()), *(float(np.abs(u[v]).max()) for v in g.ids))
+    noise = 1e-13 * vmag
+    scale = max(spread, noise, 1e-300)
+    a = np.vstack([(bvals - center).T / scale, np.ones(len(bvals))])
+    worst, witness = 0.0, None
+    for v in g.ids:
+        b = np.concatenate([(u[v] - center) / scale, [1.0]])
+        _, rnorm = nnls(a, b)
+        gap = max(0.0, float(rnorm) * scale - noise) / scale
+        if gap > worst:
+            worst, witness = gap, v
+    return worst, witness
+
+
 def reference_oracle_tail(values, d, point, cert):
     """kpoint._oracle_tail as it was before it shared one distance pass:
     lam, the active set and the violation from three norm passes, and the

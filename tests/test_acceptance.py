@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import grid_graph, random_graph
+from conftest import grid_graph, random_graph, reference_hull_gap
 from lipext.geometry import Biquadratic, cayley_menger_points, solve_biquadratic
 
 from lipext.kpoint import (
@@ -219,7 +219,10 @@ def test_c09_vector_solver_certificate():
     for _ in range(50):
         g = random_graph(rng, max_vertices=24, m=2)
         values, report = iterate_tight(g, tol=1e-10, max_iter=100_000)
-        gap, _ = boundary_hull_gap(g, values)
+        gap, witness = boundary_hull_gap(g, values)
+        # the facet test and its nnls fallback give the per-value nnls
+        # loop's gap and witness to the bit
+        assert (gap, witness) == reference_hull_gap(g, values)
         all_converged &= report.converged
         worst_resid = max(worst_resid, report.final_residual)
         worst_hull = max(worst_hull, gap)

@@ -527,6 +527,44 @@ def test_verify_dimension_mismatch(tmp_path, vector_graph_file, capsys):
     assert run("verify", vector_graph_file, r) == 1
 
 
+def _spur_path(tmp_path, ends, spur):
+    """The path c - a - p - q - b with boundary {a, b, c}: c touches a only,
+    so no interior value depends on it."""
+    doc = {
+        "vertices": [{"id": v, "pos": [float(x)]} for v, x in zip("capqb", range(5))],
+        "edges": [["c", "a"], ["a", "p"], ["p", "q"], ["q", "b"]],
+        "boundary": {"a": ends[0], "b": ends[1], "c": spur},
+    }
+    return write_json(tmp_path / "spur.json", doc)
+
+
+@pytest.mark.parametrize("method, ends, spur, moved", [
+    ("path", [[0.0], [1.0]], [0.5], [0.25]),
+    ("iterate", [[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], [0.4, 0.6]),
+], ids=["m1", "m2"])
+def test_verify_rejects_a_moved_boundary_value(tmp_path, capsys, method, ends, spur, moved):
+    # c's new value stays inside the data's range or hull and changes no
+    # residual, so only the boundary check sees it
+    g, r = _spur_path(tmp_path, ends, spur), tmp_path / "r.json"
+    assert run("solve", "--input", g, "--method", method, "--output", r) == 0
+    assert run("verify", g, r) == 0
+    capsys.readouterr()
+    doc = json.loads(r.read_text())
+    doc["values"]["c"] = moved
+    write_json(r, doc)
+    assert run("verify", g, r) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError") and "boundary vertex 'c'" in err
+
+
+def test_verify_accepts_a_negative_zero_boundary_value(tmp_path):
+    # the result file writes -0.0 as -0, which reads back as 0.0
+    g, r = _spur_path(tmp_path, [[-0.0], [1.0]], [0.5]), tmp_path / "r.json"
+    assert run("solve", "--input", g, "--output", r) == 0
+    assert '"a": [-0]' in r.read_text()
+    assert run("verify", g, r) == 0
+
+
 # ---------------------------------------------------------------------------
 # round trips across generators
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from conftest import path_graph, random_graph
 from lipext.errors import BoundaryMismatch, BoundaryVertex, UnknownVertex
 from lipext.graph import (
     Graph,
+    as_vertex_function,
     geodesic_distance,
     is_tighter,
     lipschitz_ratio,
@@ -296,3 +297,14 @@ def test_constructor_rejects_bad_edges():
     for edge in [("a",), (), ("a", "b", 1.0, 2.0), "ab", {"a": "b"}]:
         with pytest.raises(ValueError, match="is not"):
             Graph({"a": [0.0], "b": [1.0]}, [edge], ["a"], {"a": 0.0})
+
+
+def test_as_vertex_function_keeps_float_vectors_and_converts_the_rest():
+    kept = np.array([1.0, 2.0])
+    u = as_vertex_function({"a": kept, 1: 3, "c": [4, 5], "d": np.float32([0.1]),
+                            "e": np.array(6.0), "f": np.array([7, 8])})
+    assert u["a"] is kept and list(u) == ["a", "1", "c", "d", "e", "f"]
+    for v in u.values():
+        assert type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64
+    assert u["d"][0] == np.float32(0.1) and u["e"].tolist() == [6.0] and u["f"].tolist() == [7.0, 8.0]
+

@@ -106,9 +106,27 @@ def _scipy_optimize_loaded_after(code):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only the vector solver's hull certificates load scipy.optimize, on
-    # first use
+    # only the nnls fallback of the boundary hull certificate loads
+    # scipy.optimize, on first use, for a value that the facet test does
+    # not place inside the hull
     assert not _scipy_optimize_loaded_after("import lipext, lipext.cli")
+
+
+def test_boundary_hull_gap_leaves_scipy_optimize_unloaded_on_inside_values():
+    # an m = 2 star whose centre takes the circumcentre of an acute
+    # triangle of boundary values, strictly inside it: the facet test of
+    # scipy.spatial places every value, and nnls never runs
+    code = """
+from lipext.graph import Graph
+from lipext.vector import boundary_hull_gap, iterate_tight
+leaves = {"a": [0.0, 0.0], "b": [1.0, 0.0], "c": [0.4, 0.9]}
+g = Graph({"o": [0.0, 0.0], "a": [1.0, 0.0], "b": [0.0, 1.0], "c": [-1.0, 0.0]},
+          [("o", v) for v in leaves], leaves, leaves)
+values, _ = iterate_tight(g)
+assert boundary_hull_gap(g, values) == (0.0, None)
+import sys; assert "scipy.spatial" in sys.modules
+"""
+    assert not _scipy_optimize_loaded_after(code)
 
 
 @pytest.mark.parametrize("points, values, query, active", [
@@ -459,7 +477,7 @@ def test_polish_pivots_to_the_optimal_working_set():
         far = np.full(values.shape[1], 10.0)
         top = np.argsort(-np.linalg.norm(far - values, axis=1) / d)[:len(active)]
         assert set(top.tolist()) != set(active)
-        y, ws, w = minimize(values, 1.0 / d, far)
+        y, ws, w = minimize(values.tolist(), (1.0 / d).tolist(), far.tolist())
         assert tuple(sorted(ws)) == active and sum(w) == pytest.approx(1.0, rel=1e-12)
         assert _max_ratio(values, d, y) == pytest.approx(kernel.lam, rel=1e-14)
         assert np.linalg.norm(y - kernel.point) <= 1e-14
@@ -483,7 +501,7 @@ def test_polish_starts_from_one_sample_on_clustered_values():
     x = np.array([0.31382297521935665, -0.17854051598606735, 0.9609186318624017])
     d = np.linalg.norm(points - x, axis=1)
     kernel = kpoint_vector(LabeledPointSet(points, values), x)
-    cert = minimize(values, 1.0 / d, values.mean(axis=0))
+    cert = minimize(values.tolist(), (1.0 / d).tolist(), values.mean(axis=0).tolist())
     assert cert is not None
     y = cert[0]
     assert _max_ratio(values, d, y) == pytest.approx(kernel.lam, rel=1e-13)
@@ -707,7 +725,7 @@ def test_kkt_newton_matches_its_reference_on_c06_corpus(monkeypatch):
 @pytest.mark.parametrize("polish", [
     lambda unit, k, y0: None,
     # a point far outside the samples' hull, which the ratio guard rejects
-    lambda unit, k, y0: ((y0 + 10.0).tolist(), [0], [1.0]),
+    lambda unit, k, y0: ([c + 10.0 for c in y0], [0], [1.0]),
 ])
 def test_oracle_keeps_its_start_without_a_polished_point(monkeypatch, caplog, polish):
     # when the polish's point is not kept, the oracle returns its start z0,
@@ -735,7 +753,7 @@ def test_oracle_keeps_its_start_without_a_polished_point(monkeypatch, caplog, po
             continue
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "keeping the steepest pair's weighted point" in caplog.records[0].getMessage()
-        polishes.append(lambda unit, k, y0: (y0.tolist(), [0], [1.0]))
+        polishes.append(lambda unit, k, y0: (y0, [0], [1.0]))
         kept = kpoint_oracle(s, x)
         polishes.pop()
         assert len(starts) == 2 and np.array_equal(starts[0], starts[1])
@@ -767,7 +785,7 @@ def test_oracle_polish_certifies_every_c06_instance(monkeypatch, caplog):
     assert len(calls) > 400 and caplog.records == []
     for unit, k, y0, cert in calls:
         assert cert is not None
-        z = cert[0]
+        unit, k, y0, z = map(np.array, (unit, k, y0, cert[0]))
         worst = np.max(k * np.linalg.norm(z - unit, axis=1))
         assert worst <= np.max(k * np.linalg.norm(y0 - unit, axis=1)) * (1.0 + 1e-9)
 
@@ -777,7 +795,7 @@ def test_polish_returns_nothing_on_non_finite_input(bad):
     for which in range(3):
         args = [np.array([[0.0, 0.0], [1.0, 0.5], [-0.3, 1.2]]), np.ones(3), np.zeros(2)]
         args[which].flat[1] = bad
-        assert minimize(*args) is None
+        assert minimize(*(a.tolist() for a in args)) is None
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170])

@@ -6,7 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import assert_sweep_paths_agree, colour_order, grid_graph, random_graph
+from conftest import (
+    assert_sweep_paths_agree,
+    colour_order,
+    grid_graph,
+    random_graph,
+    reference_hull_gap,
+)
 from lipext import vector
 from lipext.graph import Graph
 from lipext.kpoint import KernelBlock, minimax_kernel, pairwise_optimum
@@ -153,6 +159,159 @@ def test_hull_gap_flags_outside_point():
     gap, witness = boundary_hull_gap(g, values)
     assert gap > 1e-2
     assert witness == "m"
+
+
+def _hull_case(bvals, vals):
+    """(graph, values): a path whose first vertices carry the boundary
+    values bvals and whose other vertices take the values vals."""
+    ids = [f"b{i}" for i in range(len(bvals))] + [f"x{i:02d}" for i in range(len(vals))]
+    g = Graph({v: [float(i)] for i, v in enumerate(ids)}, list(zip(ids, ids[1:])),
+              ids[:len(bvals)], dict(zip(ids, bvals)))
+    return g, dict(zip(ids, [*map(np.asarray, bvals), *vals]))
+
+
+def _probe_values(rng, bvals, count=24):
+    """Values inside the hull of the rows of bvals, on its edges and
+    vertices, and moved off those by a few noise floors (1e-13 times the
+    values' magnitude) or by far more."""
+    k, m = bvals.shape
+    noise = 1e-13 * float(np.abs(bvals).max())
+    vals = []
+    for i in range(count):
+        w = rng.dirichlet(np.ones(k))
+        if i % 4 == 1:  # on an edge
+            a, b = rng.choice(k, size=2) if k > 1 else (0, 0)
+            t = rng.uniform()
+            w = np.zeros(k)
+            w[a] += t
+            w[b] += 1.0 - t
+        elif i % 4 == 2:  # on a vertex
+            w = np.eye(k)[rng.integers(k)]
+        y = w @ bvals
+        if i % 3 == 1:
+            y = y + rng.normal(size=m) * noise * rng.choice([0.5, 2.0, 3.0, 5.0])
+        elif i % 6 == 5:
+            y = y + rng.normal(size=m)
+        vals.append(y)
+    return vals
+
+
+def _assert_matches_reference(g, u):
+    assert boundary_hull_gap(g, u) == reference_hull_gap(g, u)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_hull_gap_matches_reference_on_random_sets(m):
+    # gaps and witnesses to the bit, wherever the facet test places a value
+    # and wherever nnls does
+    rng = np.random.default_rng(230 + m)
+    for _ in range(40):
+        k = int(rng.integers(1, 8))
+        bvals = rng.uniform(-1.0, 1.0, (k, m)) * rng.choice([1e-6, 1.0, 1e6]) + rng.choice([0.0, 3.0])
+        _assert_matches_reference(*_hull_case(bvals, _probe_values(rng, bvals)))
+
+
+def test_hull_gap_matches_reference_on_random_graphs():
+    rng = np.random.default_rng(23)
+    for i in range(90):
+        m = 1 + i % 3
+        g = random_graph(rng, max_vertices=16, m=m)
+        u = {v: g.boundary_values.get(v, rng.uniform(-0.2, 1.2, m)) for v in g.ids}
+        _assert_matches_reference(g, u)
+
+
+@pytest.mark.parametrize("shape", ["one-vertex", "collinear-r2", "coplanar-r3"])
+def test_hull_gap_matches_reference_on_degenerate_hulls(shape, monkeypatch):
+    rng = np.random.default_rng(231)
+    nnls_impl, calls = vector.nnls, []
+    monkeypatch.setattr(vector, "nnls", lambda *a: calls.append(1) or nnls_impl(*a))
+    vertices = 0
+    for _ in range(20):
+        if shape == "one-vertex":
+            bvals = rng.uniform(-1.0, 1.0, (1, 2))
+        elif shape == "collinear-r2":
+            bvals = rng.uniform(-1.0, 1.0, (5, 1)) * rng.normal(size=2) + rng.normal(size=2)
+        else:
+            bvals = rng.uniform(-1.0, 1.0, (6, 2)) @ rng.normal(size=(2, 3)) + rng.normal(size=3)
+        g, u = _hull_case(bvals, _probe_values(rng, bvals))
+        _assert_matches_reference(g, u)
+        vertices += len(g.ids)
+    # the facet test runs in the data's own rank: it places most values
+    assert len(calls) < vertices / 2
+
+
+@pytest.mark.parametrize("bvals, normal", [
+    ([[0.0, 0.0], [2.0, 1.0], [4.0, 2.0]], [1.0, -2.0]),  # a segment in R^2
+    ([[0.0, 0.0, 1.0], [4.0, 0.0, 1.0], [0.0, 4.0, 1.0]], [0.0, 0.0, 1.0]),  # a triangle in R^3
+    ([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]], [0.0, -1.0]),  # a triangle's edge in R^2
+], ids=["segment", "triangle-r3", "edge"])
+def test_hull_gap_at_the_noise_floor(bvals, normal):
+    # values moved off the hull by multiples of the noise floor (1e-13
+    # times the largest magnitude, 4 here): the facet test places those
+    # within a quarter floor, nnls the rest, and the gap is positive only
+    # beyond one floor
+    bvals = np.array(bvals)
+    mid = bvals[:2].mean(axis=0)
+    normal = np.array(normal) / np.linalg.norm(normal)
+    steps = [0.2, 0.4, 0.6, 1.5, 3.0]
+    vals = [mid + t * 4e-13 * normal for t in steps]
+    _assert_matches_reference(*_hull_case(bvals, vals))
+    gaps = []
+    for y in vals:
+        g, u = _hull_case(bvals, [y])
+        _assert_matches_reference(g, u)
+        gaps.append(boundary_hull_gap(g, u)[0])
+    assert [gap > 0.0 for gap in gaps] == [t > 1.0 for t in steps]
+
+
+@pytest.mark.parametrize("height", [12, 40])
+def test_hull_gap_on_a_thin_pyramid(height):
+    # a square pyramid `height` noise floors (4e-13 each) high keeps its
+    # full rank.  Its plane of best fit is z = the mean height, and a value
+    # on that plane near a base edge lies outside the pyramid by more than
+    # a floor, where a hull flattened to that plane would hold it
+    bvals = np.array([[0.0, 0.0, 1.0], [4.0, 0.0, 1.0], [4.0, 4.0, 1.0], [0.0, 4.0, 1.0],
+                      [2.0, 2.0, 1.0 + height * 4e-13]])
+    g, u = _hull_case(bvals, [np.array([3.9, 2.0, bvals[:, 2].mean()])])
+    _assert_matches_reference(g, u)
+    assert boundary_hull_gap(g, u)[0] > 0.0
+
+
+def test_hull_gap_places_inside_values_without_nnls(monkeypatch):
+    # values strictly inside a triangle or a tetrahedron, or bit-equal to
+    # a boundary value, take no nnls call
+    calls = []
+    monkeypatch.setattr(vector, "nnls", lambda *a: calls.append(1))
+    rng = np.random.default_rng(232)
+    for m in (2, 3):
+        bvals = np.vstack([np.zeros(m), np.eye(m)])
+        vals = [rng.dirichlet(np.ones(m + 1)) @ bvals for _ in range(10)]
+        assert boundary_hull_gap(*_hull_case(bvals, vals)) == (0.0, None)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", ["interior", "boundary"])
+def test_hull_gap_rejects_non_finite_values(bad):
+    # the facet test skips non-finite data, and nnls raises on it
+    bvals = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    vals = [np.array([0.2, 0.2])]
+    if bad == "interior":
+        vals[0][0] = math.nan
+    else:
+        bvals[1][0] = math.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        boundary_hull_gap(*_hull_case(np.array(bvals), vals))
+
+
+def test_hull_gap_sends_every_value_to_nnls_when_qhull_fails(monkeypatch):
+    # every value but the boundary's own, which are bit-equal to theirs
+    monkeypatch.setattr(vector, "convex_hull_equations", lambda points: None)
+    nnls_impl, calls = vector.nnls, []
+    monkeypatch.setattr(vector, "nnls", lambda *a: calls.append(1) or nnls_impl(*a))
+    bvals = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    g, u = _hull_case(bvals, [np.array([0.2, 0.2]), np.array([2.0, 2.0])])
+    assert boundary_hull_gap(g, u) == reference_hull_gap(g, u)
+    assert reference_hull_gap(g, u)[1] == "x01" and len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
