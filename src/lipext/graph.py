@@ -165,6 +165,19 @@ def edge_arrays(g: Graph) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray
     return keys, heads, tails, lengths
 
 
+def sparse_graph(src: np.ndarray, dst: np.ndarray, weights: np.ndarray, size: int):
+    """The size x size scipy.sparse.csr_array of the arcs src[k] -> dst[k]
+    of weight weights[k], given sorted by source: each row keeps its arcs
+    in the given order.  scipy.sparse more than doubles the time of `import
+    lipext` (0.2 against 0.55-0.65 s under -X importtime), and only the
+    path search, the verifier and the sweeps' finish need it, so it is
+    imported on first use."""
+    from scipy.sparse import csr_array
+
+    indptr = np.searchsorted(src, np.arange(size + 1))
+    return csr_array((weights, dst, indptr), shape=(size, size))
+
+
 def steepest_edge(edges, vals: np.ndarray) -> tuple[float, int]:
     """Largest value distance to length ratio over the edges of
     `edge_arrays`, with vals[i] the value at g.ids[i]: (ratio, k) for the

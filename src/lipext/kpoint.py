@@ -109,10 +109,14 @@ class LabeledPointSet:
         # differences: both stay finite while n max|f| does
         if not math.isfinite(pts.shape[0] * float(np.abs(vals).max())):
             raise ValueError("values overflow: n times the largest |f| is not finite")
-        for i in range(pts.shape[0]):
-            for j in range(i + 1, pts.shape[0]):
-                if np.array_equal(pts[i], pts[j]):
-                    raise ValueError(f"points {i} and {j} coincide")
+        # stably sorted by coordinates, coinciding points form runs in index
+        # order: the first pair in row-major order is the first two points
+        # of the run that starts at the smallest index
+        order = np.lexsort(pts.T[::-1])
+        tied = np.flatnonzero((pts[order[1:]] == pts[order[:-1]]).all(axis=1))
+        if tied.size:
+            i, j = min(zip(order[tied].tolist(), order[tied + 1].tolist()))
+            raise ValueError(f"points {i} and {j} coincide")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
 

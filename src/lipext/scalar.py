@@ -30,6 +30,7 @@ from .graph import (  # noqa: F401
     edge_arrays,
     geodesic_distances_from,
     require_valid,
+    sparse_graph,
     steepest_edge,
     validate,
 )
@@ -42,18 +43,9 @@ if TYPE_CHECKING:
 log = logging.getLogger("lipext.scalar")
 
 
-# scipy.sparse more than doubles the time of `import lipext` (0.2 against
-# 0.55-0.65 s under -X importtime), and only the path search and the
-# verifier need it: import it on first use.
-def csr_array(*args, **kwargs):
-    """scipy.sparse.csr_array."""
-    from scipy.sparse import csr_array as sparse_csr_array
-
-    return sparse_csr_array(*args, **kwargs)
-
-
 def dijkstra(*args, **kwargs):
-    """scipy.sparse.csgraph.dijkstra."""
+    """scipy.sparse.csgraph.dijkstra, imported on first use (see
+    `graph.sparse_graph`)."""
     from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
     return csgraph_dijkstra(*args, **kwargs)
@@ -173,34 +165,54 @@ def _single_edge_candidates(g: Graph, state: SubgraphState, at) -> list[Connecti
 
 
 def _slopes(graph: CSRArray, sources: np.ndarray, sinks: np.ndarray, f_from: np.ndarray,
-            f_to: np.ndarray) -> np.ndarray:
+            f_to: np.ndarray, limit: float = math.inf) -> np.ndarray:
     """|f_to[c] - f_from[r]| / d(sources[r], sinks[c]) for every row r and
-    column c, in one multi-source Dijkstra call; -1 where the sink is
-    unreachable or at distance 0."""
-    dist = dijkstra(graph, directed=True, indices=sources)[:, sinks]
+    column c, in one multi-source Dijkstra call that stops at distance
+    limit; -1 where the sink is beyond it, unreachable or at distance 0."""
+    dist = dijkstra(graph, directed=True, indices=sources, limit=limit)[:, sinks]
     with np.errstate(divide="ignore", invalid="ignore"):  # masked below
         slope = np.abs(f_to - f_from[:, None]) / dist
     slope[np.isinf(dist) | (dist == 0.0)] = -1.0
     return slope
 
 
-def _steepest_pair(graph: CSRArray, src: np.ndarray, dst: np.ndarray, f: np.ndarray,
-                   rows: np.ndarray) -> tuple[float, int, int]:
-    """First largest |f[c] - f[r]| / d(src[r], dst[c]) in row-major order
-    over reachable pairs r < c with r in rows, as (slope, r, c); slope is
-    -1 when there is no such pair.  Pairs at distance 0 are skipped.  The
-    rows go through one multi-source Dijkstra call per SOURCE_BLOCK of
-    them."""
-    best = (-1.0, -1, -1)
+def _boundary_ratio(graph: CSRArray, omega: np.ndarray, f: np.ndarray, theta: float) -> float:
+    """Largest |f[c] - f[r]| / d(omega[r], omega[c]) over pairs r < c at a
+    finite positive distance, d read from omega[r]'s row, or 0.0 when there
+    is none (constant data included).
+
+    The rows but the last, which has no later column, go through one
+    multi-source Dijkstra call per SOURCE_BLOCK of them.  A call stops at
+    the largest value difference of its pairs over theta (widened by
+    BOUND_MARGIN against rounding): every pair of slope theta or more lies
+    within that limit, and Dijkstra gives each vertex within it the same
+    distance, bit for bit, as without one.  So a maximum that reaches theta
+    is the exact one; otherwise the rows run again without limits.  A theta
+    that is not a positive finite number sets no limit."""
+    if f.size < 2 or f.min() == f.max():
+        return 0.0
+    rows = np.arange(f.size - 1)
     cols = np.arange(f.size)
+    # the largest |f[c] - f[r]| over c > r, for each row r
+    later_max = np.maximum.accumulate(f[::-1])[-2::-1]
+    later_min = np.minimum.accumulate(f[::-1])[-2::-1]
+    reach = np.maximum(later_max - f[:-1], f[:-1] - later_min)
+    bounded = theta > 0.0 and math.isfinite(theta)
+    best, exact = -1.0, True
     for start in range(0, rows.size, SOURCE_BLOCK):
         r = rows[start:start + SOURCE_BLOCK]
-        slope = _slopes(graph, src[r], dst, f[r], f)
+        limit = float(reach[r].max()) / theta * (1.0 + BOUND_MARGIN) if bounded else math.inf
+        if not limit < math.inf:  # inf or nan
+            limit = math.inf
+        exact &= limit == math.inf
+        slope = _slopes(graph, omega[r], omega, f[r], f, limit)
         slope[cols <= r[:, None]] = -1.0
-        i, c = divmod(int(np.argmax(slope)), f.size)
-        if slope[i, c] > best[0]:
-            best = (float(slope[i, c]), int(r[i]), c)
-    return best
+        top = slope.flat[np.argmax(slope)]
+        if top > best:
+            best = float(top)
+    if not (exact or best >= theta):
+        return _boundary_ratio(graph, omega, f, 0.0)
+    return max(0.0, best)
 
 
 class _PathSearch:
@@ -255,14 +267,12 @@ class _PathSearch:
         self.dst = np.concatenate([tails, heads])[order]
         self.twin = where[(order + m) % max(2 * m, 1)]  # the reverse arc
         self.arcs = where.reshape(2, m)  # the two arcs of each edge
-        self.starts = np.searchsorted(self.src, np.arange(n + 1))
         self.labeled = np.fromiter(map(state.labeled.__contains__, g.ids), bool, n)
         self.f = np.array([state.labeled.get(v, 0.0) for v in g.ids])
-        indptr = np.full(2 * n + 1, order.size)
-        indptr[:n + 1] = self.starts
-        self.graph = csr_array((np.concatenate([lengths, lengths])[order],
-                                np.where(self.labeled[self.dst], self.dst + n, self.dst),
-                                indptr), shape=(2 * n, 2 * n))
+        self.graph = sparse_graph(self.src,
+                                  np.where(self.labeled[self.dst], self.dst + n, self.dst),
+                                  np.concatenate([lengths, lengths])[order], 2 * n)
+        self.starts = self.graph.indptr[:n + 1]  # each vertex's first arc
         self.live = np.diff(self.starts)  # finite arcs out of each vertex
         used = np.fromiter(map(state.used_edges.__contains__, keys), bool, m)
         self._cut(np.concatenate([self.arcs[:, used].ravel(),
@@ -552,15 +562,17 @@ def verify_extension(g: Graph, u: VertexFunction, tol: float = 1e-9) -> VerifyRe
     _, heads, tails, lengths = edges
     interior_ratio, k = steepest_edge(edges, np.array([u[x] for x in ids], dtype=float))
     geo_witness = edges[0][k] if k >= 0 else None
-    # d(x, y) for x < y is read from source x: the two directions can
-    # differ in the last bit
+    # both arcs of each edge, sorted by source and then destination, as
+    # scipy sorts a graph built from (row, column) pairs: a vertex's arcs
+    # to the heads of its edges, all below it, come first
+    src = np.concatenate([tails, heads])
+    order = np.argsort(src, kind="stable")
+    graph = sparse_graph(src[order], np.concatenate([heads, tails])[order],
+                         np.concatenate([lengths, lengths])[order], len(ids))
     omega = np.array([i for i, x in enumerate(ids) if x in g.omega], dtype=np.intp)
     f = np.array([float(g.boundary_values[ids[i]][0]) for i in omega])
-    n = len(ids)
-    graph = csr_array((np.concatenate([lengths, lengths]),
-                       (np.concatenate([heads, tails]), np.concatenate([tails, heads]))),
-                      shape=(n, n))
-    boundary_ratio = max(0.0, _steepest_pair(graph, omega, omega, f, np.arange(omega.size))[0])
+    # no boundary pair below this slope decides the bound
+    boundary_ratio = _boundary_ratio(graph, omega, f, interior_ratio / (1.0 + tol))
     geodesic_ok = interior_ratio <= boundary_ratio * (1.0 + tol) + (0.0 if span > 0.0 else tol)
     if geodesic_ok:
         geo_witness = None

@@ -44,6 +44,7 @@ from .graph import (  # noqa: F401  (perfbench/tracing.py wraps validate here)
     as_vertex_function,
     is_tighter,
     require_valid,
+    sparse_graph,
     validate,
 )
 from .geometry import pow2_shift
@@ -218,7 +219,7 @@ def _centroid(bvals: np.ndarray) -> np.ndarray:
 
 def spsolve(*args, **kwargs):
     """scipy.sparse.linalg.spsolve, imported on first use: `import lipext`
-    leaves scipy.sparse unloaded (see `scalar.csr_array`)."""
+    leaves scipy.sparse unloaded (see `graph.sparse_graph`)."""
     from scipy.sparse.linalg import spsolve as sparse_spsolve
 
     return sparse_spsolve(*args, **kwargs)
@@ -382,7 +383,10 @@ class _Finish:
         src = np.concatenate([verts[at, col], self.nbr_col[spread],
                               np.full(boundary.size, n_vertices)])
         dst = np.concatenate([rows[at], rows[self.nbr_row[spread]], boundary])
-        graph = csc_array((np.ones(src.size), (src, dst)), shape=(n_vertices + 1,) * 2)
+        # each arc once, sorted by source and then destination
+        arcs = np.unique(src * (n_vertices + 1) + dst)
+        graph = sparse_graph(arcs // (n_vertices + 1), arcs % (n_vertices + 1),
+                             np.ones(arcs.size), n_vertices + 1)
         via = breadth_first_order(graph, n_vertices, return_predecessors=True)[1][rows]
         if (via < 0).any():
             return None
@@ -756,7 +760,7 @@ def convex_hull_equations(points: np.ndarray) -> np.ndarray | None:
     scipy.spatial.ConvexHull (Qhull: Barber, Dobkin and Huhdanpaa, 1996):
     rows (normal, offset), normal . x + offset being at most 0 inside.
     None when Qhull fails.  scipy.spatial is imported on first use (see
-    `scalar.csr_array`)."""
+    `graph.sparse_graph`)."""
     from scipy.spatial import ConvexHull, QhullError
 
     try:
@@ -778,10 +782,11 @@ def _inside_boundary_hull(bvals: np.ndarray, center: np.ndarray, vals: np.ndarra
     boundary values' projections: then its projection is a convex
     combination of those projections, and the same combination of the
     boundary values lies within noise / 4 of it.  In r coordinates the hull
-    is a point (r = 0), an interval (r = 1), or the facets of Qhull (r >=
-    2), where a failure of Qhull passes no row.  A row bit-equal to a
-    boundary value passes too.  No row passes when some value is not
-    finite."""
+    is a point (r = 0), an interval (r = 1), a simplex of r + 1 boundary
+    values, tested by barycentric coordinates, or else the facets of Qhull,
+    where a failure of Qhull (or a singular simplex) passes no row.  A row
+    bit-equal to a boundary value passes too.  No row passes when some
+    value is not finite."""
     if not (np.isfinite(bvals).all() and np.isfinite(vals).all()):
         return np.zeros(len(vals), dtype=bool)
     slack = 0.25 * noise
@@ -797,6 +802,14 @@ def _inside_boundary_hull(bvals: np.ndarray, center: np.ndarray, vals: np.ndarra
     points = centred @ basis.T
     if r == 1:
         inside &= (points.min() <= x[:, 0]) & (x[:, 0] <= points.max())
+    elif r >= 2 and len(points) == r + 1:
+        # Qhull costs about 40 us even on a triangle
+        try:
+            c = np.linalg.solve((points[1:] - points[0]).T, (x - points[0]).T)
+        except np.linalg.LinAlgError:
+            inside[:] = False
+        else:
+            inside &= (c >= 0.0).all(axis=0) & (c.sum(axis=0) <= 1.0)
     elif r >= 2:
         facets = convex_hull_equations(points)
         if facets is None:

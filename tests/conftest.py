@@ -180,6 +180,69 @@ def reference_hull_gap(g, u):
     return worst, witness
 
 
+def reference_boundary_ratio(g):
+    """The boundary data's largest ratio |f(b) - f(a)| / d(a, b) over pairs
+    a < b at a finite positive distance, d read from a's row, as
+    scalar.verify_extension searched it before its search was limited:
+    the graph built by scipy from (row, column) pairs, every boundary row
+    in blocks of scalar.SOURCE_BLOCK, no distance limit, and the first
+    maximum of each block kept only when it beats the last."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
+
+    from lipext.graph import edge_arrays
+    from lipext.scalar import SOURCE_BLOCK
+
+    ids = g.ids
+    _, heads, tails, lengths = edge_arrays(g)
+    n = len(ids)
+    graph = csr_array((np.concatenate([lengths, lengths]),
+                       (np.concatenate([heads, tails]), np.concatenate([tails, heads]))),
+                      shape=(n, n))
+    omega = np.array([i for i, x in enumerate(ids) if x in g.omega], dtype=np.intp)
+    f = np.array([float(g.boundary_values[ids[i]][0]) for i in omega])
+    best = -1.0
+    cols = np.arange(f.size)
+    for start in range(0, f.size, SOURCE_BLOCK):
+        r = np.arange(start, min(start + SOURCE_BLOCK, f.size))
+        dist = dijkstra(graph, directed=True, indices=omega[r])[:, omega]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.abs(f - f[r][:, None]) / dist
+        slope[np.isinf(dist) | (dist == 0.0)] = -1.0
+        slope[cols <= r[:, None]] = -1.0
+        top = slope.flat[np.argmax(slope)]
+        if top > best:
+            best = float(top)
+    return max(0.0, best)
+
+
+def reference_verify_extension(g, u, tol=1e-9):
+    """scalar.verify_extension with the boundary search of
+    `reference_boundary_ratio`."""
+    from lipext.graph import edge_arrays, steepest_edge
+    from lipext.scalar import VerifyReport, _boundary_range, maximum_principle
+    from lipext.vector import _worst_move
+
+    lo, hi, scaled = _boundary_range(g, tol)
+    worst, witness = _worst_move(g, u)
+    mp_ok, mp_witness = maximum_principle(g, u, tol)
+    edges = edge_arrays(g)
+    interior_ratio, k = steepest_edge(edges, np.array([u[x] for x in g.ids], dtype=float))
+    boundary_ratio = reference_boundary_ratio(g)
+    geodesic_ok = interior_ratio <= boundary_ratio * (1.0 + tol) + (0.0 if hi - lo > 0.0 else tol)
+    return VerifyReport(worst, worst <= scaled, None if worst <= scaled else witness, mp_ok,
+                        mp_witness, interior_ratio, boundary_ratio, geodesic_ok,
+                        None if geodesic_ok or k < 0 else edges[0][k], tol)
+
+
+def assert_same_report(a, b):
+    """Two VerifyReports equal field for field, NaN matching NaN."""
+    assert type(a) is type(b)
+    for name, x in vars(a).items():
+        y = getattr(b, name)
+        assert x == y or (x != x and y != y), (name, x, y)
+
+
 def reference_oracle_tail(values, d, point, cert):
     """kpoint._oracle_tail as it was before it shared one distance pass:
     lam, the active set and the violation from three norm passes, and the

@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import grid_graph, random_graph, reference_hull_gap
+from conftest import (
+    assert_same_report,
+    grid_graph,
+    random_graph,
+    reference_hull_gap,
+    reference_verify_extension,
+)
 from lipext.geometry import Biquadratic, cayley_menger_points, solve_biquadratic
 
 from lipext.kpoint import (
@@ -88,6 +94,12 @@ def test_c01_path_algorithm_exactness(scalar_corpus):
     ok = worst <= 1e-9 and slowest < 1.0
     _report(1, "path algorithm exactness", ok,
             f"worst residual {worst:.2e}, slowest {slowest * 1e3:.0f} ms")
+
+
+def test_verify_matches_reference_on_the_c01_corpus(scalar_corpus):
+    # the limited boundary search reports what the unlimited one does
+    for g, res, _ in scalar_corpus:
+        assert_same_report(res.report, reference_verify_extension(g, res.values))
 
 
 def test_c02_uniqueness_cross_check(scalar_corpus):

@@ -114,14 +114,30 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 def test_boundary_hull_gap_leaves_scipy_optimize_unloaded_on_inside_values():
     # an m = 2 star whose centre takes the circumcentre of an acute
-    # triangle of boundary values, strictly inside it: the facet test of
-    # scipy.spatial places every value, and nnls never runs
+    # triangle of boundary values, strictly inside it: the barycentric test
+    # of the simplex places every value, and neither Qhull nor nnls runs
     code = """
 from lipext.graph import Graph
 from lipext.vector import boundary_hull_gap, iterate_tight
 leaves = {"a": [0.0, 0.0], "b": [1.0, 0.0], "c": [0.4, 0.9]}
 g = Graph({"o": [0.0, 0.0], "a": [1.0, 0.0], "b": [0.0, 1.0], "c": [-1.0, 0.0]},
           [("o", v) for v in leaves], leaves, leaves)
+values, _ = iterate_tight(g)
+assert boundary_hull_gap(g, values) == (0.0, None)
+import sys; assert "scipy.spatial" not in sys.modules
+"""
+    assert not _scipy_optimize_loaded_after(code)
+
+
+def test_boundary_hull_gap_places_a_square_hull_by_qhull_without_nnls():
+    # four boundary values at the corners of a square are no simplex: the
+    # facet test of scipy.spatial places the centre's value inside them
+    code = """
+from lipext.graph import Graph
+from lipext.vector import boundary_hull_gap, iterate_tight
+leaves = {"a": [0.0, 0.0], "b": [1.0, 0.0], "c": [1.0, 1.0], "d": [0.0, 1.0]}
+g = Graph({"o": [0.0, 0.0], "a": [1.0, 0.0], "b": [0.0, 1.0], "c": [-1.0, 0.0],
+           "d": [0.0, -1.0]}, [("o", v) for v in leaves], leaves, leaves)
 values, _ = iterate_tight(g)
 assert boundary_hull_gap(g, values) == (0.0, None)
 import sys; assert "scipy.spatial" in sys.modules
@@ -152,6 +168,44 @@ def test_kpoint_check_leaves_scipy_optimize_unloaded(tmp_path, points, values, q
 def test_duplicate_positions_rejected():
     with pytest.raises(ValueError):
         LabeledPointSet([[0.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]])
+
+
+def _first_coinciding_pair(points):
+    """The first pair i < j of equal rows in row-major order, or None."""
+    return next(((i, j) for i in range(len(points)) for j in range(i + 1, len(points))
+                 if np.array_equal(points[i], points[j])), None)
+
+
+@pytest.mark.parametrize("points, pair", [
+    # several groups: the first pair in row-major order, not the first in
+    # sorted order or the group's last member
+    ([[2.0, 2.0], [1.0, 0.0], [0.0, 0.0], [0.0, -0.0], [1.0, 0.0], [2.0, 2.0], [0.0, 0.0]],
+     (0, 5)),
+    ([[3.0], [1.0], [3.0], [1.0], [3.0]], (0, 2)),
+    ([[5.0, 1.0], [0.0, 0.0], [4.0, 4.0], [0.0, 0.0], [4.0, 4.0]], (1, 3)),
+    ([[1.0, 2.0], [2.0, 1.0], [1.0, 3.0], [0.0, 2.0], [1.0, 3.0]], (2, 4)),
+], ids=["three-groups", "triple", "two-groups", "one-pair"])
+def test_duplicate_positions_named_in_row_major_order(points, pair):
+    assert _first_coinciding_pair(np.array(points)) == pair
+    with pytest.raises(ValueError, match=rf"^points {pair[0]} and {pair[1]} coincide$"):
+        LabeledPointSet(points, np.arange(len(points), dtype=float))
+
+
+def test_duplicate_positions_named_on_random_sets():
+    # a few coordinates on a coarse lattice, so that groups of any size form
+    rng = np.random.default_rng(2024)
+    named = 0
+    for _ in range(200):
+        size, n = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+        points = rng.integers(-2, 3, (size, n)).astype(float)
+        pair = _first_coinciding_pair(points)
+        if pair is None:
+            LabeledPointSet(points, np.zeros(size))
+            continue
+        named += 1
+        with pytest.raises(ValueError, match=rf"^points {pair[0]} and {pair[1]} coincide$"):
+            LabeledPointSet(points, np.zeros(size))
+    assert 50 < named < 200
 
 
 @pytest.mark.parametrize("points, values", [

@@ -1,12 +1,22 @@
 import heapq
+import importlib.util
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import colour_order, grid_graph, path_graph, random_graph
+from conftest import (
+    assert_same_report,
+    colour_order,
+    grid_graph,
+    path_graph,
+    random_graph,
+    reference_verify_extension,
+)
 from lipext.cli import generate
 from lipext.errors import InvalidPath, NotConverged, ValidationError
 from lipext.graph import Graph, geodesic_distances_from, lipschitz_ratio
@@ -608,10 +618,10 @@ def test_bounds_skip_search_rows(monkeypatch):
     rows, unbounded = [], []
     real = scalar.dijkstra
 
-    def counting(graph, directed, indices):
+    def counting(graph, directed, indices, limit):
         if graph.shape[0] == 2 * n:  # the split graph, not the verifier's
             rows.append(len(indices))
-        return real(graph, directed=directed, indices=indices)
+        return real(graph, directed=directed, indices=indices, limit=limit)
 
     search = scalar._PathSearch.interior_path
 
@@ -638,10 +648,10 @@ def test_zero_slope_searches_run_few_rows(monkeypatch, size):
     real = scalar.dijkstra
     steepest = scalar._PathSearch.steepest
 
-    def counting(graph, directed, indices):
+    def counting(graph, directed, indices, limit):
         if graph.shape[0] == 2 * n and zero[-1]:
             rows.append(len(indices))
-        return real(graph, directed=directed, indices=indices)
+        return real(graph, directed=directed, indices=indices, limit=limit)
 
     def flagged(self):
         zero.append(self.last == 0.0)
@@ -706,6 +716,136 @@ def test_ratios_skip_zero_length_edges(fb):
     assert rep.boundary_ratio == 1.0
     assert rep.interior_ratio == 1.0 - fb
     assert lipschitz_ratio(g, u) == 1.0 - fb
+
+
+# ---------------------------------------------------------------------------
+# the verifier's limited boundary search against the unlimited one
+# ---------------------------------------------------------------------------
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+
+
+def _scalar_path_graphs(seed):
+    """The scalar-path benchmark's eleven graphs for a run seed."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(inputs)
+        rng = np.random.default_rng(seed)
+        corpus = np.random.default_rng(inputs.SCALAR_CORPUS_SEED)
+        graphs = {n: [inputs.move_values(inputs.random_graph(f"random{n}-{i}", corpus, n), rng)
+                      for i in range(count)]
+                  for n, count in ((30, 4), (80, 2), (120, 1))}
+        specs = ([inputs.grid("grid6", 6, inputs.curved(rng)), inputs.linear_grid("linear8", 8)]
+                 + graphs[30] + [inputs.grid("grid10", 10, inputs.curved(rng))] + graphs[80]
+                 + [inputs.grid("grid14", 14, inputs.curved(rng))] + graphs[120])
+    finally:
+        del sys.modules[spec.name]
+    return [Graph(s.pos, s.edges, s.boundary.keys(), s.boundary) for s in specs]
+
+
+def _grid_fixtures():
+    return [grid_graph(n, fn) for n in (5, 9, 16)
+            for fn in (lambda x, y: x, lambda x, y: x * x - y, lambda x, y: math.sin(3 * x) * y)] + [
+        generate("grid", n, None, boundary) for n in (8, 12) for boundary in ("corners", "linear-x")]
+
+
+def _assert_verifies_as_reference(g, u, tol=1e-9):
+    assert_same_report(verify_extension(g, u, tol), reference_verify_extension(g, u, tol))
+
+
+def _moved(g, values, value):
+    """values with the first interior vertex set to value."""
+    u = dict(values)
+    u[g.interior()[0]] = np.array([value])
+    return u
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_verify_matches_reference_on_scalar_path_graphs(seed):
+    for g in _scalar_path_graphs(seed):
+        res = solve_scalar(g)
+        assert_same_report(res.report, reference_verify_extension(g, res.values))
+        assert res.report.passed
+        # a candidate that fails the geodesic bound takes the unlimited search
+        bad = _moved(g, res.values, 5.0)
+        assert not verify_extension(g, bad).geodesic_ok
+        _assert_verifies_as_reference(g, bad)
+
+
+def test_verify_matches_reference_on_grid_fixtures():
+    for g in _grid_fixtures():
+        for u in (solve_scalar(g).values, gauss_seidel_scalar(g).values):
+            _assert_verifies_as_reference(g, u)
+            for value in (5.0, -3.0, 0.5):
+                _assert_verifies_as_reference(g, _moved(g, u, value))
+
+
+def test_verify_matches_reference_on_random_candidates():
+    # candidates near and far from the extension, at tolerances from tight
+    # to loose, on graphs that pass and fail the geodesic bound
+    rng = np.random.default_rng(2424)
+    verdicts = set()
+    for k in range(60):
+        g = random_graph(rng, max_vertices=40)
+        exact = solve_scalar(g).values
+        noise = rng.choice([0.0, 1e-12, 1e-3, 0.3])
+        u = {v: exact[v] + (0.0 if v in g.omega else noise * rng.normal()) for v in g.ids}
+        tol = float(rng.choice([1e-12, 1e-9, 1e-3, 0.5]))
+        _assert_verifies_as_reference(g, u, tol)
+        verdicts.add(verify_extension(g, u, tol).geodesic_ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("case", ["constant", "one-boundary-vertex", "nan-interior",
+                                  "nan-boundary", "inf-interior"])
+def test_verify_matches_reference_on_edge_cases(case):
+    g = grid_graph(6, lambda x, y: x * x - y)
+    u = solve_scalar(g).values
+    if case == "constant":
+        g = grid_graph(6, lambda x, y: 2.5)
+        u = {v: np.array([2.5]) for v in g.ids}
+        u[g.interior()[0]] = np.array([3.0])
+    elif case == "one-boundary-vertex":
+        g = Graph(g.positions, list(g.lengths), ["g00_00"], {"g00_00": 1.0})
+        u = {v: np.array([1.0 if v == "g00_00" else 0.5]) for v in g.ids}
+    elif case == "nan-interior":
+        u = _moved(g, u, math.nan)
+    elif case == "nan-boundary":  # verify_extension itself does not validate
+        b = sorted(g.omega)
+        g = Graph(g.positions, list(g.lengths), g.omega,
+                  {**g.boundary_values, b[3]: math.nan})
+        u = {**u, b[3]: np.array([math.nan])}
+    else:
+        u = _moved(g, u, math.inf)
+    _assert_verifies_as_reference(g, u)
+
+
+def test_verify_limits_its_boundary_search(monkeypatch):
+    # a passing candidate takes one limited pass over the boundary rows but
+    # the last; a failing one adds an unlimited pass
+    g = _scalar_path_graphs(1)[-1]  # 120 vertices
+    omega = len(g.omega)
+    limits = []
+    real = scalar.dijkstra
+
+    def recording(graph, directed, indices, limit):
+        limits.append((len(indices), limit))
+        return real(graph, directed=directed, indices=indices, limit=limit)
+
+    res = solve_scalar(g)
+    monkeypatch.setattr(scalar, "dijkstra", recording)
+    verify_extension(g, res.values)
+    assert sum(rows for rows, _ in limits) == omega - 1
+    assert all(math.isfinite(limit) for _, limit in limits)
+    # every pair at the boundary ratio lies within the limit
+    spread = max(f[0] for f in g.boundary_values.values()) - min(
+        f[0] for f in g.boundary_values.values())
+    assert max(limit for _, limit in limits) <= spread / res.report.boundary_ratio * 1.01
+    limits.clear()
+    verify_extension(g, _moved(g, res.values, 5.0))
+    assert sum(rows for rows, limit in limits if limit == math.inf) == omega - 1
 
 
 # ---------------------------------------------------------------------------

@@ -304,14 +304,50 @@ def test_hull_gap_rejects_non_finite_values(bad):
 
 
 def test_hull_gap_sends_every_value_to_nnls_when_qhull_fails(monkeypatch):
-    # every value but the boundary's own, which are bit-equal to theirs
+    # every value but the boundary's own, which are bit-equal to theirs; a
+    # square, since a simplex takes no Qhull
     monkeypatch.setattr(vector, "convex_hull_equations", lambda points: None)
+    nnls_impl, calls = vector.nnls, []
+    monkeypatch.setattr(vector, "nnls", lambda *a: calls.append(1) or nnls_impl(*a))
+    bvals = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    g, u = _hull_case(bvals, [np.array([0.2, 0.2]), np.array([2.0, 2.0])])
+    assert boundary_hull_gap(g, u) == reference_hull_gap(g, u)
+    assert reference_hull_gap(g, u)[1] == "x01" and len(calls) == 2
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_hull_gap_places_a_simplex_without_qhull(monkeypatch, m):
+    # r + 1 boundary values of rank r: barycentric coordinates place the
+    # values inside, nnls fits the others, and Qhull never runs
+    monkeypatch.setattr(vector, "convex_hull_equations", lambda points: pytest.fail("Qhull ran"))
+    nnls_impl, calls = vector.nnls, []
+    monkeypatch.setattr(vector, "nnls", lambda *a: calls.append(1) or nnls_impl(*a))
+    rng = np.random.default_rng(240 + m)
+    for _ in range(20):
+        bvals = rng.uniform(-1.0, 1.0, (m + 1, m)) * rng.choice([1e-6, 1.0, 1e6])
+        inside = [rng.dirichlet(np.ones(m + 1)) @ bvals for _ in range(6)]
+        # beyond each facet: far, and by a millionth of the way from the
+        # opposite vertex to the facet's centroid
+        centroids = [np.delete(bvals, i, axis=0).mean(axis=0) for i in range(m + 1)]
+        outside = [c + t * (c - b) for b, c in zip(bvals, centroids) for t in (1.0, 1e-6)]
+        g, u = _hull_case(bvals, inside + outside)
+        _assert_matches_reference(g, u)
+        assert boundary_hull_gap(*_hull_case(bvals, outside[1::2]))[0] > 0.0
+    assert len(calls) == 20 * 3 * (m + 1)
+
+
+def test_hull_gap_sends_every_value_to_nnls_on_a_singular_simplex(monkeypatch):
+    # a simplex whose edge matrix numpy cannot factor passes no row
+    def singular(*a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(vector.np.linalg, "solve", singular)
     nnls_impl, calls = vector.nnls, []
     monkeypatch.setattr(vector, "nnls", lambda *a: calls.append(1) or nnls_impl(*a))
     bvals = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     g, u = _hull_case(bvals, [np.array([0.2, 0.2]), np.array([2.0, 2.0])])
     assert boundary_hull_gap(g, u) == reference_hull_gap(g, u)
-    assert reference_hull_gap(g, u)[1] == "x01" and len(calls) == 2
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +623,23 @@ def test_finish_is_exact_and_takes_fewer_sweeps(monkeypatch, g):
     if g.value_dim() == 1:
         exact = solve_scalar(g).values
         assert all(abs(values[v][0] - exact[v][0]) <= 1e-14 for v in g.ids)
+
+
+@pytest.mark.parametrize("g", _finish_graphs(), ids=["curved6", "curved10", "sides5", "random"])
+def test_finish_follows_chains_over_each_arc_once_in_order(monkeypatch, g):
+    # the breadth-first search's neighbour order decides which sample a
+    # constant row follows: it runs on each arc once, sorted by source and
+    # then destination, as scipy sorts a graph built from (row, column) pairs
+    canonical = []
+    search = vector.breadth_first_order
+
+    def recording(graph, start, return_predecessors):
+        canonical.append(graph.has_canonical_format)
+        return search(graph, start, return_predecessors=return_predecessors)
+
+    monkeypatch.setattr(vector, "breadth_first_order", recording)
+    assert vector._sweep(g, 1e-10, 100_000)[2]
+    assert canonical and all(canonical)
 
 
 @pytest.mark.parametrize("g", _finish_graphs(), ids=["curved6", "curved10", "sides5", "random"])
