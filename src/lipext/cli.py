@@ -317,6 +317,9 @@ def cmd_verify(args) -> int:
         values = {v: np.atleast_1d(np.asarray(raw[v], float)) for v in g.ids}
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{args.result}: {exc}") from exc
+    nested = next((v for v in g.ids if values[v].ndim > 1), None)
+    if nested is not None:
+        raise ParseError(f"{args.result}: vertex {nested!r} has a value that is not a vector")
     bad = [v for v in g.ids if not np.isfinite(values[v]).all()]
     if bad:
         raise ParseError(f"{args.result}: vertex {bad[0]!r} has a non-finite value")

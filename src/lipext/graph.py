@@ -4,6 +4,9 @@ Vertices carry positions, edges carry positive lengths (Euclidean between
 the endpoint positions unless overridden), and a nonempty boundary set
 carries the values to extend.  Queries are read-only; a Graph is immutable
 after construction.
+
+Its integer-indexed form (`Indexed`) is built once per Graph on first use;
+the path search, the verifier, `lipschitz_ratio` and the sweeps read it.
 """
 
 from __future__ import annotations
@@ -11,11 +14,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BoundaryMismatch, BoundaryVertex, UnknownVertex, ValidationError
 from .geometry import pow2_shift
+from .kpoint import _read_only
 
 # A vertex function assigns an m-vector to every vertex id.
 VertexFunction = dict[str, np.ndarray]
@@ -44,7 +50,10 @@ class Graph:
     def __init__(self, vertices, edges, omega, boundary_values):
         pos: dict[str, np.ndarray] = {}
         for vid, p in dict(vertices).items():
-            pos[str(vid)] = np.atleast_1d(np.asarray(p, dtype=float))
+            position = np.atleast_1d(np.asarray(p, dtype=float))
+            if position.ndim > 1:
+                raise ValueError(f"position of {vid!r} is not a vector: {p!r}")
+            pos[str(vid)] = position
         dims = {p.shape[0] for p in pos.values()}
         if len(dims) > 1:
             raise ValueError(f"positions have mixed dimensions {sorted(dims)}")
@@ -105,6 +114,49 @@ class Graph:
     def value_dim(self) -> int:
         return next(iter(self.boundary_values.values())).shape[0] if self.boundary_values else 0
 
+    def __getstate__(self):
+        # a copy builds its own indexed form: copied arrays are writable
+        return {k: v for k, v in self.__dict__.items() if k != "indexed"}
+
+    @cached_property
+    def indexed(self) -> Indexed:
+        """The integer-indexed form of the graph, built on first use."""
+        n = len(self.ids)
+        index = dict(zip(self.ids, range(n)))
+        keys = tuple(sorted(self.lengths))
+        m = len(keys)
+        heads = np.fromiter((index[a] for a, _ in keys), np.intp, m)
+        tails = np.fromiter((index[b] for _, b in keys), np.intp, m)
+        lengths = np.fromiter(map(self.lengths.__getitem__, keys), float, m)
+        src, dst = np.concatenate([heads, tails]), np.concatenate([tails, heads])
+        order = np.lexsort((dst, src))
+        arcs = np.empty(2 * m, dtype=np.intp)
+        arcs[order] = np.arange(2 * m)
+        src, dst = src[order], dst[order]
+        boundary = np.fromiter(map(self.omega.__contains__, self.ids), bool, n)
+        return Indexed(index, *_read_only(boundary),
+                       (keys, *_read_only(heads, tails, lengths)),
+                       *_read_only(src, dst, np.concatenate([lengths, lengths])[order],
+                                   np.searchsorted(src, np.arange(n + 1)), arcs.reshape(2, m)))
+
+
+class Indexed(NamedTuple):
+    """A graph's integer-indexed form (`Graph.indexed`), vertex i being
+    g.ids[i], its arrays read-only.  edges is the table (keys, heads, tails,
+    lengths) of the edges in sorted key order, heads < tails.  Arc p, from
+    src[p] to dst[p] of length weight[p], is one direction of an edge; the
+    arcs sort by source, then destination, those out of vertex i running
+    from indptr[i] to indptr[i + 1].  arcs[:, k] are edge k's two arcs."""
+
+    index: dict[str, int]  # id -> i
+    boundary: np.ndarray  # whether vertex i is in omega
+    edges: tuple
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    indptr: np.ndarray
+    arcs: np.ndarray
+
 
 def neighborhood(g: Graph, x: str) -> set[str]:
     """All vertices sharing an edge with x; never contains x itself."""
@@ -154,24 +206,13 @@ def as_vertex_function(values) -> VertexFunction:
             else np.atleast_1d(np.asarray(v, dtype=float)) for k, v in dict(values).items()}
 
 
-def edge_arrays(g: Graph) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray, np.ndarray]:
-    """Edges in sorted key order as (keys, heads, tails, lengths); heads and
-    tails index g.ids, with heads < tails."""
-    index = {v: i for i, v in enumerate(g.ids)}
-    keys = sorted(g.lengths)
-    heads = np.array([index[a] for a, _ in keys], dtype=np.intp)
-    tails = np.array([index[b] for _, b in keys], dtype=np.intp)
-    lengths = np.array([g.lengths[k] for k in keys], dtype=float)
-    return keys, heads, tails, lengths
-
-
 def sparse_graph(src: np.ndarray, dst: np.ndarray, weights: np.ndarray, size: int):
     """The size x size scipy.sparse.csr_array of the arcs src[k] -> dst[k]
     of weight weights[k], given sorted by source: each row keeps its arcs
-    in the given order.  scipy.sparse more than doubles the time of `import
-    lipext` (0.2 against 0.55-0.65 s under -X importtime), and only the
-    path search, the verifier and the sweeps' finish need it, so it is
-    imported on first use."""
+    in the given order, and the array shares the arrays given.
+    scipy.sparse more than doubles the time of `import lipext` (0.2
+    against 0.55-0.65 s under -X importtime), so it is imported on first
+    use."""
     from scipy.sparse import csr_array
 
     indptr = np.searchsorted(src, np.arange(size + 1))
@@ -179,9 +220,9 @@ def sparse_graph(src: np.ndarray, dst: np.ndarray, weights: np.ndarray, size: in
 
 
 def steepest_edge(edges, vals: np.ndarray) -> tuple[float, int]:
-    """Largest value distance to length ratio over the edges of
-    `edge_arrays`, with vals[i] the value at g.ids[i]: (ratio, k) for the
-    first steepest edge k, or (0.0, -1) if there is none.
+    """Largest value distance to length ratio over the edges of an edge
+    table (`Indexed.edges`), with vals[i] the value at g.ids[i]: (ratio, k)
+    for the first steepest edge k, or (0.0, -1) if there is none.
 
     Along a shortest path the value distance is at most the sum of the edge
     differences, so on a graph that passes `validate` no vertex pair is
@@ -210,7 +251,7 @@ def lipschitz_ratio(g: Graph, u) -> float:
     """Largest value distance to geodesic distance ratio over vertex pairs,
     taken over edges (see `steepest_edge`)."""
     u = as_vertex_function(u)
-    return steepest_edge(edge_arrays(g), np.array([u[v] for v in g.ids]))[0]
+    return steepest_edge(g.indexed.edges, np.array([u[v] for v in g.ids]))[0]
 
 
 def local_lipschitz(g: Graph, u, x: str) -> float:
@@ -264,6 +305,10 @@ def validate(g: Graph) -> list[Violation]:
     dims = {v.shape[0] for v in g.boundary_values.values()}
     if len(dims) > 1:
         out.append(Violation("DimensionMismatch", f"boundary value dimensions {sorted(dims)}"))
+    for v, val in sorted(g.boundary_values.items()):
+        if not val.size:
+            out.append(Violation("EmptyValue", f"boundary vertex {v!r} has a value with no "
+                                 "coordinates"))
     # one finiteness pass over every number (axis=None flattens arrays of
     # any shape); the per-item messages are built only when it fails
     lens = np.fromiter(g.lengths.values(), dtype=float, count=len(g.lengths))
@@ -284,7 +329,7 @@ def validate(g: Graph) -> list[Violation]:
                 out.append(Violation("NonFinite", f"edge ({a}, {b}) has length {ln}"))
             elif not ln > 0.0:
                 out.append(Violation("ZeroLengthEdge", f"edge ({a}, {b}) has length {ln}"))
-    if len(dims) == 1 and lens.size and positive and np.isfinite(lens).all():
+    if len(dims) == 1 and 0 not in dims and lens.size and positive and np.isfinite(lens).all():
         vals = np.array(list(g.boundary_values.values()))
         # the solvers' slopes stay within 2 max|f| / shortest edge and the
         # pair formula's length-weighted values within 2 max|f| * longest

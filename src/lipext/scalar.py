@@ -27,7 +27,6 @@ from .errors import InvalidPath, MethodUnavailable, MultipleAttachments, NotConv
 from .graph import (  # noqa: F401
     Graph,
     VertexFunction,
-    edge_arrays,
     geodesic_distances_from,
     require_valid,
     sparse_graph,
@@ -222,15 +221,15 @@ class _PathSearch:
     The distances come from a split graph: each labeled vertex keeps its
     node as a source copy with arcs only to unlabeled neighbours, and gets
     a sink copy n + v with arcs only from them, so no labeled vertex is ever
-    a transit vertex.  The graph is one CSR array of all arcs, sorted by
-    source; an arc into a labeled vertex points at its sink copy, and an
-    arc of a used edge or between two labeled vertices (a single edge,
-    handled separately) weighs inf, which no shortest path takes.  `label`
-    patches in only the arcs at each stage's new vertices and edges.  With
-    the labeled ids in sorted order, the first maximum of
-    |f(b) - f(a)| / d(a, b) over pairs a < b, d read from a's row, is the
-    pair that `_rank` puts first; `_lexicographic_path` then recovers its
-    interior.
+    a transit vertex.  The graph is one CSR array of all arcs (`Indexed`),
+    on copies of their destinations and lengths: an arc into a labeled
+    vertex points at its sink copy, and an arc of a used edge or between two
+    labeled vertices (a single edge, handled separately) weighs inf, which
+    no shortest path takes.  `label` patches in only the arcs at each
+    stage's new vertices and edges.  With the labeled ids in sorted order,
+    the first maximum of |f(b) - f(a)| / d(a, b) over pairs a < b, d read
+    from a's row, is the pair that `_rank` puts first; `_lexicographic_path`
+    then recovers its interior.
 
     Rows are bounded lazily.  Between searches vertices only become labeled
     and edges only become used, so no path between two labeled vertices
@@ -254,27 +253,25 @@ class _PathSearch:
     column, at its first such column, is the pair the tie rule picks.
     """
 
-    def __init__(self, g: Graph, state: SubgraphState, edges):
-        keys, heads, tails, lengths = edges
-        n, m = len(g.ids), len(keys)
-        order = np.argsort(np.concatenate([heads, tails]), kind="stable")
-        where = np.empty_like(order)
-        where[order] = np.arange(order.size)
+    def __init__(self, g: Graph, state: SubgraphState):
+        form = g.indexed
+        n = len(g.ids)
         self.n = n
-        self.index = {v: i for i, v in enumerate(g.ids)}
-        self.edge_index = dict(zip(keys, range(m)))
-        self.src = np.concatenate([heads, tails])[order]
-        self.dst = np.concatenate([tails, heads])[order]
-        self.twin = where[(order + m) % max(2 * m, 1)]  # the reverse arc
-        self.arcs = where.reshape(2, m)  # the two arcs of each edge
+        self.index = form.index
+        self.src, self.dst, self.arcs = form.src, form.dst, form.arcs
+        self.key = self.src * n + self.dst  # ascending: arcs sort by source, then destination
+        self.starts = form.indptr  # each vertex's first arc
+        self.twin = np.empty_like(self.src)  # the reverse arc
+        self.twin[self.arcs] = self.arcs[::-1]
         self.labeled = np.fromiter(map(state.labeled.__contains__, g.ids), bool, n)
         self.f = np.array([state.labeled.get(v, 0.0) for v in g.ids])
+        # the graph shares the arrays it is given, and `label` writes to them
         self.graph = sparse_graph(self.src,
                                   np.where(self.labeled[self.dst], self.dst + n, self.dst),
-                                  np.concatenate([lengths, lengths])[order], 2 * n)
-        self.starts = self.graph.indptr[:n + 1]  # each vertex's first arc
+                                  form.weight.copy(), 2 * n)
         self.live = np.diff(self.starts)  # finite arcs out of each vertex
-        used = np.fromiter(map(state.used_edges.__contains__, keys), bool, m)
+        keys = form.edges[0]
+        used = np.fromiter(map(state.used_edges.__contains__, keys), bool, len(keys))
         self._cut(np.concatenate([self.arcs[:, used].ravel(),
                                   np.flatnonzero(self.labeled[self.src] & self.labeled[self.dst])]))
         self.bound = np.full(n, np.inf)  # inf: never run
@@ -290,14 +287,15 @@ class _PathSearch:
 
     def label(self, state: SubgraphState, path: ConnectingPath) -> None:
         """Record the vertices and edges that applying `path` consumed."""
-        new = np.array([self.index[v] for v in path.vertices[1:-1]], dtype=np.intp)
+        at = np.array([self.index[v] for v in path.vertices], dtype=np.intp)
+        new = at[1:-1]
         self.labeled[new] = True
         self.f[new] = [state.labeled[v] for v in path.vertices[1:-1]]
         out = np.concatenate([np.arange(self.starts[i], self.starts[i + 1]) for i in new])
         self.graph.indices[self.twin[out]] = self.src[out] + self.n
-        used = self.arcs[:, [self.edge_index[e] for e in path.edges]].ravel()
+        along = np.searchsorted(self.key, at[:-1] * self.n + at[1:])  # the path's arcs
         between = out[self.labeled[self.dst[out]]]
-        self._cut(np.concatenate([used, between, self.twin[between]]))
+        self._cut(np.concatenate([along, self.twin[along], between, self.twin[between]]))
 
     def steepest(self) -> tuple[int, int] | None:
         """Vertex indices (a, b), a < b, of the first steepest pair."""
@@ -404,7 +402,7 @@ def _lexicographic_path(g: Graph, state: SubgraphState, a: str, b: str) -> Conne
 def find_max_slope_connecting_path(g: Graph, state: SubgraphState) -> ConnectingPath | None:
     """Steepest connecting path over all labeled pairs, or None."""
     cands = _single_edge_candidates(g, state, state.labeled)
-    interior = _PathSearch(g, state, edge_arrays(g)).interior_path(g, state)
+    interior = _PathSearch(g, state).interior_path(g, state)
     if interior is not None:
         cands.append(interior)
     if not cands:
@@ -479,7 +477,7 @@ def solve_scalar(g: Graph) -> ExtensionResult:
     if g.value_dim() != 1:
         raise MethodUnavailable("the connecting-path solver requires scalar values")
     state = initial_state(g)
-    search = _PathSearch(g, state, edge_arrays(g))
+    search = _PathSearch(g, state)
     # single labeled-labeled edges neither move values nor relabel anything,
     # so the steepest interior path stays valid while they are drained
     interior = search.interior_path(g, state)
@@ -557,19 +555,12 @@ def verify_extension(g: Graph, u: VertexFunction, tol: float = 1e-9) -> VerifyRe
 
     mp_ok, mp_witness = maximum_principle(g, u, tol)
 
-    ids = g.ids
-    edges = edge_arrays(g)
-    _, heads, tails, lengths = edges
-    interior_ratio, k = steepest_edge(edges, np.array([u[x] for x in ids], dtype=float))
-    geo_witness = edges[0][k] if k >= 0 else None
-    # both arcs of each edge, sorted by source and then destination, as
-    # scipy sorts a graph built from (row, column) pairs: a vertex's arcs
-    # to the heads of its edges, all below it, come first
-    src = np.concatenate([tails, heads])
-    order = np.argsort(src, kind="stable")
-    graph = sparse_graph(src[order], np.concatenate([heads, tails])[order],
-                         np.concatenate([lengths, lengths])[order], len(ids))
-    omega = np.array([i for i, x in enumerate(ids) if x in g.omega], dtype=np.intp)
+    ids, form = g.ids, g.indexed
+    interior_ratio, k = steepest_edge(form.edges, np.array([u[x] for x in ids], dtype=float))
+    geo_witness = form.edges[0][k] if k >= 0 else None
+    # arcs in (source, destination) order, as scipy sorts (row, column) pairs
+    graph = sparse_graph(form.src, form.dst, form.weight, len(ids))
+    omega = np.flatnonzero(form.boundary)
     f = np.array([float(g.boundary_values[ids[i]][0]) for i in omega])
     # no boundary pair below this slope decides the bound
     boundary_ratio = _boundary_ratio(graph, omega, f, interior_ratio / (1.0 + tol))

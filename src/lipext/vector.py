@@ -32,7 +32,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -147,20 +147,24 @@ class _Block:
 
 
 class _Plan:
-    """Replacement groups of a graph's interior vertices: a block (or None)
-    and single vertices (row, neighbour rows, lengths), rows being indices
-    into g.ids, to be replaced in turn."""
+    """Replacement groups of a graph's interior vertices, for m-vector
+    values: a block (or None) and single vertices (row, neighbour rows,
+    lengths), rows being indices into g.ids, to be replaced in turn."""
 
-    def __init__(self, g: Graph):
-        index = {v: i for i, v in enumerate(g.ids)}
-        interior = g.interior()
-        adj = [g.neighbors(v) for v in interior]
-        self.rows = [index[v] for v in interior]
+    def __init__(self, g: Graph, m: int):
+        form = g.indexed
+        inner = ~form.boundary
+        rows = np.flatnonzero(inner)
+        out = inner[form.src]  # the arcs out of interior vertices
+        self.m = m
+        self.rows = rows.tolist()
+        self.interior = np.full(len(g.ids), -1, dtype=np.intp)  # vertex -> row, or -1
+        self.interior[rows] = np.arange(rows.size)
         # neighbours of the k-th interior vertex: cols and lengths from
         # start[k] to start[k + 1], in `neighbors` order
-        self.start = list(accumulate(map(len, adj), initial=0))
-        self.cols = [index[w] for a in adj for w, _ in a]
-        self.lengths = [ln for a in adj for _, ln in a]
+        self.start = [0] + np.cumsum(np.diff(form.indptr)[rows]).tolist()
+        self.cols = form.dst[out].tolist()
+        self.lengths = form.weight[out].tolist()
 
     def _single(self, k: int):
         s, e = self.start[k], self.start[k + 1]
@@ -184,6 +188,54 @@ class _Plan:
                        np.array(self.cols, dtype=np.intp)[take],
                        KernelBlock(np.array(self.lengths)[take], degree))
         return block, [self._single(k) for k in ks if start[k + 1] - start[k] > DEGREE_CAP]
+
+    @cached_property
+    def whole(self):
+        """The whole interior as one group (`group`), for the passes that
+        only read the values: the residual and the finish's freeze."""
+        return self.group(list(range(len(self.rows))), RESIDUAL_BLOCK_MIN[self.m > 1])
+
+    def rule(self, x: np.ndarray, active: bool = False):
+        """The local rule of every interior row at the (vertices, m) values
+        x, in one pass over `whole`: points (rows, m), each row's optimum.
+        With active, (verts, lens, points), verts and lens (rows, m + 1)
+        being the vertices of each row's active samples, -1 padded, and
+        their lengths; a constant row has one active sample.  Raises
+        NoCertifiedSubset where the kernel does."""
+        m, interior = self.m, self.interior
+        n = len(self.rows)
+        points = np.empty((n, m))
+        verts = np.full((n, m + 1), -1, dtype=np.intp) if active else None
+        lens = np.zeros((n, m + 1)) if active else None
+        block, singles = self.whole
+        if block is not None and not active:
+            points[interior[block.rows]] = block.step(x)
+        elif block is not None:
+            k = interior[block.rows]
+            points[k], certified, sets = block.rule.step(x.T[:, block.nbrs], active=True)
+            cols, valid = np.maximum(sets, 0), sets >= 0
+            verts[k] = np.where(valid, np.take_along_axis(block.nbrs, cols, axis=1), -1)
+            lens[k] = np.where(valid, np.take_along_axis(block.rule.dists, cols, axis=1), 0.0)
+            # a row that no subset certifies goes to the kernel on its own
+            singles = singles + [
+                (block.rows[r], block.nbrs[r, :c].tolist(), block.rule.dists[r, :c].tolist())
+                for r, c in zip(np.flatnonzero(~certified), block.rule.count[~certified])]
+        # the single rows on plain floats for m = 1, as in `_sweep`
+        vals = x[:, 0].tolist() if m == 1 else x
+        found = []
+        for v, idxs, dists in singles:
+            if m == 1:
+                point, ratio, sample = _pair_optimum([vals[j] for j in idxs], dists)
+                sample = sample if ratio else (0,)
+            else:
+                _, point, sample, _, _ = minimax_kernel(x[idxs], dists)
+            found.append(point)
+            if active:
+                verts[interior[v], :len(sample)] = [idxs[a] for a in sample]
+                lens[interior[v], :len(sample)] = [dists[a] for a in sample]
+        if singles:
+            points[interior[[v for v, _, _ in singles]]] = np.reshape(found, (-1, m))
+        return (verts, lens, points) if active else points
 
     def sweep_order(self, block_min: int) -> list:
         """Gauss-Seidel groups: the colour classes of a greedy colouring of
@@ -285,13 +337,10 @@ class _Finish:
     accepted.
     """
 
-    def __init__(self, plan: _Plan, n_vertices: int, m: int):
-        self.m = m
+    def __init__(self, plan: _Plan):
+        self.plan, self.m = plan, plan.m
         self.rows = np.array(plan.rows, dtype=np.intp)
-        self.interior = np.full(n_vertices, -1, dtype=np.intp)  # vertex -> row, or -1
-        self.interior[plan.rows] = np.arange(len(plan.rows))
-        # the freeze reads the values once, as the residual does
-        self.group = plan.group(list(range(len(plan.rows))), RESIDUAL_BLOCK_MIN[m > 1])
+        self.interior = plan.interior  # vertex -> row, or -1
         # every (row, neighbour) pair, which a constant row may follow
         self.nbr_row = np.repeat(np.arange(len(plan.rows)), np.diff(plan.start))
         self.nbr_col = np.array(plan.cols, dtype=np.intp)
@@ -323,40 +372,6 @@ class _Finish:
             last = check
         return None
 
-    def _rule(self, x: np.ndarray):
-        """The local rule of every interior row at the (vertices, m) values
-        x, in one group (`_Plan.group`): (verts, lens, points), verts and
-        lens (rows, m + 1) being the vertices of its active samples, -1
-        padded, and their lengths, and points (rows, m) its optimum.  A
-        constant row has one active sample.  Raises NoCertifiedSubset where
-        the kernel does."""
-        m, interior = self.m, self.interior
-        n = len(self.rows)
-        verts = np.full((n, m + 1), -1, dtype=np.intp)
-        lens = np.zeros((n, m + 1))
-        points = np.empty((n, m))
-        block, singles = self.group
-        if block is not None:
-            p, certified, sets = block.rule.step(x.T[:, block.nbrs], active=True)
-            k, cols, valid = interior[block.rows], np.maximum(sets, 0), sets >= 0
-            verts[k] = np.where(valid, np.take_along_axis(block.nbrs, cols, axis=1), -1)
-            lens[k] = np.where(valid, np.take_along_axis(block.rule.dists, cols, axis=1), 0.0)
-            points[k] = p
-            singles = singles + [
-                (block.rows[r], block.nbrs[r, :c].tolist(), block.rule.dists[r, :c].tolist())
-                for r, c in zip(np.flatnonzero(~certified), block.rule.count[~certified])]
-        for v, idxs, dists in singles:
-            if m == 1:
-                point, ratio, active = _pair_optimum(x[idxs, 0].tolist(), dists)
-                active = active if ratio else (0,)
-            else:
-                _, point, active, _, _ = minimax_kernel(x[idxs], dists)
-            k = interior[v]
-            verts[k, :len(active)] = [idxs[a] for a in active]
-            lens[k, :len(active)] = [dists[a] for a in active]
-            points[k] = point
-        return verts, lens, points
-
     def _freeze(self, x: np.ndarray):
         """Each interior row's active set at the (vertices, m) values x
         (`_Active`), with lam and hull coordinates read off the local
@@ -369,7 +384,7 @@ class _Finish:
         if not np.isfinite(x).all():
             return None
         try:
-            verts, lens, points = self._rule(x)
+            verts, lens, points = self.plan.rule(x, active=True)
         except NoCertifiedSubset:
             return None
         m, rows, n_vertices = self.m, self.rows, len(self.interior)
@@ -617,7 +632,7 @@ def _sweep(g: Graph, tol: float, max_iter: int):
     centroid = _centroid(np.array([g.boundary_values[b] for b in sorted(g.omega)]))
     m = centroid.size
     rule, at = _local_rule(m)
-    plan = _Plan(g)
+    plan = _Plan(g, m)
     order = plan.sweep_order(SWEEP_BLOCK_MIN[m > 1])
     rows = [g.boundary_values[v] if v in g.omega else centroid for v in ids]
     # blocks read and write a (vertices, m) array.  Graphs without a block
@@ -670,7 +685,7 @@ def _sweep(g: Graph, tol: float, max_iter: int):
         if delta < level and len(history) < max_iter:
             level = delta * FINISH_RETRY
             if finish is None:
-                finish = _Finish(plan, len(ids), m)
+                finish = _Finish(plan)
             own = np.array(vals, dtype=float).reshape(len(ids), m)
             check = finish.attempt(own, delta, tol, load, sweep)
             if check is not None:
@@ -711,25 +726,16 @@ def _worst_move(g: Graph, u: VertexFunction) -> tuple[float, str | None]:
     """Largest distance between an interior value of u and its neighbourhood
     optimum, with the first vertex in id order that attains it.
 
-    u is only read, so the whole interior is one group (`_Plan.group`)."""
+    u is only read, so the whole interior is one pass (`_Plan.rule`)."""
     m = g.value_dim()
-    rule, at = _local_rule(m)
-    plan = _Plan(g)
-    block, singles = plan.group(list(range(len(plan.rows))), RESIDUAL_BLOCK_MIN[m > 1])
-    # a list for the single steps and an array for the block, as in `_sweep`
-    vals = [float(u[v][0]) for v in g.ids] if m == 1 else [u[v] for v in g.ids]
-    lengths = _move_lengths([rule([vals[j] for j in idxs], lens)[at] - vals[i]
-                             for i, idxs, lens in singles], m)
-    moves = dict(zip([i for i, _, _ in singles], lengths.tolist()))
-    if block is not None:
-        arr = np.array(vals, dtype=float).reshape(len(vals), m)
-        lengths = _move_lengths(block.step(arr) - arr[block.rows], m)
-        moves.update(zip(block.rows.tolist(), lengths.tolist()))
-    worst, witness = 0.0, None
-    for i in plan.rows:
-        if moves[i] > worst:
-            worst, witness = moves[i], g.ids[i]
-    return worst, witness
+    plan = _Plan(g, m)
+    x = np.array([u[v] for v in g.ids], dtype=float).reshape(len(g.ids), m)
+    moves = _move_lengths(plan.rule(x) - x[plan.rows], m)
+    moves = np.where(moves > 0.0, moves, 0.0)  # a NaN move is no move
+    k = int(np.argmax(moves)) if moves.size else 0
+    if not moves.size or moves[k] == 0.0:
+        return 0.0, None
+    return float(moves[k]), g.ids[plan.rows[k]]
 
 
 def residual(g: Graph, u) -> float:

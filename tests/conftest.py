@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -180,6 +181,28 @@ def reference_hull_gap(g, u):
     return worst, witness
 
 
+def reference_edge_table(g):
+    """The edges of g in sorted key order as (keys, heads, tails, lengths),
+    heads and tails indexing g.ids: the table of `Graph.indexed`, built
+    without it."""
+    index = {v: i for i, v in enumerate(g.ids)}
+    keys = sorted(g.lengths)
+    return (keys, np.array([index[a] for a, _ in keys], dtype=np.intp),
+            np.array([index[b] for _, b in keys], dtype=np.intp),
+            np.array([g.lengths[k] for k in keys], dtype=float))
+
+
+def reference_plan(g):
+    """(rows, start, cols, lengths) of g's interior, built from
+    g.neighbors: the k-th interior vertex in id order is g.ids[rows[k]],
+    and its neighbours' indices and edge lengths are cols and lengths from
+    start[k] to start[k + 1], in `neighbors` order."""
+    index = {v: i for i, v in enumerate(g.ids)}
+    adj = [g.neighbors(v) for v in g.interior()]
+    return ([index[v] for v in g.interior()], list(accumulate(map(len, adj), initial=0)),
+            [index[w] for a in adj for w, _ in a], [ln for a in adj for _, ln in a])
+
+
 def reference_boundary_ratio(g):
     """The boundary data's largest ratio |f(b) - f(a)| / d(a, b) over pairs
     a < b at a finite positive distance, d read from a's row, as
@@ -190,11 +213,10 @@ def reference_boundary_ratio(g):
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import dijkstra
 
-    from lipext.graph import edge_arrays
     from lipext.scalar import SOURCE_BLOCK
 
     ids = g.ids
-    _, heads, tails, lengths = edge_arrays(g)
+    _, heads, tails, lengths = reference_edge_table(g)
     n = len(ids)
     graph = csr_array((np.concatenate([lengths, lengths]),
                        (np.concatenate([heads, tails]), np.concatenate([tails, heads]))),
@@ -219,14 +241,14 @@ def reference_boundary_ratio(g):
 def reference_verify_extension(g, u, tol=1e-9):
     """scalar.verify_extension with the boundary search of
     `reference_boundary_ratio`."""
-    from lipext.graph import edge_arrays, steepest_edge
+    from lipext.graph import steepest_edge
     from lipext.scalar import VerifyReport, _boundary_range, maximum_principle
     from lipext.vector import _worst_move
 
     lo, hi, scaled = _boundary_range(g, tol)
     worst, witness = _worst_move(g, u)
     mp_ok, mp_witness = maximum_principle(g, u, tol)
-    edges = edge_arrays(g)
+    edges = reference_edge_table(g)
     interior_ratio, k = steepest_edge(edges, np.array([u[x] for x in g.ids], dtype=float))
     boundary_ratio = reference_boundary_ratio(g)
     geodesic_ok = interior_ratio <= boundary_ratio * (1.0 + tol) + (0.0 if hi - lo > 0.0 else tol)

@@ -268,22 +268,41 @@ def test_solve_rejects_overflowing_slopes(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_solve_nested_positions(tmp_path):
-    # a position written as [[x, y]] is the point (x, y)
+def test_solve_rejects_nested_positions(tmp_path, capsys):
+    # a position is a vector, as a boundary value is: [[x]] and [[x, y]] are
+    # rejected
+    for pos in ([[1.0]], [[1.0, 0.0]]):
+        doc = {
+            "vertices": [{"id": f"v{i}", "pos": [float(i), 0.0][:len(pos[0])]} for i in range(4)],
+            "edges": [[f"v{i}", f"v{i + 1}"] for i in range(3)],
+            "boundary": {"v0": [0.0], "v3": [3.0]},
+        }
+        doc["vertices"][1]["pos"] = pos
+        f = write_json(tmp_path / "nested.json", doc)
+        for method in ("path", "iterate"):
+            out = tmp_path / f"x-{method}.json"
+            assert run("solve", "--input", f, "--method", method, "--output", out) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ParseError") and "'v1' is not a vector" in err
+            assert "Traceback" not in err and not out.exists()
+
+
+def test_solve_and_verify_reject_empty_boundary_values(tmp_path, capsys):
     doc = {
-        "vertices": [{"id": f"v{i}", "pos": [float(i), 0.0]} for i in range(4)],
-        "edges": [[f"v{i}", f"v{i + 1}"] for i in range(3)],
-        "boundary": {"v0": [0.0], "v3": [3.0]},
+        "vertices": [{"id": v, "pos": [float(i)]} for i, v in enumerate("abc")],
+        "edges": [["a", "b"], ["b", "c"]],
+        "boundary": {"a": [], "c": []},
     }
-    flat = write_json(tmp_path / "flat.json", doc)
-    for v in doc["vertices"]:
-        v["pos"] = [v["pos"]]
-    nested = write_json(tmp_path / "nested.json", doc)
-    for method in ("path", "iterate"):
-        a, b = tmp_path / f"a-{method}.json", tmp_path / f"b-{method}.json"
-        assert run("solve", "--input", flat, "--method", method, "--output", a) == 0
-        assert run("solve", "--input", nested, "--method", method, "--output", b) == 0
-        assert a.read_text() == b.read_text()
+    f = write_json(tmp_path / "empty.json", doc)
+    result = write_json(tmp_path / "r.json", {"values": {"a": [], "b": [], "c": []}})
+    out = tmp_path / "x.json"
+    for argv in (("solve", "--input", f, "--output", out),
+                 ("solve", "--input", f, "--method", "iterate", "--output", out),
+                 ("verify", f, result, "--output", out)):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValidationError") and "EmptyValue" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 def test_solve_rejects_nested_values(tmp_path, capsys):
@@ -498,6 +517,21 @@ def test_verify_rejects_unusable_value(tmp_path, capsys, value):
     write_json(r, doc)
     assert run("verify", g, r) == 1
     assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [[[1.0]], [[0.5, 0.5]], [[1.0], [2.0]]])
+def test_verify_rejects_a_nested_value(tmp_path, capsys, value):
+    g = tmp_path / "g.json"
+    r = tmp_path / "r.json"
+    assert run("gen", "path", "--size", 4, "--output", g) == 0
+    assert run("solve", "--input", g, "--output", r) == 0
+    doc = json.loads(r.read_text())
+    doc["values"]["v1"] = value
+    write_json(r, doc)
+    assert run("verify", g, r) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ParseError: {r}: vertex 'v1' has a value that is not a vector\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("values", [[[1], [2]], 5])

@@ -1,12 +1,15 @@
+import copy
 import itertools
 import math
+import pickle
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from conftest import path_graph, random_graph
-from lipext.errors import BoundaryMismatch, BoundaryVertex, UnknownVertex
+from conftest import grid_graph, path_graph, random_graph, reference_edge_table, star_graph
+from lipext.errors import BoundaryMismatch, BoundaryVertex, UnknownVertex, ValidationError
 from lipext.graph import (
     Graph,
     as_vertex_function,
@@ -15,8 +18,10 @@ from lipext.graph import (
     lipschitz_ratio,
     local_lipschitz,
     neighborhood,
+    require_valid,
     validate,
 )
+from lipext.scalar import gauss_seidel_scalar, solve_scalar, verify_extension
 
 
 def six_vertex_graph():
@@ -279,6 +284,20 @@ def test_validate_lists_every_violation_in_order():
     ]
 
 
+def test_validate_reports_a_boundary_value_with_no_coordinates():
+    # no coordinate to test for overflow: each empty value is a violation
+    g = Graph({"a": [0.0], "b": [1.0], "c": [2.0]}, [("a", "b"), ("b", "c")], ["a", "c"],
+              {"a": [], "c": []})
+    assert [(v.code, v.message) for v in validate(g)] == [
+        ("EmptyValue", "boundary vertex 'a' has a value with no coordinates"),
+        ("EmptyValue", "boundary vertex 'c' has a value with no coordinates"),
+    ]
+    with pytest.raises(ValidationError, match="EmptyValue"):
+        require_valid(g)
+    mixed = Graph({"a": [0.0], "b": [1.0]}, [("a", "b")], ["a", "b"], {"a": [], "b": [1.0]})
+    assert [v.code for v in validate(mixed)] == ["DimensionMismatch", "EmptyValue"]
+
+
 def test_vector_ratio_at_extreme_scale():
     # squared differences near 1e400 overflow; the norms are scaled by a
     # power of two instead, and only then
@@ -299,6 +318,12 @@ def test_constructor_rejects_bad_edges():
             Graph({"a": [0.0], "b": [1.0]}, [edge], ["a"], {"a": 0.0})
 
 
+@pytest.mark.parametrize("position", [[[0.0]], [[0.0, 1.0]], [[0.0], [1.0]]])
+def test_constructor_rejects_a_position_that_is_not_a_vector(position):
+    with pytest.raises(ValueError, match="position of 'a' is not a vector"):
+        Graph({"a": position, "b": [1.0]}, [("a", "b", 1.0)], ["b"], {"b": 0.0})
+
+
 def test_as_vertex_function_keeps_float_vectors_and_converts_the_rest():
     kept = np.array([1.0, 2.0])
     u = as_vertex_function({"a": kept, 1: 3, "c": [4, 5], "d": np.float32([0.1]),
@@ -308,3 +333,93 @@ def test_as_vertex_function_keeps_float_vectors_and_converts_the_rest():
         assert type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64
     assert u["d"][0] == np.float32(0.1) and u["e"].tolist() == [6.0] and u["f"].tolist() == [7.0, 8.0]
 
+
+
+# ---------------------------------------------------------------------------
+# the indexed form
+# ---------------------------------------------------------------------------
+
+def _form_graphs():
+    """A path whose ids sort apart from their numbers (v10 < v2), a star,
+    the six-vertex graph, a grid, a random graph and a lone vertex."""
+    lone = Graph({"a": [0.0]}, [], ["a"], {"a": [1.0]})
+    return [path_graph(n=12), star_graph(), six_vertex_graph(), grid_graph(5),
+            random_graph(np.random.default_rng(7), max_vertices=40), lone]
+
+
+def _arrays(form):
+    return [form.boundary, *form.edges[1:], form.src, form.dst, form.weight, form.indptr,
+            form.arcs]
+
+
+@pytest.mark.parametrize("g", _form_graphs(), ids=["path", "star", "six", "grid5", "random", "lone"])
+def test_indexed_form_is_the_graph(g):
+    form = g.indexed
+    n, m = len(g.ids), len(g.lengths)
+    assert dict(form.index) == {v: i for i, v in enumerate(g.ids)}
+    assert form.boundary.tolist() == [v in g.omega for v in g.ids]
+    keys, heads, tails, lengths = reference_edge_table(g)
+    assert list(form.edges[0]) == keys
+    for a, b in zip(form.edges[1:], (heads, tails, lengths)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # both arcs of every edge, sorted by source and then destination
+    arcs = list(zip(form.src.tolist(), form.dst.tolist()))
+    assert arcs == sorted((i, j) for k in range(m) for i, j in
+                          ((heads[k], tails[k]), (tails[k], heads[k])))
+    assert form.indptr.tolist() == [sum(i < r for i, _ in arcs) for r in range(n + 1)]
+    assert [(g.ids[j], ln) for j, ln in zip(form.dst.tolist(), form.weight.tolist())] == [
+        pair for v in g.ids for pair in g.neighbors(v)]
+    # edge k's arcs: out of its head, then out of its tail, each the other's
+    # reverse, every arc once
+    assert form.arcs.shape == (2, m)
+    assert np.array_equal(form.src[form.arcs], np.stack([heads, tails]))
+    assert np.array_equal(form.dst[form.arcs], np.stack([tails, heads]))
+    assert np.array_equal(form.weight[form.arcs], np.stack([lengths, lengths]))
+    assert sorted(form.arcs.ravel().tolist()) == list(range(2 * m))
+
+
+def test_indexed_form_is_read_only():
+    g = grid_graph(4)
+    form = g.indexed
+    for a in _arrays(form):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[:1] = 0
+    assert g.indexed is form
+    # a copy of the graph builds its own form, read-only too
+    for again in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert "indexed" not in vars(again)
+        assert again.indexed.index == form.index and np.array_equal(again.indexed.arcs, form.arcs)
+        assert not any(a.flags.writeable for a in _arrays(again.indexed))
+
+
+def test_indexed_form_is_built_once_per_graph(monkeypatch):
+    built = []
+    build = Graph.indexed.func
+
+    def counted(g):
+        built.append(g)
+        return build(g)
+
+    indexed = cached_property(counted)
+    indexed.__set_name__(Graph, "indexed")
+    monkeypatch.setattr(Graph, "indexed", indexed)
+    g = grid_graph(6, lambda x, y: x * x - y)
+    res = solve_scalar(g)
+    assert verify_extension(g, res.values).passed
+    solve_scalar(g)
+    gauss_seidel_scalar(g)
+    assert lipschitz_ratio(g, res.values) == res.report.interior_ratio
+    assert built == [g]
+
+
+@pytest.mark.parametrize("g", [grid_graph(7, lambda x, y: x * x - y),
+                               random_graph(np.random.default_rng(3), max_vertices=50)],
+                         ids=["grid7", "random"])
+def test_solvers_leave_the_indexed_form_unchanged(g):
+    before = [a.copy() for a in _arrays(g.indexed)]
+    res = solve_scalar(g)
+    verify_extension(g, res.values)
+    gauss_seidel_scalar(g)
+    for a, b in zip(_arrays(g.indexed), before):
+        assert a.dtype == b.dtype and np.array_equal(a, b)

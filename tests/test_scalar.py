@@ -40,18 +40,19 @@ from lipext.vector import iterate_tight, residual
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    # only the path search and the verifier load scipy.sparse, on first use;
-    # a path solve then loads it
+    # only the path search and the verifier load scipy.sparse, on first use,
+    # and the graph's indexed form is numpy alone; a path solve then loads it
     import lipext
 
     src = os.path.dirname(os.path.dirname(lipext.__file__))
     code = ("import sys, lipext, lipext.cli; print('scipy.sparse' in sys.modules); "
-            "from conftest import path_graph; lipext.solve_scalar(path_graph()); "
+            "from conftest import path_graph; g = path_graph(); g.indexed; "
+            "print('scipy.sparse' in sys.modules); lipext.solve_scalar(g); "
             "print('scipy.sparse' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 # ---------------------------------------------------------------------------

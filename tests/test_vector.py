@@ -10,8 +10,10 @@ from conftest import (
     assert_sweep_paths_agree,
     colour_order,
     grid_graph,
+    path_graph,
     random_graph,
     reference_hull_gap,
+    reference_plan,
 )
 from lipext import vector
 from lipext.graph import Graph
@@ -412,9 +414,9 @@ def _every_row_to_the_kernel(monkeypatch):
 def _single_calls(g, sweeps):
     """Kernel calls of the single vertices of g's vector sweep groups over
     `sweeps` sweeps, and of its residual group."""
-    plan = vector._Plan(g)
+    plan = vector._Plan(g, 2)
     order = plan.sweep_order(vector.SWEEP_BLOCK_MIN[1])
-    _, singles = plan.group(list(range(len(plan.rows))), vector.RESIDUAL_BLOCK_MIN[1])
+    _, singles = plan.whole
     return sweeps * sum(len(group) for _, group in order) + len(singles)
 
 
@@ -481,10 +483,9 @@ def test_batched_sweep_with_a_vertex_above_the_degree_cap(monkeypatch):
     # a block plus the hub, and so is the residual's one group
     g = with_hub(two_sided_grid(7), HUB_NBRS)
     assert len(g.neighbors("h")) > vector.DEGREE_CAP
-    plan = vector._Plan(g)
+    plan = vector._Plan(g, 2)
     assert _has_block_and_single(plan.sweep_order(vector.SWEEP_BLOCK_MIN[1]))
-    everything = list(range(len(plan.rows)))
-    assert _has_block_and_single([plan.group(everything, vector.RESIDUAL_BLOCK_MIN[1])])
+    assert _has_block_and_single([plan.whole])
     # the kernel sees the hub alone: once in every sweep and in the residual
     report = _assert_batched_sweep_is_the_kernel(monkeypatch, g)
     assert _single_calls(g, report.sweeps) == report.sweeps + 1
@@ -496,8 +497,7 @@ def test_scalar_residual_with_a_vertex_above_the_degree_cap():
     nbrs = [f"g00_{j:02d}" for j in range(1, 6)] + [
         f"g{i:02d}_{j:02d}" for i, j in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]]
     g = with_hub(grid_graph(9, lambda x, y: x * x - y), nbrs)
-    plan = vector._Plan(g)
-    assert _has_block_and_single([plan.group(list(range(len(plan.rows))), vector.RESIDUAL_BLOCK_MIN[0])])
+    assert _has_block_and_single([vector._Plan(g, 1).whole])
     rng = np.random.default_rng(5)
     for hub_value in (None, 10.0):
         u = {v: (g.boundary_values[v] if v in g.omega else rng.uniform(-1.0, 1.0, 1))
@@ -695,8 +695,8 @@ def test_finish_at_a_row_that_is_constant_at_the_answer(monkeypatch):
     frozen = _recording_freeze(monkeypatch)
     values, history, converged = vector._sweep(g, 1e-10, 100_000)
     assert converged and frozen
-    finish = vector._Finish(vector._Plan(g), len(g.ids), 2)
-    answer = finish._rule(np.array([values[v] for v in g.ids]))[0]
+    finish = vector._Finish(vector._Plan(g, 2))
+    answer = finish.plan.rule(np.array([values[v] for v in g.ids]), active=True)[0]
     v2 = finish.interior[g.ids.index("v2")]
     assert (frozen[0].verts[v2] >= 0).sum() == 2 and (answer[v2] >= 0).sum() == 1
     assert residual(g, values) <= 1e-15
@@ -736,10 +736,10 @@ def test_finish_leaves_a_chain_that_misses_the_boundary_to_the_sweep():
     # no chain reaches the boundary, and the frozen system would be
     # singular.  The freeze refuses it before any solve, without a warning.
     g = _tied_clique()
-    finish = vector._Finish(vector._Plan(g), len(g.ids), 1)
+    finish = vector._Finish(vector._Plan(g, 1))
     u = {"p": 0.0, "q": 1.0, "r": 0.0, "s": 1.0}
     x = np.array([[u.get(v, 0.5)] for v in g.ids])
-    verts = finish._rule(x)[0]
+    verts = finish.plan.rule(x, active=True)[0]
     assert all(g.ids[v] in u for v in verts[verts >= 0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -749,7 +749,7 @@ def test_finish_leaves_a_chain_that_misses_the_boundary_to_the_sweep():
 
 def test_finish_refuses_values_that_are_not_finite(monkeypatch):
     g = two_sided_grid(5)
-    finish = vector._Finish(vector._Plan(g), len(g.ids), 2)
+    finish = vector._Finish(vector._Plan(g, 2))
     x = np.array([g.boundary_values.get(v, [0.5, 0.5]) for v in g.ids], dtype=float)
     x[finish.rows[0]] = np.nan
     monkeypatch.setattr(KernelBlock, "step", None)
@@ -793,7 +793,7 @@ def test_frozen_jacobian_matches_finite_differences():
     # of the frozen system against central differences of its equations
     g = grid_graph(7, lambda x, y: [x * x - y, np.sin(3.0 * x) * y, np.cos(2.0 * y) * x])
     values, _, _ = vector._sweep(g, 1e-3, 100_000)
-    finish = vector._Finish(vector._Plan(g), len(g.ids), 3)
+    finish = vector._Finish(vector._Plan(g, 3))
     x = np.array([values[v] for v in g.ids])
     frozen = finish._freeze(x)
     system = vector._Frozen(frozen, finish.rows, finish.interior, 3)
@@ -822,11 +822,11 @@ def test_freeze_follows_a_constant_row_to_the_boundary(m):
     # equal: w may follow either, and follows z, since l only follows w
     g = Graph({"l": [0.0], "w": [1.0], "z": [2.0]}, [("l", "w"), ("w", "z")], ["z"],
               {"z": [1.0, 2.0][:m]})
-    finish = vector._Finish(vector._Plan(g), len(g.ids), m)
+    finish = vector._Finish(vector._Plan(g, m))
     x = np.array([[1.0, 2.0][:m]] * 3)
     l, w, z = (g.ids.index(v) for v in "lwz")
     row_l, row_w = finish.interior[l], finish.interior[w]
-    assert (finish._rule(x)[0][row_w] >= 0).sum() == 1
+    assert (finish.plan.rule(x, active=True)[0][row_w] >= 0).sum() == 1
     frozen = finish._freeze(x)
     assert list(frozen.verts[row_w]) == [z] + [-1] * m
     assert list(frozen.verts[row_l]) == [w] + [-1] * m
@@ -843,10 +843,42 @@ def test_freeze_in_one_batched_pass_is_the_local_rule(monkeypatch, g):
     frozen = []
     for block_min in (1, len(g.ids) + 1):
         monkeypatch.setattr(vector, "RESIDUAL_BLOCK_MIN", (block_min, block_min))
-        finish = vector._Finish(vector._Plan(g), len(g.ids), m)
-        assert (finish.group[0] is None) == (block_min > 1)
+        finish = vector._Finish(vector._Plan(g, m))
+        assert (finish.plan.whole[0] is None) == (block_min > 1)
         frozen.append(finish._freeze(x))
     assert frozen[0] is not None
     for a, b in zip(*frozen):
         assert np.array_equal(a.view(np.uint64) if a.dtype == float else a,
                               b.view(np.uint64) if b.dtype == float else b)
+
+
+@pytest.mark.parametrize("g", [with_hub(two_sided_grid(7), HUB_NBRS), path_graph(n=12),
+                               random_graph(np.random.default_rng(9), max_vertices=40, m=2)],
+                         ids=["hub", "path12", "random"])
+def test_plan_reads_the_indexed_form_in_neighbors_order(g):
+    # rows, start, cols and lengths from the arc table are those built from
+    # g.neighbors, as plain ints and floats
+    plan = vector._Plan(g, g.value_dim())
+    assert (plan.rows, plan.start, plan.cols, plan.lengths) == reference_plan(g)
+    assert all(type(i) is int for i in plan.rows + plan.start + plan.cols)
+    assert all(type(ln) is float for ln in plan.lengths)
+    assert plan.interior.tolist() == [plan.rows.index(i) if i in plan.rows else -1
+                                      for i in range(len(g.ids))]
+
+
+@pytest.mark.parametrize("g", _finish_graphs() + [with_hub(two_sided_grid(7), HUB_NBRS)],
+                         ids=["curved6", "curved10", "sides5", "random", "hub"])
+def test_plan_rule_gives_the_same_points_with_active_sets(monkeypatch, g):
+    # the residual's pass and the freeze's pass are one: the same points to
+    # the bit, from one group built once
+    values, _, _ = _sweep_without_finish(monkeypatch, g, tol=1e-3)
+    m = g.value_dim()
+    plan = vector._Plan(g, m)
+    x = np.array([values[v] for v in g.ids])
+    points = plan.rule(x)
+    whole = plan.whole
+    verts, lens, again = plan.rule(x, active=True)
+    assert plan.whole is whole
+    assert points.shape == again.shape == (len(plan.rows), m)
+    assert np.array_equal(points.view(np.uint64), again.view(np.uint64))
+    assert ((verts >= 0).sum(axis=1) >= 1).all() and (lens[verts < 0] == 0.0).all()
