@@ -82,23 +82,62 @@ def emit(obj, output: str | None) -> None:
 # file formats
 # ---------------------------------------------------------------------------
 
-def load_graph_file(path: str) -> Graph:
+def _read(path: str, keys: tuple[str, ...]) -> list:
+    """The values of keys in the JSON object of the file at path."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    return [_field(doc, key, path, "an object with " + ", ".join(map(repr, keys))) for key in keys]
+
+
+def _field(obj, key: str, path: str, shape: str, what: str = "the file", name=None):
+    """obj[key], obj being what (formatted with name) in the file at path,
+    of the given shape."""
+    if not isinstance(obj, dict) or key not in obj:
+        found = f"has no {key!r}" if isinstance(obj, dict) else "is not an object"
+        raise ParseError(f"{path}: {what.format(name)} {found}: it must be {shape}")
+    return obj[key]
+
+
+def _numbers(value, path: str, what: str, name=None, shape: str = "a number or a list of numbers"):
+    """value, when it is a JSON number or a list of numbers nested to any
+    depth, whose shape the caller checks.  Raises ParseError naming what
+    (formatted with name) and its expected shape at a boolean, string,
+    object or null, which numpy would read as a number or fail on with a
+    bare message."""
+    if type(value) is list:
+        for item in value:
+            if type(item) not in (int, float):
+                _numbers(item, path, what, name, shape)
+    elif type(value) not in (int, float):  # a JSON boolean's type is bool
+        raise ParseError(f"{path}: {what.format(name)} must be {shape}, not {json.dumps(value)}")
+    return value
+
+
+def load_graph_file(path: str) -> Graph:
+    vertices, edges, boundary = _read(path, ("vertices", "edges", "boundary"))
+    if not (isinstance(vertices, list) and isinstance(edges, list) and isinstance(boundary, dict)):
+        raise ParseError(f"{path}: 'vertices' and 'edges' must be lists and 'boundary' an object")
+    positions = {}
+    vertex = "an object with 'id' and 'pos'"
+    for i, v in enumerate(vertices):
+        vid = _field(v, "id", path, vertex, "vertex {}", i)
+        if isinstance(vid, (list, dict)):
+            raise ParseError(f"{path}: the id of vertex {i} must be a string, not {json.dumps(vid)}")
+        positions[vid] = _numbers(_field(v, "pos", path, vertex, "vertex {!r}", vid), path,
+                                  "the position of vertex {!r}", vid)
+    if len(positions) != len(vertices):
+        raise ParseError(f"{path}: duplicate vertex ids")
+    for edge in edges:
+        if isinstance(edge, list) and len(edge) == 3 and type(edge[2]) not in (int, float, type(None)):
+            raise ParseError(f"{path}: the length of edge {edge[0]!r}-{edge[1]!r} must be a number "
+                             f"or null, not {json.dumps(edge[2])}")
+    for vid, value in boundary.items():
+        _numbers(value, path, "the boundary value of vertex {!r}", vid)
     try:
-        vertices = {v["id"]: v["pos"] for v in doc["vertices"]}
-        if len(vertices) != len(doc["vertices"]):
-            raise ParseError(f"{path}: duplicate vertex ids")
-        edges = doc["edges"]
-        boundary = doc["boundary"]
-        if not isinstance(boundary, dict):
-            raise ParseError(f"{path}: boundary is not an object of vertex values")
-        return Graph(vertices, edges, boundary.keys(), boundary)
-    except ParseError:
-        raise
+        return Graph(positions, edges, boundary.keys(), boundary)
     except (KeyError, TypeError, ValueError, LipextError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -112,22 +151,21 @@ def graph_to_doc(g: Graph) -> dict:
 
 
 def load_result_file(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc["values"], dict):
-            raise TypeError("values must be an object mapping vertex ids to values")
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return doc
+    values, = _read(path, ("values",))
+    if not isinstance(values, dict):
+        raise ParseError(f"{path}: values must be an object mapping vertex ids to values")
+    for vid, value in values.items():
+        _numbers(value, path, "the value of vertex {!r}", vid)
+    return values
 
 
 def load_points_file(path: str) -> LabeledPointSet:
+    points, values = _read(path, ("points", "values"))
+    _numbers(points, path, "'points'", shape="a list of positions, each a list of numbers")
+    _numbers(values, path, "'values'", shape="a list of values, each a number or a list of numbers")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        return LabeledPointSet(np.asarray(doc["points"], float), np.asarray(doc["values"], float))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        return LabeledPointSet(np.asarray(points, float), np.asarray(values, float))
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -309,8 +347,7 @@ def cmd_verify(args) -> int:
     _check_budget(args.tol)
     g = load_graph_file(args.graph)
     require_valid(g)
-    doc = load_result_file(args.result)
-    raw = doc["values"]
+    raw = load_result_file(args.result)
     if set(raw) != set(g.ids):
         raise ParseError("result values do not cover exactly the graph vertices")
     try:

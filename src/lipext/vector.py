@@ -3,14 +3,17 @@
 Each sweep replaces every interior value with the minimax point of its
 neighborhood: the pair formula for scalar data, the kernel for vector
 data.  `iterate_tight` and `scalar.gauss_seidel_scalar` run this one sweep
-loop, and `residual` and `scalar.verify_extension` share one residual
-pass.  A sweep replaces the colour classes of a greedy colouring of the
-interior in turn, and the residual, which only reads the values, takes the
-whole interior as one group.  A group large enough to batch is a block
-of pairwise non-adjacent vertices, whose local rule takes a few numpy
-passes (`kpoint.KernelBlock`): the pair formula, or the kernel's constant
-test and pair phase and then one stacked simplex pass per subset size for
-the rows no pair certifies.  The rule gives the per-vertex rule's bits, so
+loop on one (vertices, m) array of values, and `residual` and
+`scalar.verify_extension` share one residual pass.  Both replace groups of
+pairwise non-adjacent interior vertices, and one step (`_Group.step`)
+replaces every group: a sweep takes the colour classes of a greedy
+colouring of the interior in turn, and the residual and the exact finish,
+which only read the values, take the whole interior as one group.  The
+groups are planned once per graph and m (`_plan`).  A group large enough
+to batch holds a block, whose local rule takes a few numpy passes
+(`kpoint.KernelBlock`): the pair formula, or the kernel's constant test
+and pair phase and then one stacked simplex pass per subset size for the
+rows no pair certifies.  The rule gives the per-vertex rule's bits, so
 batching changes the cost of a sweep and never its values.  The kernel
 itself sees the vertices replaced on their own, and a block row only
 where no subset certifies it.  Every replacement tightens the local
@@ -31,6 +34,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -67,89 +71,126 @@ class IterationReport:
 
 
 # The fewest vertices replaced in one batched pass, for m = 1 and m > 1;
-# smaller groups go vertex by vertex.  A sweep gives the same values either
-# way (`_Plan.sweep_order`), so these set the cost alone.  Measured per
-# colour class at converged values, batched and vertex by vertex in turn:
-# a scalar pass costs about 45 us, as much as 14 pair formulas on grid
-# classes (gs7's classes of 12 and 13 break even) and 20 to 24 on random
-# graphs, whose vertices have fewer neighbours.  An m = 2 pass costs as
-# much as 5 kernel calls on grid classes (a class of 7 with simplex exits:
-# 1118 us vertex by vertex, 597 us batched) and about 8 on random graphs
-# (classes of 6 to 8 break even), where a class whose rows all end in the
-# kernel's cheap constant test stays cheaper vertex by vertex (a class of
-# 7: 103 against 211 us).  With the exact finish, a solve was timed whole
-# at cutovers from 16 to 32 (m = 1) and 4 to 10 (m = 2), minimum of 11
-# interleaved runs: curved grids of 6 to 10 read the same from 16 to 24
-# and gs9 (classes of 24 and 25) 21 % slower at 32, while random graphs
-# of up to 120 vertices with one class of 17 to 23 read 17-25 % faster
-# at 24, where that class no longer turns the other vertices' values into
-# an array; m = 2 grids want a cutover of 4 and random graphs one of 10, as
-# before, so 7 stays.  A sweep reuses its blocks every sweep; the residual
-# (and the finish's freeze) builds its block for one pass, and breaks even
-# at about 40 scalar rows, and at about 10 (grids) to 12-17 (random graphs)
-# vector rows, measured again with the all-constant exit of KernelBlock.
+# smaller groups go vertex by vertex.  A group gives the same values either
+# way (`_Group.step`), so these set the cost alone.  Measured per colour
+# class at converged values, batched and vertex by vertex in turn: a scalar
+# pass costs about 45 us, as much as 14 pair formulas on grid classes (gs7's
+# classes of 12 and 13 break even) and 20 to 24 on random graphs, whose
+# vertices have fewer neighbours.  An m = 2 pass costs as much as 5 kernel
+# calls on grid classes (a class of 7 with simplex exits: 1118 us vertex by
+# vertex, 597 us batched) and about 8 on random graphs (classes of 6 to 8
+# break even), where a class whose rows all end in the kernel's cheap
+# constant test stays cheaper vertex by vertex (a class of 7: 103 against
+# 211 us).  With the exact finish, a solve was timed whole at cutovers from
+# 16 to 32 (m = 1) and 4 to 10 (m = 2), minimum of 11 interleaved runs:
+# curved grids of 6 to 10 read the same from 16 to 24 and gs9 (classes of
+# 24 and 25) 21 % slower at 32; m = 2 grids want a cutover of 4 and random
+# graphs one of 10, so 7 stays.  Each group is built once per graph
+# (`_plan`), so the residual's and the finish's group of the whole interior
+# takes the same cutovers.
 SWEEP_BLOCK_MIN = (24, 7)
-RESIDUAL_BLOCK_MIN = (40, 12)
 # Vertices of higher degree are replaced one at a time: a block pads every
 # row to its largest degree, and the pair step's work per row grows with
 # the cube of the width (m = 2: 6 us at degree 4, 11 us at 8, 78 us at 16).
 DEGREE_CAP = 8
 
 
-def _local_rule(m: int):
-    """Local replacement for m-vector values, held as plain floats when
-    m == 1 and as 1-d arrays otherwise: (rule, at), rule(values, lens)[at]
-    being the minimax point of a neighbourhood (the pair formula on lists
-    of floats for scalars, the kernel for vectors)."""
+def _move_lengths(moves: np.ndarray, m: int) -> np.ndarray:
+    """Length of each row of the (k, m) array moves: np.linalg.norm's value
+    to the bit, as the stacked matrix product takes each row's dot product
+    as the norm takes that of one vector.  When a plain length overflows,
+    or the longest is so short that its squares lose bits to underflow
+    (below 2**-511), and every move is finite and some move nonzero, the
+    moves are scaled by a power of two first."""
     if m == 1:
-        return _pair_optimum, 0
-    return minimax_kernel, 1
-
-
-def _move_lengths(moves, m: int) -> np.ndarray:
-    """Length of each move, given as a (k, m) array or as a list of moves
-    held as `_local_rule` holds values: np.linalg.norm's value to the bit,
-    as the stacked matrix product takes each row's dot product as the norm
-    takes that of one vector.  When a plain length overflows, or the
-    longest is so short that its squares lose bits to underflow (below
-    2**-511), and every move is finite and some move nonzero, the moves are
-    scaled by a power of two first."""
-    d = np.asarray(moves, dtype=float).reshape(-1, m)
-    if m == 1:
-        return np.abs(d[:, 0])
+        return np.abs(moves[:, 0])
     with np.errstate(over="ignore"):
-        lengths = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
-    if not 2.0**-511 <= lengths.max(initial=0.0) < math.inf and np.isfinite(d).all() and d.any():
-        shift = pow2_shift(float(np.abs(d).max()))
-        return np.ldexp(_move_lengths(np.ldexp(d, shift), m), -shift)
+        lengths = np.sqrt(np.matmul(moves[:, None, :], moves[:, :, None])[:, 0, 0])
+    if not 2.0**-511 <= lengths.max(initial=0.0) < math.inf and np.isfinite(moves).all() and moves.any():
+        shift = pow2_shift(float(np.abs(moves).max()))
+        return np.ldexp(_move_lengths(np.ldexp(moves, shift), m), -shift)
     return lengths
 
 
-@dataclass(frozen=True)
-class _Block:
-    """Pairwise non-adjacent interior vertices, replaced together: their
-    rows of u, their neighbours' rows padded to the largest degree, and
-    the local rule over their neighbourhoods."""
+class _Group:
+    """Pairwise non-adjacent interior vertices of a plan, by position in the
+    interior (ks), replaced together.  Those of degree up to DEGREE_CAP form
+    the block when there are at least SWEEP_BLOCK_MIN of them, and the rest
+    are single rows.
 
-    rows: np.ndarray
-    nbrs: np.ndarray
-    rule: KernelBlock
+    `rows` holds their rows of the values: first those of the block, whose
+    local rule is one batched pass (`KernelBlock`, or None), with nbrs,
+    their neighbours' rows padded to the block's width; then the single
+    rows, each replaced on its own as (position in rows, neighbour rows,
+    lengths)."""
 
-    def step(self, u: np.ndarray) -> np.ndarray:
-        """New values of the rows, read from the (vertices, m) array u.  A
-        row that no subset certifies goes to the kernel on its own, which
-        raises NoCertifiedSubset for it."""
-        new, certified = self.rule.step(u.T[:, self.nbrs])
-        for r in np.flatnonzero(~certified):
-            n = self.rule.count[r]
-            new[r] = minimax_kernel(u[self.nbrs[r, :n]], self.rule.dists[r, :n].tolist())[1]
-        return new
+    def __init__(self, plan: _Plan, ks: list[int]):
+        self.m = plan.m
+        start = plan.start
+        batched = [k for k in ks if start[k + 1] - start[k] <= DEGREE_CAP]
+        if len(batched) < SWEEP_BLOCK_MIN[self.m > 1]:
+            batched = []
+        singles = [k for k in ks if not batched or start[k + 1] - start[k] > DEGREE_CAP]
+        self.block = self.nbrs = None
+        if batched:
+            # rows are padded with repeats of their first neighbour (KernelBlock)
+            at = np.array([start[k] for k in batched])
+            degree = np.array([start[k + 1] for k in batched]) - at
+            col = np.arange(degree.max())
+            take = at[:, None] + np.where(col < degree[:, None], col, 0)
+            self.nbrs = np.array(plan.cols, dtype=np.intp)[take]
+            self.block = KernelBlock(np.array(plan.lengths)[take], degree)
+        self.singles = [(len(batched) + i, plan.cols[start[k]:start[k + 1]],
+                         plan.lengths[start[k]:start[k + 1]]) for i, k in enumerate(singles)]
+        self.rows = np.array([plan.rows[k] for k in batched + singles], dtype=np.intp)
+
+    def step(self, x: np.ndarray, active: bool = False):
+        """The minimax points of the rows' neighbourhoods at the (vertices,
+        m) values x, (rows, m) in `rows` order.  No two rows are adjacent,
+        so no row reads another's value, and replacing the rows with the
+        points gives the bits of replacing them one by one.  With active,
+        (verts, lens, points), verts and lens (rows, m + 1) being the
+        vertices of each row's active samples, -1 padded, and their
+        lengths; a constant row has one active sample.  The single rows
+        take the pair formula on plain floats (m = 1) or the kernel, and so
+        does a block row that no subset certifies, where the kernel raises
+        NoCertifiedSubset."""
+        m, n = self.m, self.rows.size
+        points = np.empty((n, m))
+        verts = np.full((n, m + 1), -1, dtype=np.intp) if active else None
+        lens = np.zeros((n, m + 1)) if active else None
+        block, singles = self.block, self.singles
+        if block is not None:
+            b = block.count.size
+            if active:
+                points[:b], certified, sets = block.step(x.T[:, self.nbrs], active=True)
+                cols, valid = np.maximum(sets, 0), sets >= 0
+                verts[:b] = np.where(valid, np.take_along_axis(self.nbrs, cols, axis=1), -1)
+                lens[:b] = np.where(valid, np.take_along_axis(block.dists, cols, axis=1), 0.0)
+            else:
+                points[:b], certified = block.step(x.T[:, self.nbrs])
+            uncertified = np.flatnonzero(~certified).tolist()
+            if uncertified:
+                singles = [(r, self.nbrs[r, :c].tolist(), block.dists[r, :c].tolist())
+                           for r, c in zip(uncertified, block.count[uncertified].tolist())] + singles
+        vals = x[:, 0].tolist() if m == 1 and singles else x
+        for r, cols, dists in singles:
+            if m == 1:
+                points[r, 0], ratio, sample = _pair_optimum([vals[j] for j in cols], dists)
+                sample = sample if ratio else (0,)
+            else:
+                # the module's kernel, which tracing and tests patch
+                _, points[r], sample, _, _ = minimax_kernel(x[cols], dists)
+            if active:
+                verts[r, :len(sample)] = [cols[a] for a in sample]
+                lens[r, :len(sample)] = [dists[a] for a in sample]
+        return (verts, lens, points) if active else points
 
 
 class _Plan:
-    """Replacement groups of a graph's interior vertices, for m-vector
-    values: a block (or None) and single vertices (row, neighbour rows,
-    lengths), rows being indices into g.ids, to be replaced in turn."""
+    """Replacement groups (`_Group`) of a graph's interior vertices, for
+    m-vector values, rows being indices into g.ids.  Built once per graph
+    and m (`_plan`)."""
 
     def __init__(self, g: Graph, m: int):
         form = g.indexed
@@ -166,83 +207,27 @@ class _Plan:
         self.cols = form.dst[out].tolist()
         self.lengths = form.weight[out].tolist()
 
-    def _single(self, k: int):
-        s, e = self.start[k], self.start[k + 1]
-        return self.rows[k], self.cols[s:e], self.lengths[s:e]
-
-    def group(self, ks: list[int], block_min: int):
-        """(block, singles) for pairwise non-adjacent interior vertices, by
-        position in the interior: those of degree up to DEGREE_CAP form the
-        block when there are at least block_min of them, and the rest are
-        singles."""
-        start = self.start
-        batched = [k for k in ks if start[k + 1] - start[k] <= DEGREE_CAP]
-        if len(batched) < block_min:
-            return None, [self._single(k) for k in ks]
-        # rows are padded with repeats of their first neighbour (KernelBlock)
-        at = np.array([start[k] for k in batched])
-        degree = np.array([start[k + 1] for k in batched]) - at
-        col = np.arange(degree.max())
-        take = at[:, None] + np.where(col < degree[:, None], col, 0)
-        block = _Block(np.array([self.rows[k] for k in batched], dtype=np.intp),
-                       np.array(self.cols, dtype=np.intp)[take],
-                       KernelBlock(np.array(self.lengths)[take], degree))
-        return block, [self._single(k) for k in ks if start[k + 1] - start[k] > DEGREE_CAP]
+    @cached_property
+    def whole(self) -> _Group:
+        """The whole interior as one group, for the passes that only read
+        the values: the residual and the finish's freeze."""
+        return _Group(self, list(range(len(self.rows))))
 
     @cached_property
-    def whole(self):
-        """The whole interior as one group (`group`), for the passes that
-        only read the values: the residual and the finish's freeze."""
-        return self.group(list(range(len(self.rows))), RESIDUAL_BLOCK_MIN[self.m > 1])
+    def _order(self) -> np.ndarray:
+        """Where each interior row stands in `whole.rows`."""
+        return np.argsort(self.interior[self.whole.rows])
 
     def rule(self, x: np.ndarray, active: bool = False):
-        """The local rule of every interior row at the (vertices, m) values
-        x, in one pass over `whole`: points (rows, m), each row's optimum.
-        With active, (verts, lens, points), verts and lens (rows, m + 1)
-        being the vertices of each row's active samples, -1 padded, and
-        their lengths; a constant row has one active sample.  Raises
-        NoCertifiedSubset where the kernel does."""
-        m, interior = self.m, self.interior
-        n = len(self.rows)
-        points = np.empty((n, m))
-        verts = np.full((n, m + 1), -1, dtype=np.intp) if active else None
-        lens = np.zeros((n, m + 1)) if active else None
-        block, singles = self.whole
-        if block is not None and not active:
-            points[interior[block.rows]] = block.step(x)
-        elif block is not None:
-            k = interior[block.rows]
-            points[k], certified, sets = block.rule.step(x.T[:, block.nbrs], active=True)
-            cols, valid = np.maximum(sets, 0), sets >= 0
-            verts[k] = np.where(valid, np.take_along_axis(block.nbrs, cols, axis=1), -1)
-            lens[k] = np.where(valid, np.take_along_axis(block.rule.dists, cols, axis=1), 0.0)
-            # a row that no subset certifies goes to the kernel on its own
-            singles = singles + [
-                (block.rows[r], block.nbrs[r, :c].tolist(), block.rule.dists[r, :c].tolist())
-                for r, c in zip(np.flatnonzero(~certified), block.rule.count[~certified])]
-        # the single rows on plain floats for m = 1, as in `_sweep`
-        vals = x[:, 0].tolist() if m == 1 else x
-        found = []
-        for v, idxs, dists in singles:
-            if m == 1:
-                point, ratio, sample = _pair_optimum([vals[j] for j in idxs], dists)
-                sample = sample if ratio else (0,)
-            else:
-                _, point, sample, _, _ = minimax_kernel(x[idxs], dists)
-            found.append(point)
-            if active:
-                verts[interior[v], :len(sample)] = [idxs[a] for a in sample]
-                lens[interior[v], :len(sample)] = [dists[a] for a in sample]
-        if singles:
-            points[interior[[v for v, _, _ in singles]]] = np.reshape(found, (-1, m))
-        return (verts, lens, points) if active else points
+        """`whole.step` at the (vertices, m) values x, its rows in interior
+        order: points (rows, m), or with active (verts, lens, points)."""
+        found = self.whole.step(x, active)
+        return tuple(a[self._order] for a in found) if active else found[self._order]
 
-    def sweep_order(self, block_min: int) -> list:
+    @cached_property
+    def sweep_order(self) -> list[_Group]:
         """Gauss-Seidel groups: the colour classes of a greedy colouring of
-        the interior in id order (red-black on grids), each split by
-        `group`.  No two vertices of a class are adjacent, so a class
-        replaced in one batched pass and the same class replaced vertex by
-        vertex give the same values: block_min sets the cost alone."""
+        the interior in id order (red-black on grids), each a `_Group`."""
         colour: dict[int, int] = {}
         classes: list[list[int]] = []
         for k, row in enumerate(self.rows):
@@ -254,7 +239,19 @@ class _Plan:
             if c == len(classes):
                 classes.append([])
             classes[c].append(k)
-        return [self.group(c, block_min) for c in classes]
+        return [_Group(self, c) for c in classes]
+
+
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _plan(g: Graph, m: int) -> _Plan:
+    """The plan of g for m-vector values, built on first use and kept while
+    g lives: a copy of g builds its own."""
+    plans = _PLANS.setdefault(g, {})
+    if m not in plans:
+        plans[m] = _Plan(g, m)
+    return plans[m]
 
 
 def _centroid(bvals: np.ndarray) -> np.ndarray:
@@ -347,29 +344,31 @@ class _Finish:
         self.attempts = self.rounds = self.steps = 0
         self.accepted = False
 
-    def attempt(self, x: np.ndarray, delta: float, tol: float, load, sweep) -> float | None:
-        """Finish from the sweep's (vertices, m) values x, after a sweep
-        whose largest move was delta: solve the system frozen at x, `load`
-        the candidate into the sweep and run one `sweep`.  Returns that
+    def attempt(self, u: np.ndarray, delta: float, tol: float, sweep) -> float | None:
+        """Finish from the sweep's (vertices, m) values u, after a sweep
+        whose largest move was delta: solve the system frozen at u, write
+        the candidate into u and run one `sweep` on it.  Returns that
         sweep's largest move when it is below tol.  Otherwise re-freezes
         at the candidate, while each checking sweep moves less than the one
-        before, for at most FINISH_ROUNDS solves, and returns None, leaving
-        the sweep's values to the caller."""
+        before, for at most FINISH_ROUNDS solves, and returns None with u
+        as it was."""
         self.attempts += 1
         last = math.inf
+        x = own = u.copy()
         for rounds in range(FINISH_ROUNDS):
             x = self.candidate(x, STEP_CAP * delta)
             if x is None:
-                return None
+                break
             self.rounds += rounds > 0
-            load(x)
+            u[:] = x
             check = sweep()
             if check < tol:
                 self.accepted = True
                 return check
             if not check < last:
-                return None
+                break
             last = check
+        u[:] = own
         return None
 
     def _freeze(self, x: np.ndarray):
@@ -604,12 +603,12 @@ def _sweep(g: Graph, tol: float, max_iter: int):
     """Gauss-Seidel sweeps of local replacement until no value moves by tol
     or more; at most max_iter sweeps.
 
-    A sweep replaces the colour classes of a greedy colouring in turn
-    (`_Plan.sweep_order`): each class of at least SWEEP_BLOCK_MIN vertices
-    in one batched pass, a smaller one vertex by vertex in id order.  No two
-    vertices of a class are adjacent, so both give the same values, sweep
-    counts and histories.  Interior values start at the centroid of the
-    boundary data over sorted omega.
+    The values are one (vertices, m) array, and a sweep replaces the colour
+    classes of a greedy colouring of the interior in turn
+    (`_Plan.sweep_order`), each by one `_Group.step`.  No two vertices of a
+    class are adjacent, so a class replaced in one batched pass and vertex
+    by vertex give the same values, sweep counts and histories.  Interior
+    values start at the centroid of the boundary data over sorted omega.
 
     The sweeps contract only by about 1 - c/n each, so they end with an
     exact finish (`_Finish.attempt`).  After the stop rule, while the
@@ -631,46 +630,17 @@ def _sweep(g: Graph, tol: float, max_iter: int):
     ids = g.ids
     centroid = _centroid(np.array([g.boundary_values[b] for b in sorted(g.omega)]))
     m = centroid.size
-    rule, at = _local_rule(m)
-    plan = _Plan(g, m)
-    order = plan.sweep_order(SWEEP_BLOCK_MIN[m > 1])
-    rows = [g.boundary_values[v] if v in g.omega else centroid for v in ids]
-    # blocks read and write a (vertices, m) array.  Graphs without a block
-    # keep a list: scalar steps that index the array's column read numpy
-    # scalars, which made the benchmark's small sweeps (`sweep` solve_s.S,
-    # query_ms.p50) 8-10 % slower, 9 and 10 of 10 run pairs
-    if any(block is not None for block, _ in order):
-        u = np.array(rows, dtype=float)
-        vals = u[:, 0] if m == 1 else u
-    else:
-        u = None
-        vals = [float(x[0]) for x in rows] if m == 1 else rows
+    plan = _plan(g, m)
+    groups = plan.sweep_order
+    u = np.array([g.boundary_values[v] if v in g.omega else centroid for v in ids], dtype=float)
 
     def sweep() -> float:
         delta = 0.0
-        moves = []
-        for block, singles in order:
-            if block is not None:
-                new = block.step(u)
-                delta = max(delta, float(_move_lengths(new - u[block.rows], m).max()))
-                u[block.rows] = new
-            for i, idxs, lens in singles:
-                new = rule([vals[j] for j in idxs], lens)[at]
-                moves.append(new - vals[i])
-                vals[i] = new
-        if moves:
-            # the single vertices' moves in one pass per sweep; plain float
-            # moves: Python's abs and max cost less than numpy
-            longest = max(map(abs, moves)) if m == 1 else float(_move_lengths(moves, m).max())
-            delta = max(delta, longest)
+        for group in groups:
+            new = group.step(u)
+            delta = max(delta, float(_move_lengths(new - u[group.rows], m).max()))
+            u[group.rows] = new
         return delta
-
-    def load(x: np.ndarray) -> None:
-        """Set the sweep's values from a (vertices, m) array."""
-        if u is not None:
-            u[:] = x
-        else:
-            vals[:] = x[:, 0].tolist() if m == 1 else list(x)
 
     history: list[float] = []
     converged = False
@@ -686,20 +656,18 @@ def _sweep(g: Graph, tol: float, max_iter: int):
             level = delta * FINISH_RETRY
             if finish is None:
                 finish = _Finish(plan)
-            own = np.array(vals, dtype=float).reshape(len(ids), m)
-            check = finish.attempt(own, delta, tol, load, sweep)
+            check = finish.attempt(u, delta, tol, sweep)
             if check is not None:
                 history.append(check)
                 converged = True
                 break
-            load(own)
     if finish is None:
         log.debug("%d sweeps, converged=%s", len(history), converged)
     else:
         log.debug("%d sweeps, converged=%s; finish: %d attempts, %d re-freeze rounds, "
                   "%d Newton steps, accepted=%s", len(history), converged, finish.attempts,
                   finish.rounds, finish.steps, finish.accepted)
-    values: VertexFunction = {v: np.array(vals[i], dtype=float, ndmin=1) for i, v in enumerate(ids)}
+    values: VertexFunction = {v: u[i].copy() for i, v in enumerate(ids)}
     return values, history, converged
 
 
@@ -728,7 +696,7 @@ def _worst_move(g: Graph, u: VertexFunction) -> tuple[float, str | None]:
 
     u is only read, so the whole interior is one pass (`_Plan.rule`)."""
     m = g.value_dim()
-    plan = _Plan(g, m)
+    plan = _plan(g, m)
     x = np.array([u[v] for v in g.ids], dtype=float).reshape(len(g.ids), m)
     moves = _move_lengths(plan.rule(x) - x[plan.rows], m)
     moves = np.where(moves > 0.0, moves, 0.0)  # a NaN move is no move

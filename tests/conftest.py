@@ -1,3 +1,4 @@
+import copy
 import math
 from itertools import accumulate
 
@@ -582,19 +583,27 @@ def assert_sweep_paths_agree(g, tol=1e-10, max_iter=500):
     module's cutovers, and with every class replaced vertex by vertex (a
     cutover above every class), and assert that all three give the same
     value bits, sweeps and history of largest moves.  Then assert the same
-    of the first and last runs with the finish on.  Returns the first run's
-    (values, history, converged), finish off."""
+    of the first and last runs with the finish on.  Each run takes its own
+    copy of g, so that it plans its groups at its own cutovers, and the
+    first run's groups hold blocks where the last run's hold none.  Returns
+    the first run's (values, history, converged), finish off."""
     from lipext import vector
 
     runs = []
+    m = g.value_dim()
     for finish_at, cutovers in ((0.0, ((1, 1), vector.SWEEP_BLOCK_MIN, (len(g.ids) + 1,) * 2)),
                                 (vector.FINISH_AT, ((1, 1), (len(g.ids) + 1,) * 2))):
         out = []
+        blocks = []
         for block_min in cutovers:
+            h = copy.deepcopy(g)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(vector, "FINISH_AT", finish_at)
                 mp.setattr(vector, "SWEEP_BLOCK_MIN", block_min)
-                out.append(vector._sweep(g, tol, max_iter))
+                out.append(vector._sweep(h, tol, max_iter))
+                plan = vector._plan(h, m)
+                blocks.append([group.block is not None for group in plan.sweep_order + [plan.whole]])
+        assert any(blocks[0]) and not any(blocks[-1])
         values, history, converged = out[0]
         for other, other_history, other_converged in out[1:]:
             assert other_converged == converged

@@ -203,6 +203,89 @@ def test_solve_rejects_a_malformed_edge(tmp_path, capsys, edge):
     assert not out.exists()
 
 
+def _bad_graph(change):
+    doc = {
+        "vertices": [{"id": "a", "pos": [0.0]}, {"id": "m", "pos": [1.0]}, {"id": "b", "pos": [2.0]}],
+        "edges": [["a", "m", 1.0], ["m", "b", 1.0]],
+        "boundary": {"a": [0.0], "b": [1.0]},
+    }
+    change(doc)
+    return doc
+
+
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def change(doc):
+        for k in keys:
+            doc = doc[k]
+        doc[last] = value
+    return change
+
+
+def _delete(*keys):
+    *keys, last = keys
+
+    def change(doc):
+        for k in keys:
+            doc = doc[k]
+        del doc[last]
+    return change
+
+
+# (command, the file it reads wrongly, the field named in the error)
+BAD_FIELDS = {
+    "boundary-true-list": ("solve", _bad_graph(_set("boundary", "b", [True])),
+                           "the boundary value of vertex 'b' must be a number or a list of numbers, "
+                           "not true"),
+    "boundary-true": ("solve", _bad_graph(_set("boundary", "b", True)),
+                      "the boundary value of vertex 'b' must be"),
+    "boundary-string": ("solve", _bad_graph(_set("boundary", "b", ["1"])),
+                        "the boundary value of vertex 'b' must be"),
+    "length-true": ("solve", _bad_graph(_set("edges", 1, 2, True)),
+                    "the length of edge 'm'-'b' must be a number or null, not true"),
+    "length-list": ("solve", _bad_graph(_set("edges", 1, 2, [1.0])),
+                    "the length of edge 'm'-'b' must be a number or null"),
+    "pos-true": ("solve", _bad_graph(_set("vertices", 1, "pos", [True])),
+                 "the position of vertex 'm' must be a number or a list of numbers, not true"),
+    "pos-missing": ("solve", _bad_graph(_delete("vertices", 1, "pos")),
+                    "vertex 'm' has no 'pos'"),
+    "id-missing": ("solve", _bad_graph(_delete("vertices", 1, "id")), "vertex 1 has no 'id'"),
+    "vertex-string": ("solve", _bad_graph(_set("vertices", 1, "m")),
+                      "vertex 1 is not an object: it must be an object with 'id' and 'pos'"),
+    "vertices-object": ("solve", _bad_graph(_set("vertices", {"a": [0.0]})),
+                        "'vertices' and 'edges' must be lists and 'boundary' an object"),
+    "edges-missing": ("solve", _bad_graph(_delete("edges")), "the file has no 'edges'"),
+    "not-an-object": ("solve", [1, 2], "the file is not an object: it must be an object with 'vertices', 'edges'"),
+    "verify-true": ("verify", {"values": {"a": [0.0], "m": [True], "b": [1.0]}},
+                    "the value of vertex 'm' must be a number or a list of numbers, not true"),
+    "verify-missing": ("verify", {"value": {}}, "the file has no 'values'"),
+    "verify-list": ("verify", [{"a": [0.0]}], "the file is not an object: it must be an object with 'values'"),
+    "points-true": ("kpoint", {"points": [[0.0], [True]], "values": [[0.0], [1.0]]},
+                    "'points' must be a list of positions, each a list of numbers, not true"),
+    "values-true": ("kpoint", {"points": [[0.0], [2.0]], "values": [[0.0], True]},
+                    "'values' must be a list of values"),
+    "points-missing": ("kpoint", {"values": [[0.0], [1.0]]}, "the file has no 'points'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FIELDS)
+def test_loaders_name_a_field_that_is_not_a_number(tmp_path, capsys, case):
+    # JSON booleans are not read as 1.0, and a missing key or a wrong
+    # container is named, with the shape expected there
+    command, doc, message = BAD_FIELDS[case]
+    f = write_json(tmp_path / "bad.json", doc)
+    out = tmp_path / "out.json"
+    graph = write_json(tmp_path / "g.json", _bad_graph(lambda doc: None))
+    argv = {"solve": ("solve", "--input", f, "--method", "iterate", "--output", out),
+            "verify": ("verify", graph, f, "--output", out),
+            "kpoint": ("kpoint", "1", "--input", f, "--output", out)}[command]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {f}: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("boundary", [[], [["a", [0.0]]], "a", None])
 def test_solve_rejects_a_boundary_that_is_not_an_object(tmp_path, capsys, boundary):
     doc = {

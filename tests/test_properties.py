@@ -18,9 +18,15 @@ from hypothesis import strategies as st
 from conftest import assert_simplex_paths_agree, assert_sweep_paths_agree, random_graph
 from lipext.errors import NoCertifiedSubset
 from lipext.graph import Graph
-from lipext.kpoint import KernelBlock, LabeledPointSet, kpoint_oracle, kpoint_vector, minimax_kernel
+from lipext.kpoint import (
+    KernelBlock,
+    LabeledPointSet,
+    _pair_optimum,
+    kpoint_oracle,
+    kpoint_vector,
+    minimax_kernel,
+)
 from lipext.scalar import gauss_seidel_scalar, solve_scalar
-from lipext.vector import _local_rule
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -319,23 +325,22 @@ def _assert_block_is_the_local_rule(values, dists, count):
     points, certified = block.step(values)
     again, again_certified, sets = block.step(values, active=True)
     assert np.array_equal(_bits(again), _bits(points)) and np.array_equal(again_certified, certified)
-    rule, at = _local_rule(m)
     for r, n in enumerate(count):
         rows, lens = values[:, r, :n].T, dists[r, :n].tolist()
         active = tuple(a for a in sets[r].tolist() if a >= 0)
         if m == 1:
             assert certified[r]
-            point, ratio, pair = rule(rows[:, 0].tolist(), lens)
+            point, ratio, pair = _pair_optimum(rows[:, 0].tolist(), lens)
             assert _bits(points[r, 0]) == _bits(point)
             assert active == (pair if ratio else (0,))
             continue
         try:
-            want = rule(list(rows), lens)
+            want = minimax_kernel(list(rows), lens)
         except NoCertifiedSubset:
             assert not certified[r] and not active
             continue
         assert certified[r]
-        assert np.array_equal(_bits(points[r]), _bits(want[at]))
+        assert np.array_equal(_bits(points[r]), _bits(want[1]))
         assert active == want[2]
 
 

@@ -1,3 +1,4 @@
+import copy
 import logging
 import math
 import re
@@ -18,7 +19,7 @@ from conftest import (
 from lipext import vector
 from lipext.graph import Graph
 from lipext.kpoint import KernelBlock, minimax_kernel, pairwise_optimum
-from lipext.scalar import gauss_seidel_scalar, solve_scalar
+from lipext.scalar import gauss_seidel_scalar, solve_scalar, verify_extension
 from lipext.vector import (
     boundary_hull_gap,
     iterate_tight,
@@ -379,45 +380,45 @@ def two_sided_grid(n):
 
 def _recording_kernel(monkeypatch):
     """Patch vector.minimax_kernel to record each call as (size of its exit,
-    whether a block step made it)."""
+    whether it replaces a block row).  A group sends the block rows that no
+    subset certifies to the kernel right after its batched step, before its
+    single rows, so the calls that follow a batched step, as many as the
+    rows it left uncertified, are the block rows'."""
     calls = []
     kernel = vector.minimax_kernel
-    block_step = vector._Block.step
-    in_block = []
+    block_step = KernelBlock.step
+    pending = [0]
 
     def recording(values, dists, *args):
         result = kernel(values, dists, *args)
-        calls.append((len(result[2]), bool(in_block)))
+        calls.append((len(result[2]), pending[0] > 0))
+        pending[0] = max(pending[0] - 1, 0)
         return result
 
-    def recording_block_step(self, u):
-        in_block.append(True)
-        try:
-            return block_step(self, u)
-        finally:
-            in_block.pop()
+    def recording_block_step(self, values, active=False):
+        out = block_step(self, values, active)
+        pending[0] = int((~out[1]).sum())
+        return out
 
     monkeypatch.setattr(vector, "minimax_kernel", recording)
-    monkeypatch.setattr(vector._Block, "step", recording_block_step)
+    monkeypatch.setattr(KernelBlock, "step", recording_block_step)
     return calls
 
 
 def _every_row_to_the_kernel(monkeypatch):
-    """Patch the batched step to certify nothing, so that every row of a
-    block goes to the kernel, in the same order."""
-    def nothing(self, values):
+    """Patch the batched vector step to certify nothing, so that every row
+    of a block goes to the kernel, in the same order."""
+    def nothing(self, values, sets):
         return np.zeros((values.shape[1], values.shape[0])), np.zeros(values.shape[1], dtype=bool)
 
-    monkeypatch.setattr(KernelBlock, "step", nothing)
+    monkeypatch.setattr(KernelBlock, "_vector", nothing)
 
 
 def _single_calls(g, sweeps):
     """Kernel calls of the single vertices of g's vector sweep groups over
     `sweeps` sweeps, and of its residual group."""
-    plan = vector._Plan(g, 2)
-    order = plan.sweep_order(vector.SWEEP_BLOCK_MIN[1])
-    _, singles = plan.whole
-    return sweeps * sum(len(group) for _, group in order) + len(singles)
+    plan = vector._plan(g, 2)
+    return sweeps * sum(len(group.singles) for group in plan.sweep_order) + len(plan.whole.singles)
 
 
 def _assert_batched_sweep_is_the_kernel(monkeypatch, g):
@@ -469,7 +470,7 @@ def with_hub(g, nbrs):
 
 
 def _has_block_and_single(groups):
-    return any(block is not None and singles for block, singles in groups)
+    return any(group.block is not None and group.singles for group in groups)
 
 
 # 5 boundary vertices and 5 interior vertices of one colour of the 7x7 grid
@@ -483,8 +484,8 @@ def test_batched_sweep_with_a_vertex_above_the_degree_cap(monkeypatch):
     # a block plus the hub, and so is the residual's one group
     g = with_hub(two_sided_grid(7), HUB_NBRS)
     assert len(g.neighbors("h")) > vector.DEGREE_CAP
-    plan = vector._Plan(g, 2)
-    assert _has_block_and_single(plan.sweep_order(vector.SWEEP_BLOCK_MIN[1]))
+    plan = vector._plan(g, 2)
+    assert _has_block_and_single(plan.sweep_order)
     assert _has_block_and_single([plan.whole])
     # the kernel sees the hub alone: once in every sweep and in the residual
     report = _assert_batched_sweep_is_the_kernel(monkeypatch, g)
@@ -497,7 +498,7 @@ def test_scalar_residual_with_a_vertex_above_the_degree_cap():
     nbrs = [f"g00_{j:02d}" for j in range(1, 6)] + [
         f"g{i:02d}_{j:02d}" for i, j in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]]
     g = with_hub(grid_graph(9, lambda x, y: x * x - y), nbrs)
-    assert _has_block_and_single([vector._Plan(g, 1).whole])
+    assert _has_block_and_single([vector._plan(g, 1).whole])
     rng = np.random.default_rng(5)
     for hub_value in (None, 10.0):
         u = {v: (g.boundary_values[v] if v in g.omega else rng.uniform(-1.0, 1.0, 1))
@@ -537,8 +538,8 @@ def _colour_order_sweeps(g, tol):
 
 def test_small_graph_sweeps_vertex_by_vertex(monkeypatch):
     # classes of 4 are below the cutover: with the exact finish switched
-    # off, every replacement is a kernel call, in colour order, and so is
-    # every residual check
+    # off, every replacement is a kernel call, in colour order.  The
+    # residual's group of all 8 interior vertices is a block.
     monkeypatch.setattr(vector, "FINISH_AT", 0.0)
     g = two_sided_grid(4)
     ref, sweeps = _colour_order_sweeps(g, 1e-10)
@@ -546,7 +547,8 @@ def test_small_graph_sweeps_vertex_by_vertex(monkeypatch):
     values, report = iterate_tight(g, tol=1e-10)
     assert report.sweeps == sweeps
     assert all(np.array_equal(values[v], ref[v]) for v in g.ids)
-    assert len(exits) == (report.sweeps + 1) * len(g.interior())
+    assert len(exits) == report.sweeps * len(g.interior())
+    assert vector._plan(g, 2).whole.block is not None
 
 
 @pytest.mark.parametrize("make", [
@@ -605,8 +607,8 @@ def _assert_same_sweep(a, b):
 
 def _finish_graphs():
     return [
-        grid_graph(6, lambda x, y: x * x - y),  # m = 1, no block: a list of values
-        grid_graph(10, lambda x, y: x * x - y),  # m = 1 with blocks: an array
+        grid_graph(6, lambda x, y: x * x - y),  # m = 1, no block
+        grid_graph(10, lambda x, y: x * x - y),  # m = 1 with blocks
         two_sided_grid(5),  # m = 2 with blocks
         random_graph(np.random.default_rng(4), max_vertices=12, m=2),  # m = 2, no block
     ]
@@ -842,9 +844,10 @@ def test_freeze_in_one_batched_pass_is_the_local_rule(monkeypatch, g):
     x = np.array([values[v] for v in g.ids])
     frozen = []
     for block_min in (1, len(g.ids) + 1):
-        monkeypatch.setattr(vector, "RESIDUAL_BLOCK_MIN", (block_min, block_min))
-        finish = vector._Finish(vector._Plan(g, m))
-        assert (finish.plan.whole[0] is None) == (block_min > 1)
+        # a copy of g plans its groups at the patched cutover
+        monkeypatch.setattr(vector, "SWEEP_BLOCK_MIN", (block_min, block_min))
+        finish = vector._Finish(vector._plan(copy.deepcopy(g), m))
+        assert (finish.plan.whole.block is None) == (block_min > 1)
         frozen.append(finish._freeze(x))
     assert frozen[0] is not None
     for a, b in zip(*frozen):
@@ -882,3 +885,29 @@ def test_plan_rule_gives_the_same_points_with_active_sets(monkeypatch, g):
     assert points.shape == again.shape == (len(plan.rows), m)
     assert np.array_equal(points.view(np.uint64), again.view(np.uint64))
     assert ((verts >= 0).sum(axis=1) >= 1).all() and (lens[verts < 0] == 0.0).all()
+
+
+def test_plan_is_built_once_per_graph(monkeypatch):
+    # the sweeps, the residual and the verifier share one plan per graph,
+    # and a copy of the graph plans its own
+    built = []
+    init = vector._Plan.__init__
+
+    def counted(self, g, m):
+        built.append((g, m))
+        init(self, g, m)
+
+    monkeypatch.setattr(vector._Plan, "__init__", counted)
+    g = two_sided_grid(5)
+    values, _ = iterate_tight(g)
+    residual(g, values)
+    boundary_hull_gap(g, values)
+    iterate_tight(g)
+    assert built == [(g, 2)]
+    h = grid_graph(6, lambda x, y: x * x - y)
+    res = gauss_seidel_scalar(h)
+    assert verify_extension(h, res.values).passed
+    assert built == [(g, 2), (h, 1)]
+    other = copy.deepcopy(g)
+    iterate_tight(other)
+    assert len(built) == 3 and built[2][0] is other
