@@ -527,7 +527,10 @@ def gauss_seidel_scalar(g: Graph, tol: float = 1e-10, max_iter: int = 100_000) -
 
 def _boundary_range(g: Graph, tol: float) -> tuple[float, float, float]:
     """(lo, hi, slack): the range of the scalar boundary data and the
-    checks' tolerance, tol times its span (tol for constant data)."""
+    checks' tolerance, tol times its span (tol for constant data).  Raises
+    MethodUnavailable on vector data."""
+    if g.value_dim() != 1:
+        raise MethodUnavailable("the scalar checks require scalar values")
     fvals = [float(v[0]) for v in g.boundary_values.values()]
     lo, hi = min(fvals), max(fvals)
     return lo, hi, tol * (hi - lo) if hi > lo else tol
@@ -536,7 +539,8 @@ def _boundary_range(g: Graph, tol: float) -> tuple[float, float, float]:
 def maximum_principle(g: Graph, u: VertexFunction, tol: float = 1e-9) -> tuple[bool, str | None]:
     """Whether every value of the scalar candidate u is finite and lies in
     the range of the boundary data, widened by tol times its span (by tol
-    for constant data), with the first vertex in id order that does not."""
+    for constant data), with the first vertex in id order that does not.
+    Raises MethodUnavailable on vector data."""
     lo, hi, scaled = _boundary_range(g, tol)
     for x in g.ids:
         val = float(u[x][0])
@@ -546,7 +550,8 @@ def maximum_principle(g: Graph, u: VertexFunction, tol: float = 1e-9) -> tuple[b
 
 
 def verify_extension(g: Graph, u: VertexFunction, tol: float = 1e-9) -> VerifyReport:
-    """Re-derive the defining checks for a scalar candidate extension."""
+    """Re-derive the defining checks for a scalar candidate extension.
+    Raises MethodUnavailable on vector data."""
     lo, hi, scaled = _boundary_range(g, tol)
     span = hi - lo
 

@@ -59,10 +59,10 @@ log = logging.getLogger("lipext.vector")
 
 @dataclass(frozen=True)
 class IterationReport:
-    """How `iterate_tight` ended: the sweeps it ran, counting the sweep
-    that checked an accepted exact finish but not the rejected ones nor
-    the finish's solves, the residual of the values returned, each counted
-    sweep's largest move, and whether the last of them fell below tol."""
+    """How `iterate_tight` ended: the sweeps it ran, counting every sweep
+    that checked an exact finish but not the finish's solves, the residual
+    of the values returned, each sweep's largest move, and whether the last
+    of them fell below tol."""
 
     sweeps: int
     final_residual: float
@@ -310,7 +310,8 @@ def breadth_first_order(*args, **kwargs):
 # grids up to 24x24) in 7 % fewer steps (201 against 216 there and on the
 # benchmark's graphs).  A stop at a predicted 2**-40 saved 12 % but left
 # residuals up to 1e-12, and a contraction read off the values alone
-# under-predicted the next step several-fold.
+# under-predicted the next step several-fold.  These figures were measured
+# while a refused attempt still put back the values it started from.
 FINISH_AT = 1e-2
 FINISH_RETRY = 1e-1
 FINISH_ROUNDS = 8
@@ -344,32 +345,30 @@ class _Finish:
         self.attempts = self.rounds = self.steps = 0
         self.accepted = False
 
-    def attempt(self, u: np.ndarray, delta: float, tol: float, sweep) -> float | None:
+    def attempt(self, u: np.ndarray, delta: float, tol: float, sweep, history: list[float],
+                max_iter: int) -> bool:
         """Finish from the sweep's (vertices, m) values u, after a sweep
         whose largest move was delta: solve the system frozen at u, write
-        the candidate into u and run one `sweep` on it.  Returns that
-        sweep's largest move when it is below tol.  Otherwise re-freezes
-        at the candidate, while each checking sweep moves less than the one
-        before, for at most FINISH_ROUNDS solves, and returns None with u
-        as it was."""
+        the candidate into u, run one `sweep` on it and append its largest
+        move to history.  Returns True once that move is below tol.
+        Otherwise freezes again at u, while each checking sweep moves less
+        than the one before, for at most FINISH_ROUNDS solves and while
+        history holds fewer than max_iter moves, and returns False with u
+        as the last checking sweep left it."""
         self.attempts += 1
-        last = math.inf
-        x = own = u.copy()
-        for rounds in range(FINISH_ROUNDS):
-            x = self.candidate(x, STEP_CAP * delta)
+        for rounds in range(min(FINISH_ROUNDS, max_iter - len(history))):
+            x = self.candidate(u, STEP_CAP * delta)
             if x is None:
                 break
             self.rounds += rounds > 0
             u[:] = x
-            check = sweep()
-            if check < tol:
+            history.append(sweep())
+            if history[-1] < tol:
                 self.accepted = True
-                return check
-            if not check < last:
+                return True
+            if rounds and not history[-1] < history[-2]:
                 break
-            last = check
-        u[:] = own
-        return None
+        return False
 
     def _freeze(self, x: np.ndarray):
         """Each interior row's active set at the (vertices, m) values x
@@ -611,19 +610,17 @@ def _sweep(g: Graph, tol: float, max_iter: int):
     values start at the centroid of the boundary data over sorted omega.
 
     The sweeps contract only by about 1 - c/n each, so they end with an
-    exact finish (`_Finish.attempt`).  After the stop rule, while the
-    budget leaves room for one more sweep, a sweep whose largest move falls
-    below FINISH_AT, or later below FINISH_RETRY times the move that
-    started the last attempt, hands its values to the finish.  The finish
-    freezes each row's active set and solves the frozen system directly.
-    One ordinary sweep from that candidate must then move no value by tol
-    or more: it is counted as a sweep, and its values are returned.
-    Otherwise the finish may re-freeze at the candidate, and then the sweep
-    goes on from its own values: where no attempt is accepted, values,
-    sweep counts and histories are those of the sweeps alone.  Returns
-    (values, history, converged), history holding each counted sweep's
-    largest move.  Raises ValueError unless tol is a positive finite
-    number.  The graph is not validated here.
+    exact finish (`_Finish.attempt`).  After the stop rule, a sweep whose
+    largest move falls below FINISH_AT, or later below FINISH_RETRY times
+    the move that started the last attempt, hands its values to the
+    finish, which freezes each row's active set and solves the frozen
+    system directly.  One ordinary sweep from that candidate must then
+    move no value by tol or more, and its values are returned.  Otherwise
+    the finish may freeze again at that sweep's values, and then the
+    sweeps go on from them.  Every sweep, checking ones included, counts
+    against max_iter.  Returns (values, history, converged), history
+    holding each sweep's largest move.  Raises ValueError unless tol is a
+    positive finite number.  The graph is not validated here.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
@@ -652,13 +649,10 @@ def _sweep(g: Graph, tol: float, max_iter: int):
         if delta < tol:
             converged = True
             break
-        if delta < level and len(history) < max_iter:
+        if delta < level:
             level = delta * FINISH_RETRY
-            if finish is None:
-                finish = _Finish(plan)
-            check = finish.attempt(u, delta, tol, sweep)
-            if check is not None:
-                history.append(check)
+            finish = finish or _Finish(plan)
+            if finish.attempt(u, delta, tol, sweep, history, max_iter):
                 converged = True
                 break
     if finish is None:
@@ -677,7 +671,7 @@ def iterate_tight(g: Graph, tol: float = 1e-10, max_iter: int = 100_000):
     Returns (values, report); raises NotConverged with the partial result
     when the sweep budget runs out, and ValueError unless tol is a positive
     finite number.  Interior values start at the centroid of the boundary
-    data, so they remain inside its convex hull throughout.
+    data.
     """
     require_valid(g)
     values, history, converged = _sweep(g, tol, max_iter)

@@ -18,7 +18,7 @@ from conftest import (
     reference_verify_extension,
 )
 from lipext.cli import generate
-from lipext.errors import InvalidPath, NotConverged, ValidationError
+from lipext.errors import InvalidPath, MethodUnavailable, NotConverged, ValidationError
 from lipext.graph import Graph, geodesic_distances_from, lipschitz_ratio
 from lipext import scalar, vector
 from lipext.kpoint import minimax_kernel, pairwise_optimum
@@ -915,6 +915,35 @@ def test_gauss_seidel_is_exact_on_grids(n):
         g = grid_graph(n, boundary_fn=fn)
         sweep, exact = gauss_seidel_scalar(g), solve_scalar(g)
         assert all(abs(sweep.values[v][0] - exact.values[v][0]) <= 1e-12 for v in g.ids)
+
+
+def test_gauss_seidel_finishes_the_64_grid_in_few_sweeps(monkeypatch):
+    # a refused finish leaves the sweeps at its last checking sweep, so
+    # the 64 x 64 grid lands in a few hundred sweeps
+    g = grid_graph(64, boundary_fn=lambda x, y: x * x - y)
+    histories = []
+    sweep = scalar._sweep
+
+    def recording(*args):
+        histories.append(sweep(*args))
+        return histories[-1]
+
+    monkeypatch.setattr(scalar, "_sweep", recording)
+    res, exact = gauss_seidel_scalar(g), solve_scalar(g)
+    assert len(histories[0][1]) <= 300
+    assert all(abs(res.values[v][0] - exact.values[v][0]) <= 5e-15 for v in g.ids)
+
+
+def test_scalar_checks_reject_vector_data():
+    # the path a - p - b with values (0, 0) and (0, 5): the checks read
+    # scalar data only, and would judge the first coordinate alone
+    g = Graph({"a": [0.0], "p": [1.0], "b": [2.0]}, [("a", "p"), ("p", "b")], ["a", "b"],
+              {"a": [0.0, 0.0], "b": [0.0, 5.0]})
+    values, _ = iterate_tight(g)
+    with pytest.raises(MethodUnavailable):
+        verify_extension(g, values)
+    with pytest.raises(MethodUnavailable):
+        scalar.maximum_principle(g, values)
 
 
 def _kernel_residual(g, u):

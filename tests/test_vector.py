@@ -645,14 +645,34 @@ def test_finish_follows_chains_over_each_arc_once_in_order(monkeypatch, g):
 
 
 @pytest.mark.parametrize("g", _finish_graphs(), ids=["curved6", "curved10", "sides5", "random"])
-@pytest.mark.parametrize("bad", ["off", "none", "nan"])
+@pytest.mark.parametrize("bad", ["none", "nan"])
 def test_a_rejected_finish_leaves_the_sweep_as_it_was(monkeypatch, g, bad):
-    # a candidate that the checking sweep rejects, no candidate, and a
-    # Newton step that is not finite (which must never reach the kernel):
-    # each leaves the values, sweeps and history of the sweeps alone
+    # no candidate, and a Newton step that is not finite (which must never
+    # reach the kernel): no checking sweep runs, and each leaves the values,
+    # sweeps and history of the sweeps alone
     plain = _sweep_without_finish(monkeypatch, g)
-    candidate = vector._Finish.candidate
     kernel = vector.minimax_kernel
+
+    def finite_kernel(values, dists, *args):
+        assert np.isfinite(np.asarray(values, dtype=float)).all()
+        return kernel(values, dists, *args)
+
+    if bad == "none":
+        monkeypatch.setattr(vector._Finish, "candidate", lambda self, x, cap: None)
+    else:
+        monkeypatch.setattr(vector, "spsolve", lambda a, b: np.full(len(b), np.nan))
+        monkeypatch.setattr(vector, "minimax_kernel", finite_kernel)
+    _assert_same_sweep(vector._sweep(g, 1e-10, 100_000), plain)
+
+
+@pytest.mark.parametrize("g", _finish_graphs(), ids=["curved6", "curved10", "sides5", "random"])
+def test_a_refused_candidate_is_kept(monkeypatch, g):
+    # every candidate moved by 1e-3: its checking sweep refuses it, and the
+    # sweeps go on from the values that sweep left, not from those the
+    # attempt started at.  They still converge, to the unperturbed limit.
+    values, _, _ = vector._sweep(copy.deepcopy(g), 1e-10, 100_000)
+    candidate, attempt = vector._Finish.candidate, vector._Finish.attempt
+    refused = []
 
     def moved(self, x, cap):
         y = candidate(self, x, cap)
@@ -660,18 +680,48 @@ def test_a_rejected_finish_leaves_the_sweep_as_it_was(monkeypatch, g, bad):
             y[self.rows] += 1e-3
         return y
 
-    def finite_kernel(values, dists, *args):
-        assert np.isfinite(np.asarray(values, dtype=float)).all()
-        return kernel(values, dists, *args)
+    def recording(self, u, *args):
+        before = u.copy()
+        accepted = attempt(self, u, *args)
+        if not accepted:
+            refused.append(not np.array_equal(u, before))
+        return accepted
 
-    if bad == "off":
-        monkeypatch.setattr(vector._Finish, "candidate", moved)
-    elif bad == "none":
-        monkeypatch.setattr(vector._Finish, "candidate", lambda self, x, cap: None)
-    else:
-        monkeypatch.setattr(vector, "spsolve", lambda a, b: np.full(len(b), np.nan))
-        monkeypatch.setattr(vector, "minimax_kernel", finite_kernel)
-    _assert_same_sweep(vector._sweep(g, 1e-10, 100_000), plain)
+    monkeypatch.setattr(vector._Finish, "candidate", moved)
+    monkeypatch.setattr(vector._Finish, "attempt", recording)
+    kept, history, converged = vector._sweep(g, 1e-10, 100_000)
+    assert converged and refused and all(refused)
+    assert max(float(np.abs(kept[v] - values[v]).max()) for v in g.ids) <= 1e-8
+
+
+@pytest.mark.parametrize("make", [
+    lambda: two_sided_grid(7),
+    lambda: grid_graph(32, lambda x, y: x * x - y),
+], ids=["sides7", "curved32"])
+def test_every_sweep_is_in_the_history_within_the_budget(make):
+    # each sweep replaces the first colour class once, and the finish's
+    # freezes and the residual replace the whole interior instead: the
+    # sweeps run, checking sweeps included, are the history's moves, and
+    # no budget runs more of them than it allows
+    g = make()
+    first = vector._plan(g, g.value_dim()).sweep_order[0]
+    step = first.step
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs[-1] += 1
+        return step(*args, **kwargs)
+
+    first.step = counting
+    total = None
+    for max_iter in range(1, 100_000):
+        runs.append(0)
+        _, history, converged = vector._sweep(g, 1e-10, max_iter)
+        assert runs[-1] == len(history) <= max_iter
+        if converged:
+            total = len(history)
+            break
+    assert total == max_iter and total > 1
 
 
 def test_finish_counts_the_checking_sweep_within_the_budget(monkeypatch):
