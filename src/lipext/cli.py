@@ -9,12 +9,17 @@ digits, so identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
 import os
 import re
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
+from typing import NoReturn
 
 import numpy as np
 
@@ -45,27 +50,34 @@ HULL_CHECK_TOL = 1e-8
 # deterministic JSON emission
 # ---------------------------------------------------------------------------
 
+_FLOATS = frozenset((float, np.float64))  # the element types of a list of floats
+
+
 def _fmt(obj) -> str:
+    # floats first: most of a document is floats, and np.float64 is a float
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {float(obj)!r} in output")
+        return f"{obj:.17g}"
+    if isinstance(obj, (list, tuple)):
+        if _FLOATS.issuperset(map(type, obj)) and all(map(math.isfinite, obj)):
+            return "[" + ", ".join(map("{:.17g}".format, obj)) + "]"
+        return "[" + ", ".join(map(_fmt, obj)) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if not math.isfinite(f):
-            raise ValueError(f"non-finite float {f!r} in output")
-        return f"{f:.17g}"
+    if isinstance(obj, np.floating):
+        return _fmt(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in obj) + "]"
+        return _quote(obj)
     if isinstance(obj, np.ndarray):
         return _fmt(list(obj))
     if isinstance(obj, dict):
         items = sorted(obj.items())
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_fmt(v)}" for k, v in items) + "}"
+        return "{" + ", ".join(f"{_quote(str(k))}: {_fmt(v)}" for k, v in items) + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -101,6 +113,11 @@ def _field(obj, key: str, path: str, shape: str, what: str = "the file", name=No
     return obj[key]
 
 
+_NUMBER = frozenset((int, float))  # a JSON boolean's type is bool
+_LENGTH = _NUMBER | {type(None)}
+_LIST = frozenset((list,))
+
+
 def _numbers(value, path: str, what: str, name=None, shape: str = "a number or a list of numbers"):
     """value, when it is a JSON number or a list of numbers nested to any
     depth, whose shape the caller checks.  Raises ParseError naming what
@@ -109,33 +126,61 @@ def _numbers(value, path: str, what: str, name=None, shape: str = "a number or a
     bare message."""
     if type(value) is list:
         for item in value:
-            if type(item) not in (int, float):
+            if type(item) not in _NUMBER:
                 _numbers(item, path, what, name, shape)
-    elif type(value) not in (int, float):  # a JSON boolean's type is bool
+    elif type(value) not in _NUMBER:
         raise ParseError(f"{path}: {what.format(name)} must be {shape}, not {json.dumps(value)}")
     return value
+
+
+def _vectors(values) -> bool:
+    """Whether each of values is a list of JSON numbers: the loaders' quick
+    type test, one pass over all the numbers, before the checks that name
+    a fault."""
+    return _LIST.issuperset(map(type, values)) and _NUMBER.issuperset(
+        map(type, chain.from_iterable(values)))
+
+
+def _lengths(edges: list) -> bool:
+    """Whether every edge has a third item, its length, that is a JSON
+    number or null: the quick type test of the edges, one pass over their
+    third items.  False also where an edge has no length, which is valid."""
+    try:
+        return _LENGTH.issuperset(map(type, map(itemgetter(2), edges)))
+    except (IndexError, KeyError, TypeError):  # an edge of two items, an object or a number
+        return False
 
 
 def load_graph_file(path: str) -> Graph:
     vertices, edges, boundary = _read(path, ("vertices", "edges", "boundary"))
     if not (isinstance(vertices, list) and isinstance(edges, list) and isinstance(boundary, dict)):
         raise ParseError(f"{path}: 'vertices' and 'edges' must be lists and 'boundary' an object")
-    positions = {}
-    vertex = "an object with 'id' and 'pos'"
-    for i, v in enumerate(vertices):
-        vid = _field(v, "id", path, vertex, "vertex {}", i)
-        if isinstance(vid, (list, dict)):
-            raise ParseError(f"{path}: the id of vertex {i} must be a string, not {json.dumps(vid)}")
-        positions[vid] = _numbers(_field(v, "pos", path, vertex, "vertex {!r}", vid), path,
-                                  "the position of vertex {!r}", vid)
+    # each field is read with a quick type test; the loops below, which
+    # name the first fault, run only where it fails
+    try:
+        positions = {v["id"]: v["pos"] for v in vertices}
+    except (KeyError, TypeError):  # a vertex that is no object or lacks a key, an unhashable id
+        positions = None
+    if positions is None or len(positions) != len(vertices) or not _vectors(positions.values()):
+        positions = {}
+        vertex = "an object with 'id' and 'pos'"
+        for i, v in enumerate(vertices):
+            vid = _field(v, "id", path, vertex, "vertex {}", i)
+            if isinstance(vid, (list, dict)):
+                raise ParseError(f"{path}: the id of vertex {i} must be a string, "
+                                 f"not {json.dumps(vid)}")
+            positions[vid] = _numbers(_field(v, "pos", path, vertex, "vertex {!r}", vid), path,
+                                      "the position of vertex {!r}", vid)
     if len(positions) != len(vertices):
         raise ParseError(f"{path}: duplicate vertex ids")
-    for edge in edges:
-        if isinstance(edge, list) and len(edge) == 3 and type(edge[2]) not in (int, float, type(None)):
-            raise ParseError(f"{path}: the length of edge {edge[0]!r}-{edge[1]!r} must be a number "
-                             f"or null, not {json.dumps(edge[2])}")
-    for vid, value in boundary.items():
-        _numbers(value, path, "the boundary value of vertex {!r}", vid)
+    if not _lengths(edges):
+        for edge in edges:
+            if isinstance(edge, list) and len(edge) == 3 and type(edge[2]) not in _LENGTH:
+                raise ParseError(f"{path}: the length of edge {edge[0]!r}-{edge[1]!r} must be a "
+                                 f"number or null, not {json.dumps(edge[2])}")
+    if not _vectors(boundary.values()):
+        for vid, value in boundary.items():
+            _numbers(value, path, "the boundary value of vertex {!r}", vid)
     try:
         return Graph(positions, edges, boundary.keys(), boundary)
     except (KeyError, TypeError, ValueError, LipextError) as exc:
@@ -154,8 +199,9 @@ def load_result_file(path: str) -> dict:
     values, = _read(path, ("values",))
     if not isinstance(values, dict):
         raise ParseError(f"{path}: values must be an object mapping vertex ids to values")
-    for vid, value in values.items():
-        _numbers(value, path, "the value of vertex {!r}", vid)
+    if not _vectors(values.values()):
+        for vid, value in values.items():
+            _numbers(value, path, "the value of vertex {!r}", vid)
     return values
 
 
@@ -343,6 +389,53 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _result_array(g: Graph, raw: dict, path: str) -> np.ndarray:
+    """The result values raw as one (vertices, m) array, row i the value at
+    g.ids[i], a bare number read as a 1-vector.  Raises ParseError at a
+    value that is not a finite vector or a boundary value other than the
+    graph's, and DimensionMismatch at values of another dimension than the
+    boundary data's; a ParseError names the first such vertex in id order."""
+    try:
+        vals = np.array([v if type(v) is list else [v] for v in map(raw.__getitem__, g.ids)],
+                        dtype=float)
+    except ValueError:  # values that are nested or of mixed dimension
+        vals = None
+    if vals is None or vals.ndim != 2:
+        _name_unstacked(g, raw, path)
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}: vertex {g.ids[int(finite.argmin())]!r} has a non-finite value")
+    m = g.value_dim()
+    if vals.shape[1] != m:
+        raise DimensionMismatch(f"result dimensions {[vals.shape[1]]} vs boundary {m}")
+    # equal as floats, not bit for bit: the JSON output writes -0.0 as -0,
+    # which reads back as 0.0
+    rows = np.flatnonzero(g.indexed.boundary)
+    moved = (vals[rows] != np.array([g.boundary_values[g.ids[i]] for i in rows])).any(axis=1)
+    if moved.any():
+        raise ParseError(f"{path}: boundary vertex {g.ids[rows[moved.argmax()]]!r} has a value "
+                         "other than the graph's")
+    return vals
+
+
+def _name_unstacked(g: Graph, raw: dict, path: str) -> NoReturn:
+    """Raise the error of result values that do not stack into one array:
+    numpy's, at the first value in id order that it cannot read, then a
+    nested value, then a non-finite one, then the values' dimensions."""
+    try:
+        values = [np.atleast_1d(np.asarray(raw[v], float)) for v in g.ids]
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    nested = next((v for v, val in zip(g.ids, values) if val.ndim > 1), None)
+    if nested is not None:
+        raise ParseError(f"{path}: vertex {nested!r} has a value that is not a vector")
+    bad = next((v for v, val in zip(g.ids, values) if not np.isfinite(val).all()), None)
+    if bad is not None:
+        raise ParseError(f"{path}: vertex {bad!r} has a non-finite value")
+    dims = sorted({val.shape[0] for val in values})
+    raise DimensionMismatch(f"result dimensions {dims} vs boundary {g.value_dim()}")
+
+
 def cmd_verify(args) -> int:
     _check_budget(args.tol)
     g = load_graph_file(args.graph)
@@ -350,26 +443,8 @@ def cmd_verify(args) -> int:
     raw = load_result_file(args.result)
     if set(raw) != set(g.ids):
         raise ParseError("result values do not cover exactly the graph vertices")
-    try:
-        values = {v: np.atleast_1d(np.asarray(raw[v], float)) for v in g.ids}
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{args.result}: {exc}") from exc
-    nested = next((v for v in g.ids if values[v].ndim > 1), None)
-    if nested is not None:
-        raise ParseError(f"{args.result}: vertex {nested!r} has a value that is not a vector")
-    bad = [v for v in g.ids if not np.isfinite(values[v]).all()]
-    if bad:
-        raise ParseError(f"{args.result}: vertex {bad[0]!r} has a non-finite value")
+    values = dict(zip(g.ids, _result_array(g, raw, args.result)))
     m = g.value_dim()
-    dims = {v.shape[0] for v in values.values()}
-    if dims != {m}:
-        raise DimensionMismatch(f"result dimensions {sorted(dims)} vs boundary {m}")
-    # equal as floats, not bit for bit: the JSON output writes -0.0 as -0,
-    # which reads back as 0.0
-    moved = next((v for v in g.ids if v in g.omega
-                  and not np.array_equal(values[v], g.boundary_values[v])), None)
-    if moved is not None:
-        raise ParseError(f"{args.result}: boundary vertex {moved!r} has a value other than the graph's")
     if m == 1:
         rep = verify_extension(g, values, tol=args.tol)
         out = {
@@ -406,7 +481,11 @@ def cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and shared by
+    every later one, since a parse leaves no state in it: each `main` call
+    parses its argv with the same parser."""
     p = argparse.ArgumentParser(prog="lipext", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -38,13 +38,15 @@ class Graph:
 
     Parameters
     ----------
-    vertices : mapping id -> position (sequence of floats)
+    vertices : mapping id -> position (sequence of floats); ids are keyed by
+        str(id), and two ids equal as strings, such as 1 and "1", raise
+        ValueError
     edges : iterable of (a, b) or (a, b, length); length defaults to the
         Euclidean distance between the endpoint positions.  Any other edge
         raises ValueError.
     omega : iterable of boundary vertex ids
     boundary_values : mapping id -> value (scalar or sequence), defined on
-        exactly the omega set
+        exactly the omega set; keys equal as strings raise ValueError
     """
 
     def __init__(self, vertices, edges, omega, boundary_values):
@@ -53,7 +55,10 @@ class Graph:
             position = np.atleast_1d(np.asarray(p, dtype=float))
             if position.ndim > 1:
                 raise ValueError(f"position of {vid!r} is not a vector: {p!r}")
-            pos[str(vid)] = position
+            key = str(vid)
+            if key in pos:
+                raise ValueError(f"vertex id {vid!r} equals an earlier one as a string")
+            pos[key] = position
         dims = {p.shape[0] for p in pos.values()}
         if len(dims) > 1:
             raise ValueError(f"positions have mixed dimensions {sorted(dims)}")
@@ -80,7 +85,10 @@ class Graph:
             value = np.atleast_1d(np.asarray(val, dtype=float))
             if value.ndim > 1:
                 raise ValueError(f"boundary value of {vid!r} is not a vector: {val!r}")
-            bvals[str(vid)] = value
+            key = str(vid)
+            if key in bvals:
+                raise ValueError(f"boundary key {vid!r} equals an earlier one as a string")
+            bvals[key] = value
         self.positions = pos
         self.lengths = lengths
         self.omega = frozenset(str(v) for v in omega)

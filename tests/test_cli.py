@@ -286,6 +286,22 @@ def test_loaders_name_a_field_that_is_not_a_number(tmp_path, capsys, case):
     assert err.count("\n") == 1 and "Traceback" not in err and not out.exists()
 
 
+def test_solve_rejects_vertex_ids_equal_as_strings(tmp_path, capsys):
+    # the graph keys vertices by str(id): 1 and "1" are one vertex
+    doc = {
+        "vertices": [{"id": 1, "pos": [0]}, {"id": "1", "pos": [5]}, {"id": "a", "pos": [1]},
+                     {"id": "b", "pos": [2]}],
+        "edges": [["1", "a"], ["a", "b"]],
+        "boundary": {"1": [0], "b": [1]},
+    }
+    f = write_json(tmp_path / "dup.json", doc)
+    out = tmp_path / "x.json"
+    assert run("solve", "--input", f, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ParseError: {f}: vertex id '1' equals an earlier one as a string\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("boundary", [[], [["a", [0.0]]], "a", None])
 def test_solve_rejects_a_boundary_that_is_not_an_object(tmp_path, capsys, boundary):
     doc = {
@@ -627,6 +643,58 @@ def test_verify_rejects_values_that_are_not_an_object(tmp_path, capsys, values):
     assert "ParseError" in capsys.readouterr().err
 
 
+def _path_result(tmp_path, change, order=reversed):
+    """The graph and result files of the 4-vertex path v0 - v3, boundary
+    {v0, v3}, the result's values changed by change and written in the
+    given order of their ids."""
+    g, r = tmp_path / "g.json", tmp_path / "r.json"
+    assert run("gen", "path", "--size", 4, "--output", g) == 0
+    assert run("solve", "--input", g, "--output", r) == 0
+    doc = json.loads(r.read_text())
+    change(doc["values"])
+    doc["values"] = {v: doc["values"][v] for v in order(sorted(doc["values"]))}
+    write_json(r, doc)
+    return g, r
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d.update(v1=[float("nan")], v2=[float("inf")]), "vertex 'v1' has a non-finite value"),
+    (lambda d: d.update(v0=[0.5], v3=[2.0]),
+     "boundary vertex 'v0' has a value other than the graph's"),
+    (lambda d: d.update(v1=[float("nan")], v2=[[1.0]]), "vertex 'v2' has a value that is not a vector"),
+], ids=["non-finite", "moved", "nested-first"])
+def test_verify_names_the_first_vertex_in_id_order(tmp_path, capsys, change, message):
+    # the file lists the values in reverse id order
+    g, r = _path_result(tmp_path, change)
+    assert run("verify", g, r) == 1
+    assert capsys.readouterr().err == f"error: ParseError: {r}: {message}\n"
+
+
+def test_verify_reads_bare_numbers_as_vectors(tmp_path, capsys):
+    g, r = _path_result(tmp_path, lambda d: None)
+    assert run("verify", g, r) == 0
+    listed = capsys.readouterr().out
+    _, r = _path_result(tmp_path, lambda d: d.update(v0=d["v0"][0], v2=d["v2"][0]))
+    values = json.loads(r.read_text())["values"]
+    assert type(values["v2"]) is int and type(values["v1"]) is list
+    assert run("verify", g, r) == 0
+    assert capsys.readouterr().out == listed
+
+
+def test_verify_names_mixed_dimensions_sorted(tmp_path, capsys):
+    g, r = _path_result(tmp_path, lambda d: d.update(v1=[0.5, 0.5, 0.5], v2=[0.5, 0.5]))
+    assert run("verify", g, r) == 1
+    assert capsys.readouterr().err == "error: DimensionMismatch: result dimensions [1, 2, 3] vs boundary 1\n"
+
+
+def test_verify_rejects_a_ragged_value(tmp_path, capsys):
+    g, r = _path_result(tmp_path, lambda d: d.update(v1=[[1.0], [2.0, 3.0]]))
+    assert run("verify", g, r) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: ParseError: {r}: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_verify_vector_result(tmp_path, vector_graph_file, capsys):
     r = tmp_path / "r.json"
     assert run("solve", "--input", vector_graph_file, "--method", "iterate",
@@ -734,6 +802,45 @@ def test_output_deterministic(tmp_path):
     assert run("solve", "--input", g, "--output", r1) == 0
     assert run("solve", "--input", g, "--output", r2) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_main_runs_many_commands_in_one_process(tmp_path, capsys):
+    # main may be called again and again in one process: no call's
+    # arguments or defaults reach the next, and each command gives what it
+    # gave the first time, also after an argument error
+    g, r = tmp_path / "g.json", tmp_path / "r.json"
+    pts = write_json(tmp_path / "pts.json", {"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                             "values": [[0.0, 0.0], [1.0, 0.5], [-0.3, 1.2]]})
+    commands = [
+        ("gen", "grid", "--size", 5, "--boundary", "corners", "--output", g),
+        ("solve", "--input", g, "--method", "iterate"),
+        ("solve", "--input", g, "--output", r),
+        ("kpoint", "-0.5,0.3", "--input", pts),
+        ("verify", g, r),
+        ("solve", "--method", "iterate"),  # no --input: argparse exits 2
+        ("verify", g, r),
+    ]
+
+    def outcome(argv):
+        try:
+            code = run(*argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, [f.read_bytes() for f in (g, r) if f.exists()]
+
+    def outcomes():
+        for f in (g, r):
+            f.unlink(missing_ok=True)
+        return [outcome(argv) for argv in commands]
+
+    first = outcomes()
+    assert [code for code, *_ in first] == [0, 0, 0, 0, 0, 2, 0]
+    assert json.loads(first[1][1])["report"]["stage_slopes"] is None
+    assert json.loads(r.read_text())["report"]["stage_slopes"]
+    assert first[6] == first[4] and json.loads(first[4][1])["passed"] is True
+    assert first[5][2].startswith("usage: lipext solve")
+    assert outcomes() == first
 
 
 def test_log_env_smoke(tmp_path, monkeypatch, path_graph_file):

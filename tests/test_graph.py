@@ -324,6 +324,15 @@ def test_constructor_rejects_a_position_that_is_not_a_vector(position):
         Graph({"a": position, "b": [1.0]}, [("a", "b", 1.0)], ["b"], {"b": 0.0})
 
 
+def test_constructor_rejects_ids_equal_as_strings():
+    # vertices and boundary values are keyed by str(id), so 1 and "1" would
+    # otherwise be one vertex holding the later position or value
+    with pytest.raises(ValueError, match="vertex id '1' equals an earlier one as a string"):
+        Graph({1: [0.0], "1": [5.0], "b": [1.0]}, [("1", "b")], ["b"], {"b": 0.0})
+    with pytest.raises(ValueError, match="boundary key '1' equals an earlier one as a string"):
+        Graph({"1": [0.0], "b": [1.0]}, [("1", "b")], ["1"], {1: 0.0, "1": 1.0})
+
+
 def test_as_vertex_function_keeps_float_vectors_and_converts_the_rest():
     kept = np.array([1.0, 2.0])
     u = as_vertex_function({"a": kept, 1: 3, "c": [4, 5], "d": np.float32([0.1]),
