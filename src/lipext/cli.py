@@ -141,6 +141,27 @@ def _vectors(values) -> bool:
         map(type, chain.from_iterable(values)))
 
 
+def _floats(value, path: str, what: str) -> np.ndarray:
+    """np.asarray(value, float), raising ParseError naming what at a JSON
+    integer too large for a float, where numpy raises OverflowError."""
+    try:
+        return np.asarray(value, float)
+    except OverflowError:
+        raise ParseError(f"{path}: {what} holds an integer too large for a float") from None
+
+
+def _name_overflow(path: str, positions: dict, edges: list, boundary: dict) -> None:
+    """Raise the ParseError of the first JSON integer too large for a float
+    in a graph file, if any, in the order `Graph` reads the fields."""
+    for vid, pos in positions.items():
+        _floats(pos, path, f"the position of vertex {vid!r}")
+    for edge in edges:
+        if isinstance(edge, list):
+            _floats(edge[2:], path, f"the length of edge {edge[0]!r}-{edge[1]!r}")
+    for vid, value in boundary.items():
+        _floats(value, path, f"the boundary value of vertex {vid!r}")
+
+
 def _lengths(edges: list) -> bool:
     """Whether every edge has a third item, its length, that is a JSON
     number or null: the quick type test of the edges, one pass over their
@@ -183,6 +204,9 @@ def load_graph_file(path: str) -> Graph:
             _numbers(value, path, "the boundary value of vertex {!r}", vid)
     try:
         return Graph(positions, edges, boundary.keys(), boundary)
+    except OverflowError:  # a JSON integer too large for a float
+        _name_overflow(path, positions, edges, boundary)
+        raise
     except (KeyError, TypeError, ValueError, LipextError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -210,7 +234,7 @@ def load_points_file(path: str) -> LabeledPointSet:
     _numbers(points, path, "'points'", shape="a list of positions, each a list of numbers")
     _numbers(values, path, "'values'", shape="a list of values, each a number or a list of numbers")
     try:
-        return LabeledPointSet(np.asarray(points, float), np.asarray(values, float))
+        return LabeledPointSet(_floats(points, path, "'points'"), _floats(values, path, "'values'"))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -398,7 +422,7 @@ def _result_array(g: Graph, raw: dict, path: str) -> np.ndarray:
     try:
         vals = np.array([v if type(v) is list else [v] for v in map(raw.__getitem__, g.ids)],
                         dtype=float)
-    except ValueError:  # values that are nested or of mixed dimension
+    except (ValueError, OverflowError):  # nested, of mixed dimension or out of range
         vals = None
     if vals is None or vals.ndim != 2:
         _name_unstacked(g, raw, path)
@@ -423,7 +447,8 @@ def _name_unstacked(g: Graph, raw: dict, path: str) -> NoReturn:
     numpy's, at the first value in id order that it cannot read, then a
     nested value, then a non-finite one, then the values' dimensions."""
     try:
-        values = [np.atleast_1d(np.asarray(raw[v], float)) for v in g.ids]
+        values = [np.atleast_1d(_floats(raw[v], path, f"the value of vertex {v!r}"))
+                  for v in g.ids]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     nested = next((v for v, val in zip(g.ids, values) if val.ndim > 1), None)

@@ -26,6 +26,7 @@ from .errors import InvalidPath, MethodUnavailable, MultipleAttachments, NotConv
 # validate here
 from .graph import (  # noqa: F401
     Graph,
+    Indexed,
     VertexFunction,
     geodesic_distances_from,
     require_valid,
@@ -242,15 +243,9 @@ class _PathSearch:
     whose bound reaches its best slope less the margin.  No row left out
     can hold a pair at the best slope, so the tie rule sees every such pair.
 
-    Once a search returns slope 0, every later search takes the first
-    connected pair (`_first_connected`).  That search saw every reachable
-    pair at a computed slope of 0, so with equal values (unless a nonzero
-    difference over its distance underflows to 0); a zero-slope path
-    labels its interior with its start's value exactly, and cutting arcs
-    never shortens a distance, so every pair reachable later was reachable
-    through that start and still has slope 0.  All later slopes are 0 or
-    unreachable, and the first row in id order with a reachable later
-    column, at its first such column, is the pair the tie rule picks.
+    Once a search returns slope 0, `solve_scalar` usually ends the solve
+    without another search (`_zero_phase`); where it cannot, the bounded
+    search goes on as before.
     """
 
     def __init__(self, g: Graph, state: SubgraphState):
@@ -304,8 +299,6 @@ class _PathSearch:
         rows = cols[self.live[cols] > 0]
         f = self.f[cols]
         sinks = cols + self.n
-        if self.last == 0.0:
-            return self._first_connected(rows, cols, sinks, f)
         best = [-1.0, -1, -1]
         cross = np.full(cols.size, -1.0)
 
@@ -339,27 +332,6 @@ class _PathSearch:
             run(rest[self.bound[rest] >= best[0] * (1.0 - BOUND_MARGIN)])
         self.last = best[0]
         return None if best[0] < 0.0 else (best[1], best[2])
-
-    def _first_connected(self, rows: np.ndarray, cols: np.ndarray, sinks: np.ndarray,
-                         f: np.ndarray) -> tuple[int, int] | None:
-        """The first row with a reachable later column, and its first such
-        column: the steepest pair once the slope is 0.  Rows run in id order,
-        in blocks of 1, 2, 4, ... up to SOURCE_BLOCK."""
-        start, size = 0, 1
-        while start < rows.size:
-            r = rows[start:start + size]
-            slope = _slopes(self.graph, r, sinks, self.f[r], f)
-            slope[cols <= r[:, None]] = -1.0
-            hit = np.flatnonzero((slope >= 0.0).any(axis=1))
-            if hit.size:
-                i = int(hit[0])
-                c = int(np.argmax(slope[i]))
-                self.last = float(slope[i, c])
-                return int(r[i]), int(cols[c])
-            start += size
-            size = min(2 * size, SOURCE_BLOCK)
-        self.last = -1.0
-        return None
 
     def interior_path(self, g: Graph, state: SubgraphState) -> ConnectingPath | None:
         """Steepest connecting path with at least one interior vertex."""
@@ -437,6 +409,103 @@ def apply_path(state: SubgraphState, path: ConnectingPath) -> SubgraphState:
     return new
 
 
+def _zero_phase(form: Indexed, labeled: np.ndarray,
+                f: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Once the steepest slope is 0: the unlabeled vertices that the
+    remaining stages label, in an array, with their values; or None when
+    some component of the unlabeled vertices U has labeled neighbours that
+    compare unequal.  labeled and f give the state by vertex index.
+
+    No used edge touches U, so two labeled neighbours of one component are
+    joined through it by a connecting path.  When they all compare equal,
+    every connecting path from here on has slope 0 and labels its interior
+    with its start's value + 0.0: the component's common value c + 0.0,
+    whichever neighbour it starts from.  A vertex of U is labeled exactly
+    when it lies on a connecting path now, that is, in a biconnected block
+    of H with a super-terminal t.  H has the edges with an end in U, plus
+    an edge from t to every labeled vertex next to U.  Every vertex labeled
+    later lies on such a path: a path between two vertices of blocks at t
+    closes a cycle with t through each of its interior vertices.  And no
+    such vertex stays unlabeled: walked from it to the first labeled vertex
+    on each side, its path would still connect.  The blocks come from one
+    iterative Tarjan pass from t.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    n = labeled.size
+    src, dst = form.src, form.dst
+    free = ~labeled
+    inner = free[src] & free[dst]
+    _, comp = connected_components(
+        sparse_graph(src[inner], dst[inner], np.ones(np.count_nonzero(inner)), n), directed=False)
+    rim = free[src] & labeled[dst]  # arcs from U to its labeled neighbours
+    at, val = comp[src[rim]], f[dst[rim]]
+    lo, hi = np.full(n, np.inf), np.full(n, -np.inf)
+    np.minimum.at(lo, at, val)
+    np.maximum.at(hi, at, val)
+    if (lo[at] != hi[at]).any():
+        return None
+    ptr, nbr, lab = form.indptr.tolist(), dst.tolist(), labeled.tolist()
+    t = n
+    disc, low, parent = [-1] * (n + 1), [0] * (n + 1), [-1] * (n + 1)
+    disc[t] = 0
+    order: list[int] = []
+    stack = [(t, iter(np.unique(dst[rim]).tolist()))]
+    while stack:
+        v, todo = stack[-1]
+        for w in todo:
+            if disc[w] < 0:
+                disc[w] = low[w] = len(order) + 1
+                parent[w] = v
+                order.append(w)
+                around = nbr[ptr[w]:ptr[w + 1]]
+                # a labeled vertex keeps its edges into U and gains t
+                stack.append((w, iter([x for x in around if not lab[x]] + [t] if lab[w]
+                                      else around)))
+                break
+            if w != parent[v] and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack and low[v] < low[parent[v]]:
+                low[parent[v]] = low[v]
+    # a tree edge (p, w) shares the block of p's own tree edge iff low[w] < disc[p]
+    block = [False] * (n + 1)
+    for w in order:
+        p = parent[w]
+        block[w] = p == t or (block[p] and low[w] < disc[p])
+    new = np.array([w for w in order if block[w] and not lab[w]], dtype=np.intp)
+    return new, hi[comp[new]] + 0.0
+
+
+def _finish_at_zero(g: Graph, state: SubgraphState, search: _PathSearch) -> bool:
+    """End a solve whose steepest slope is 0 in one pass, if `_zero_phase`
+    can: label its vertices and append the zero stages that the stage loop
+    would have run.  Returns whether it did; on True, only state.labeled
+    and state.stage_slopes are current.
+
+    Every edge with both ends in the final labeled set F is used once, by a
+    single-edge stage or on a path, and a path with j interior vertices
+    uses j + 1 edges.  So the solve runs E_F - (|F| - |omega|) stages, E_F
+    the number of such edges, and every stage left has slope 0.
+    """
+    found = _zero_phase(g.indexed, search.labeled, search.f)
+    if found is None:
+        return False
+    new, vals = found
+    state.labeled.update(zip([g.ids[i] for i in new.tolist()], vals.tolist()))
+    final = search.labeled.copy()
+    final[new] = True
+    _, heads, tails, _ = g.indexed.edges
+    size = int(np.count_nonzero(final))
+    zeros = (int(np.count_nonzero(final[heads] & final[tails])) - (size - len(g.omega))
+             - len(state.stage_slopes))
+    state.stage_slopes.extend([0.0] * zeros)
+    log.debug("slope 0 from stage %d: %d vertices labeled, %d flooded, %d zero stages",
+              len(state.stage_slopes) - zeros + 1, new.size, len(g.ids) - size, zeros)
+    return True
+
+
 def finalize_components(g: Graph, state: SubgraphState) -> dict[str, float]:
     """Flood the remaining unlabeled components from their attachments.
 
@@ -490,7 +559,7 @@ def solve_scalar(g: Graph) -> ExtensionResult:
             path = heapq.heappop(pending)[1]
             state.used_edges.update(path.edges)
             state.stage_slopes.append(path.slope)
-        if interior is None:
+        if interior is None or (interior.slope == 0.0 and _finish_at_zero(g, state, search)):
             break
         log.debug("stage %d: slope %.6g through %s",
                   len(state.stage_slopes) + 1, interior.slope, interior.vertices)

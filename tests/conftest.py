@@ -76,6 +76,25 @@ def random_graph(rng, max_vertices=60, m=1, extra_edge_factor=0.5):
                  boundary.keys(), boundary)
 
 
+def naive_stage_loop(g):
+    """The scalar solve driven stage by stage through the public
+    operations, one full search per stage: (values by id, stage slopes)."""
+    from lipext.scalar import (apply_path, finalize_components,
+                               find_max_slope_connecting_path, initial_state)
+
+    state = initial_state(g)
+    while True:
+        path = find_max_slope_connecting_path(g, state)
+        if path is None:
+            break
+        if path.vertices[1:-1]:
+            state = apply_path(state, path)
+        else:
+            state.used_edges.update(path.edges)
+            state.stage_slopes.append(path.slope)
+    return finalize_components(g, state), state.stage_slopes
+
+
 def colour_order(g):
     """The interior of g in (colour class, id) order, the classes those of
     a greedy colouring of the interior in id order: the order in which the

@@ -266,6 +266,21 @@ BAD_FIELDS = {
     "values-true": ("kpoint", {"points": [[0.0], [2.0]], "values": [[0.0], True]},
                     "'values' must be a list of values"),
     "points-missing": ("kpoint", {"values": [[0.0], [1.0]]}, "the file has no 'points'"),
+    # JSON integers of 400 digits, beyond the float range
+    "length-huge": ("solve", _bad_graph(_set("edges", 1, 2, 10**400)),
+                    "the length of edge 'm'-'b' holds an integer too large for a float"),
+    "pos-huge": ("solve", _bad_graph(_set("vertices", 1, "pos", [10**400])),
+                 "the position of vertex 'm' holds an integer too large for a float"),
+    "boundary-huge": ("solve", _bad_graph(_set("boundary", "b", [10**400])),
+                      "the boundary value of vertex 'b' holds an integer too large for a float"),
+    "verify-huge": ("verify", {"values": {"a": [0.0], "m": [10**400], "b": [1.0]}},
+                    "the value of vertex 'm' holds an integer too large for a float"),
+    "verify-huge-bare": ("verify", {"values": {"a": [0.0], "m": 10**400, "b": [1.0]}},
+                         "the value of vertex 'm' holds an integer too large for a float"),
+    "points-huge": ("kpoint", {"points": [[0.0], [10**400]], "values": [[0.0], [1.0]]},
+                    "'points' holds an integer too large for a float"),
+    "values-huge": ("kpoint", {"points": [[0.0], [2.0]], "values": [[0.0], [10**400]]},
+                    "'values' holds an integer too large for a float"),
 }
 
 

@@ -1,5 +1,6 @@
 import heapq
 import importlib.util
+import logging
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ from conftest import (
     assert_same_report,
     colour_order,
     grid_graph,
+    naive_stage_loop,
     path_graph,
     random_graph,
     reference_verify_extension,
@@ -382,21 +384,35 @@ def test_naive_stage_loop_matches_solver():
     rng = np.random.default_rng(97)
     for _ in range(8):
         g = random_graph(rng, max_vertices=25)
-        state = initial_state(g)
-        while True:
-            path = find_max_slope_connecting_path(g, state)
-            if path is None:
-                break
-            if path.vertices[1:-1]:
-                state = apply_path(state, path)
-            else:
-                state.used_edges.update(path.edges)
-                state.stage_slopes.append(path.slope)
-        naive_values = finalize_components(g, state)
+        naive_values, naive_slopes = naive_stage_loop(g)
         res = solve_scalar(g)
-        assert res.stage_slopes == state.stage_slopes
+        assert res.stage_slopes == naive_slopes
         for v in g.ids:
             assert res.values[v][0] == naive_values[v]
+
+
+def test_underflowing_zero_slope_takes_the_stage_loop(monkeypatch):
+    # |5e-324 - 0| / 2e10 underflows to slope 0 while a's and b's values
+    # differ, so the one-pass finish does not apply; the stage loop goes on
+    # with the bounded search and labels x and y with a's +0.0
+    g = Graph({v: [float(i)] for i, v in enumerate("abcxy")},
+              [("a", "x", 1e10), ("x", "b", 1e10), ("y", "c", 1e10), ("x", "y", 1.0)],
+              ["a", "b", "c"], {"a": 0.0, "b": 5e-324, "c": 5e-324})
+    finish = scalar._finish_at_zero
+    finished = []
+
+    def counted(g, state, search):
+        finished.append(finish(g, state, search))
+        return finished[-1]
+
+    monkeypatch.setattr(scalar, "_finish_at_zero", counted)
+    res = solve_scalar(g)
+    values, slopes = naive_stage_loop(g)
+    assert finished == [False, False]
+    assert res.stage_slopes == slopes == [0.0, 0.0]
+    assert [res.values[v][0] for v in g.ids] == [values[v] for v in g.ids]
+    assert not np.signbit([res.values[v][0] for v in g.ids]).any()
+    assert values["x"] == values["y"] == 0.0
 
 
 def test_stage_slopes_non_increasing():
@@ -586,23 +602,31 @@ def test_solver_search_matches_per_source_reference(monkeypatch, block, small):
     if small is not None:
         monkeypatch.setattr(scalar, "SMALL_SEARCH", small)
     search = scalar._PathSearch.interior_path
-    calls, zero = [], []
+    finish = scalar._finish_at_zero
+    calls, finished = [], []
 
     def checked(self, g, state):
-        zero.append(self.last == 0.0)  # the first-connected-pair branch
         path = search(self, g, state)
         assert path == _reference_interior_path(g, state)
         calls.append(path)
         return path
 
+    def counted(g, state, search):
+        finished.append(finish(g, state, search))
+        return finished[-1]
+
     monkeypatch.setattr(scalar._PathSearch, "interior_path", checked)
+    monkeypatch.setattr(scalar, "_finish_at_zero", counted)
     graphs = (_fast_path_graphs() + _tie_graphs(8) + _tie_graphs(6, levels=2, seed=14, extra=0.5)
               + [grid_graph(9, boundary_fn=lambda x, y: x * x - y),
                  generate("grid", 12, None, "corners")])
     for g in graphs:
         solve_scalar(g)
     assert len(calls) > len(graphs)
-    assert sum(zero) > 50
+    # four of the three-level graphs, three of the two-level ones and the
+    # 12 x 12 corners grid end in the one-pass finish at slope 0, each at
+    # its first zero-slope search
+    assert finished == [True] * 8
 
 
 def _arc_rows(g, state):
@@ -640,9 +664,9 @@ def test_bounds_skip_search_rows(monkeypatch):
 
 @pytest.mark.parametrize("size", [12, 24])
 def test_zero_slope_searches_run_few_rows(monkeypatch, size):
-    # once the steepest slope is 0, a search stops at the first row with a
-    # reachable later column; running every bounded row took 28 rows per
-    # search at 12 x 12 and 64 at 24 x 24
+    # once a search returns slope 0 the solve ends in one pass: no search
+    # row runs after it (a search per zero-slope stage took 50 searches at
+    # slope 0 at 12 x 12 and 242 at 24 x 24)
     g = generate("grid", size, None, "corners")
     n = len(g.ids)
     rows, zero = [], []
@@ -650,20 +674,38 @@ def test_zero_slope_searches_run_few_rows(monkeypatch, size):
     steepest = scalar._PathSearch.steepest
 
     def counting(graph, directed, indices, limit):
-        if graph.shape[0] == 2 * n and zero[-1]:
+        if graph.shape[0] == 2 * n and zero:
             rows.append(len(indices))
         return real(graph, directed=directed, indices=indices, limit=limit)
 
     def flagged(self):
-        zero.append(self.last == 0.0)
-        return steepest(self)
+        pair = steepest(self)
+        if self.last == 0.0:
+            zero.append(pair)
+        return pair
 
     monkeypatch.setattr(scalar, "dijkstra", counting)
     monkeypatch.setattr(scalar._PathSearch, "steepest", flagged)
     res = solve_scalar(g)
     assert res.report.passed
-    assert sum(zero) > size
-    assert sum(rows) <= 2 * sum(zero)
+    assert len(zero) == 1
+    assert rows == []
+    assert res.stage_slopes.count(0.0) > size
+
+
+def test_zero_slope_finish_logs_one_line(caplog):
+    # the one-pass finish logs one line in place of the stage lines it
+    # skips: x lies on the path a-x-b, the pendant p is flooded, and the
+    # path is the one zero stage
+    g = Graph({v: [float(i)] for i, v in enumerate("abpx")},
+              [("a", "x", 1.0), ("x", "b", 2.0), ("x", "p", 1.0)],
+              ["a", "b"], {"a": 1.0, "b": 1.0})
+    with caplog.at_level(logging.DEBUG, logger="lipext.scalar"):
+        res = solve_scalar(g)
+    assert [r.getMessage() for r in caplog.records] == [
+        "slope 0 from stage 1: 1 vertices labeled, 1 flooded, 1 zero stages"]
+    assert res.stage_slopes == [0.0]
+    assert [res.values[v][0] for v in "abpx"] == [1.0] * 4
 
 
 def _all_pairs_ratios(g, u, pairs_in=None):
