@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
 )
 # perfbench/tracing.py wraps validate and gauss_seidel_scalar here
-from .graph import Graph, lipschitz_ratio, require_valid, validate  # noqa: F401
+from .graph import Graph, lipschitz_ratio, require_valid, validate, value_overflow  # noqa: F401
 from .kpoint import LabeledPointSet, kpoint_oracle, kpoint_vector
 from .scalar import (  # noqa: F401
     gauss_seidel_scalar,
@@ -418,7 +418,10 @@ def _result_array(g: Graph, raw: dict, path: str) -> np.ndarray:
     g.ids[i], a bare number read as a 1-vector.  Raises ParseError at a
     value that is not a finite vector or a boundary value other than the
     graph's, and DimensionMismatch at values of another dimension than the
-    boundary data's; a ParseError names the first such vertex in id order."""
+    boundary data's; a ParseError names the first such vertex in id order.
+    Values too large for the edge lengths, by the bound that `validate`
+    puts on boundary data, raise ParseError (ValueOverflow): the checks'
+    differences and ratios would overflow."""
     try:
         vals = np.array([v if type(v) is list else [v] for v in map(raw.__getitem__, g.ids)],
                         dtype=float)
@@ -439,6 +442,10 @@ def _result_array(g: Graph, raw: dict, path: str) -> np.ndarray:
     if moved.any():
         raise ParseError(f"{path}: boundary vertex {g.ids[rows[moved.argmax()]]!r} has a value "
                          "other than the graph's")
+    lengths = g.indexed.edges[3]
+    message = value_overflow(vals, lengths) if lengths.size else None
+    if message is not None:
+        raise ParseError(f"{path}: ValueOverflow: result {message}")
     return vals
 
 

@@ -339,12 +339,10 @@ def validate(g: Graph) -> list[Violation]:
                 out.append(Violation("ZeroLengthEdge", f"edge ({a}, {b}) has length {ln}"))
     if len(dims) == 1 and 0 not in dims and lens.size and positive and np.isfinite(lens).all():
         vals = np.array(list(g.boundary_values.values()))
-        # the solvers' slopes stay within 2 max|f| / shortest edge and the
-        # pair formula's length-weighted values within 2 max|f| * longest
-        top, short, long = float(np.abs(vals).max()), float(lens.min()), float(lens.max())
-        if math.isfinite(top) and not math.isfinite(max(2.0 * top / short, 2.0 * top * long)):
-            out.append(Violation("ValueOverflow", f"boundary values up to {top:g} in size "
-                                 f"overflow against edge lengths in [{short:g}, {long:g}]"))
+        message = value_overflow(vals, lens)
+        if message is not None:
+            out.append(Violation("ValueOverflow", "boundary " + message))
+        long = float(lens.max())
         # every path length, and every sum d_i + d_j of two, is at most the
         # total length; it is summed in units of the longest edge, so the
         # sum itself cannot overflow
@@ -363,6 +361,19 @@ def validate(g: Graph) -> list[Violation]:
         if len(seen) != len(g.ids):
             out.append(Violation("Disconnected", f"{len(g.ids) - len(seen)} vertices unreachable"))
     return out
+
+
+def value_overflow(vals: np.ndarray, lengths: np.ndarray) -> str | None:
+    """Why values vals overflow against the positive finite edge lengths,
+    or None if they do not: the solvers' slopes stay within
+    2 max|f| / shortest edge and the pair formula's length-weighted values
+    within 2 max|f| * longest, and both must be finite.  Non-finite values
+    are left to the finiteness checks."""
+    top, short, long = float(np.abs(vals).max()), float(lengths.min()), float(lengths.max())
+    if math.isfinite(top) and not math.isfinite(max(2.0 * top / short, 2.0 * top * long)):
+        return (f"values up to {top:g} in size overflow against edge lengths in "
+                f"[{short:g}, {long:g}]")
+    return None
 
 
 def require_valid(g: Graph) -> None:

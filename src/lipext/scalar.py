@@ -9,6 +9,11 @@ solver (the sweep loop of `vector` on scalar data) is provided as an
 independent cross-check, and a verifier re-derives the defining equation,
 the maximum principle and the geodesic ratio bound for any candidate
 solution.
+
+`solve_scalar` runs its stages on the graph's indexed form alone
+(`_PathSearch`, `_stages`).  The public stage operations on id-keyed state
+(`initial_state`, `find_max_slope_connecting_path`, `apply_path`,
+`finalize_components`) are the slow path it is checked against.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -52,13 +57,9 @@ def dijkstra(*args, **kwargs):
 
 
 # Sources per multi-source Dijkstra call: bounds each distance block at
-# SOURCE_BLOCK x 2|V| floats.
+# SOURCE_BLOCK x 2|V| floats, and the path search's predecessor block at as
+# many indices.
 SOURCE_BLOCK = 64
-# Up to this many rows, a path search runs them all in one Dijkstra call
-# instead of two bounded passes: on graphs of a few dozen vertices, the
-# second call costs more than the rows the bounds save (with two passes
-# throughout, the scalar-path benchmark's S solves take 25 % longer).
-SMALL_SEARCH = 24
 # Relative margin of the search's row bounds: a pair's distance read from
 # either end's row can differ in the last bits.
 BOUND_MARGIN = 1e-9
@@ -216,48 +217,52 @@ def _boundary_ratio(graph: CSRArray, omega: np.ndarray, f: np.ndarray, theta: fl
 
 
 class _PathSearch:
-    """Steepest connecting path with at least one interior vertex, searched
-    stage after stage of one solve.
+    """Steepest connecting paths, stage after stage of one solve, on the
+    graph's indexed form.
 
-    The distances come from a split graph: each labeled vertex keeps its
-    node as a source copy with arcs only to unlabeled neighbours, and gets
-    a sink copy n + v with arcs only from them, so no labeled vertex is ever
-    a transit vertex.  The graph is one CSR array of all arcs (`Indexed`),
-    on copies of their destinations and lengths: an arc into a labeled
-    vertex points at its sink copy, and an arc of a used edge or between two
-    labeled vertices (a single edge, handled separately) weighs inf, which
-    no shortest path takes.  `label` patches in only the arcs at each
-    stage's new vertices and edges.  With the labeled ids in sorted order,
-    the first maximum of |f(b) - f(a)| / d(a, b) over pairs a < b, d read
-    from a's row, is the pair that `_rank` puts first; `_lexicographic_path`
-    then recovers its interior.
+    The solve's state is a labeled mask, a value array and the arcs of a
+    split graph: each labeled vertex keeps its node as a source copy with
+    arcs only to unlabeled neighbours, and gets a sink copy n + v with arcs
+    only from them, so no labeled vertex is ever a transit vertex.  The
+    graph is one CSR array of all arcs (`Indexed`), on copies of their
+    destinations and lengths: an arc into a labeled vertex points at its
+    sink copy, and an arc of a used edge or between two labeled vertices (a
+    single edge, handled separately) weighs inf, which no shortest path
+    takes.  `label` applies a stage and patches in only the arcs at its new
+    vertices and edges.
 
-    Rows are bounded lazily.  Between searches vertices only become labeled
-    and edges only become used, so no path between two labeled vertices
-    appears and every old pair's slope can only fall.  `bound[a]` holds row
-    a's maximum from its last run (inf before its first), raised by a
-    margin-inflated slope for each pair (a, b) with b labeled since: d(a, b)
-    then came from b's row, and the two directions can differ in the last
-    bits.  A search first runs every row bounded at or above the previous
-    search's slope, the newly labeled ones included, then every other row
-    whose bound reaches its best slope less the margin.  No row left out
-    can hold a pair at the best slope, so the tie rule sees every such pair.
-
-    Once a search returns slope 0, `solve_scalar` usually ends the solve
-    without another search (`_zero_phase`); where it cannot, the bounded
-    search goes on as before.
+    `steepest` gives the first maximum of |f(b) - f(a)| / d(a, b) over
+    labeled pairs a < b, d read from a's row: the pair that `_rank` puts
+    first.  Each row is kept from one search to the next with its maximum,
+    the column of its first maximum and the interior vertices of its route
+    there (Dijkstra's predecessors).  Between searches vertices only become
+    labeled and edges only become used, so every distance can only grow.
+    While no vertex on a row's route is labeled, the route is intact and
+    keeps its float distance bit for bit, so the row's old answer stands
+    against every old column.  Only the newly labeled columns can move it.
+    Their pairs with an older row a come from the new rows, d(b, a) for
+    d(a, b), and the two directions can differ in the last bits: a row is
+    rerun when such a slope, widened by BOUND_MARGIN, reaches its maximum.
+    A row whose route is broken keeps its old maximum as an upper bound,
+    raised the same way, and is rerun only once that bound reaches the
+    best slope less the margin.  So a search first runs the new rows and
+    the broken rows bounded at or above the largest kept maximum, then
+    the rows that the new rows' pairs lift to the best slope.  No row left
+    out can hold a pair at the best slope, so the tie rule sees every such
+    pair.  `interior` then recovers the pair's route.
     """
 
     def __init__(self, g: Graph, state: SubgraphState):
         form = g.indexed
         n = len(g.ids)
-        self.n = n
-        self.index = form.index
+        self.n, self.ids, self.form = n, g.ids, form
         self.src, self.dst, self.arcs = form.src, form.dst, form.arcs
         self.key = self.src * n + self.dst  # ascending: arcs sort by source, then destination
         self.starts = form.indptr  # each vertex's first arc
         self.twin = np.empty_like(self.src)  # the reverse arc
         self.twin[self.arcs] = self.arcs[::-1]
+        self.edge = np.empty_like(self.src)  # the edge of each arc
+        self.edge[self.arcs] = np.arange(self.arcs.shape[1])
         self.labeled = np.fromiter(map(state.labeled.__contains__, g.ids), bool, n)
         self.f = np.array([state.labeled.get(v, 0.0) for v in g.ids])
         # the graph shares the arrays it is given, and `label` writes to them
@@ -265,80 +270,221 @@ class _PathSearch:
                                   np.where(self.labeled[self.dst], self.dst + n, self.dst),
                                   form.weight.copy(), 2 * n)
         self.live = np.diff(self.starts)  # finite arcs out of each vertex
-        keys = form.edges[0]
-        used = np.fromiter(map(state.used_edges.__contains__, keys), bool, len(keys))
+        _, heads, tails, _ = form.edges
+        used = np.zeros(heads.size, dtype=bool)
+        if state.used_edges:
+            used[:] = np.fromiter(map(state.used_edges.__contains__, form.edges[0]), bool,
+                                  heads.size)
         self._cut(np.concatenate([self.arcs[:, used].ravel(),
                                   np.flatnonzero(self.labeled[self.src] & self.labeled[self.dst])]))
-        self.bound = np.full(n, np.inf)  # inf: never run
-        self.last = np.inf
+        # the same state as lists, for the per-vertex loops
+        self.vals = self.f.tolist()
+        self._lab = bytearray(self.labeled)
+        self._ptr, self._nbr, self._len = (form.indptr.tolist(), form.dst.tolist(),
+                                           form.weight.tolist())
+        # the single edges left, as a heap of (-slope, a, b), a < b
+        self.pending = self._singles(
+            np.flatnonzero(self.labeled[heads] & self.labeled[tails] & ~used))
+        heapq.heapify(self.pending)
+        # each row's maximum at its last run, the column of its first
+        # maximum, and whether that is still its answer; bound holds an
+        # upper bound on the answer (inf: never run)
+        self.top = np.full(n, -1.0)
+        self.col = np.zeros(n, dtype=np.intp)
+        self.exact = np.zeros(n, dtype=bool)
+        self.bound = np.full(n, np.inf)
+        # runs[a] counts row a's runs; watch[x] holds (a, run) for each run
+        # whose route passes through x
+        self.runs = [0] * n
+        self.watch: list = [[] for _ in range(n)]
+        self.searches = self.rows_run = self.rows_reused = 0
 
     def _cut(self, arcs: np.ndarray) -> None:
         """Give the arcs weight inf."""
+        if not arcs.size:
+            return
         data = self.graph.data
         arcs = np.unique(arcs)
         arcs = arcs[np.isfinite(data[arcs])]
         data[arcs] = np.inf
         np.subtract.at(self.live, self.src[arcs], 1)
 
-    def label(self, state: SubgraphState, path: ConnectingPath) -> None:
-        """Record the vertices and edges that applying `path` consumed."""
-        at = np.array([self.index[v] for v in path.vertices], dtype=np.intp)
+    def _singles(self, edges) -> list[tuple[float, int, int]]:
+        """Heap entries (-slope, a, b) of the edges, a < b."""
+        _, heads, tails, lengths = self.form.edges
+        vals = self.vals
+        return [(-(abs(vals[b] - vals[a]) / ln), a, b)
+                for a, b, ln in zip(heads[edges].tolist(), tails[edges].tolist(),
+                                    lengths[edges].tolist())]
+
+    def label(self, path: ConnectingPath) -> list[tuple[float, int, int]]:
+        """Apply the stage `path` (vertex indices): label its interior by
+        linear interpolation, with `apply_path`'s float sums, and patch the
+        arcs at its new vertices and edges.  Returns the single edges it
+        makes, as heap entries."""
+        n, vals, runs, exact = self.n, self.vals, self.runs, self.exact
+        inner = path.vertices[1:-1]
+        base, slope, acc = vals[path.vertices[0]], path.slope, 0.0
+        for v, ln in zip(inner, path.lengths):
+            acc += ln
+            vals[v] = base + slope * acc
+            self._lab[v] = 1
+            for row, run in self.watch[v]:  # routes through v are broken
+                if runs[row] == run:
+                    exact[row] = False
+            self.watch[v] = ()
+        at = np.array(path.vertices, dtype=np.intp)
         new = at[1:-1]
         self.labeled[new] = True
-        self.f[new] = [state.labeled[v] for v in path.vertices[1:-1]]
+        self.f[new] = [vals[v] for v in inner]
         out = np.concatenate([np.arange(self.starts[i], self.starts[i + 1]) for i in new])
-        self.graph.indices[self.twin[out]] = self.src[out] + self.n
-        along = np.searchsorted(self.key, at[:-1] * self.n + at[1:])  # the path's arcs
+        self.graph.indices[self.twin[out]] = self.src[out] + n
+        along = np.searchsorted(self.key, at[:-1] * n + at[1:])  # the path's arcs
         between = out[self.labeled[self.dst[out]]]
         self._cut(np.concatenate([along, self.twin[along], between, self.twin[between]]))
+        # only edges at the newly labeled vertices can have become single
+        return self._singles(list(set(self.edge[between].tolist())
+                                  - set(self.edge[along].tolist())))
 
-    def steepest(self) -> tuple[int, int] | None:
-        """Vertex indices (a, b), a < b, of the first steepest pair."""
-        graph = self.graph
-        cols = np.flatnonzero(self.labeled)
-        rows = cols[self.live[cols] > 0]
-        f = self.f[cols]
-        sinks = cols + self.n
-        best = [-1.0, -1, -1]
-        cross = np.full(cols.size, -1.0)
-
-        def run(todo: np.ndarray) -> None:
-            for start in range(0, todo.size, SOURCE_BLOCK):
-                r = todo[start:start + SOURCE_BLOCK]
-                slope = _slopes(graph, r, sinks, self.f[r], f)
+    def _run(self, rows: np.ndarray, cols: np.ndarray, f: np.ndarray,
+             cross: np.ndarray | None = None) -> None:
+        """Run the rows and keep each one's maximum over the columns after
+        it, the column and the route.  With cross, also raise cross[j] to
+        the slope of (cols[j], r) for each never-run row r after cols[j]."""
+        n, runs, watch = self.n, self.runs, self.watch
+        sinks = cols + n
+        for start in range(0, rows.size, SOURCE_BLOCK):
+            r = rows[start:start + SOURCE_BLOCK]
+            dist, pred = dijkstra(self.graph, directed=True, indices=r, return_predecessors=True)
+            dist = dist[:, sinks]
+            with np.errstate(divide="ignore", invalid="ignore"):  # masked below
+                slope = np.abs(f - self.f[r][:, None]) / dist
+            slope[np.isinf(dist) | (dist == 0.0)] = -1.0
+            if cross is not None:
                 fresh = np.isinf(self.bound[r])
                 if fresh.any():  # their pairs (b, a), b < a, belong to b's row
                     earlier = np.where(cols < r[fresh, None], slope[fresh], -1.0)
                     np.maximum(cross, earlier.max(axis=0), out=cross)
-                slope[cols <= r[:, None]] = -1.0
-                c = np.argmax(slope, axis=1)
-                top = slope[np.arange(r.size), c]
-                self.bound[r] = top
-                i = int(np.argmax(top))
-                if top[i] > best[0] or (top[i] == best[0] and r[i] < best[1]):
-                    best[:] = float(top[i]), int(r[i]), int(cols[c[i]])
+            slope[cols <= r[:, None]] = -1.0
+            c = np.argmax(slope, axis=1)
+            top = slope[np.arange(r.size), c]
+            self.top[r] = self.bound[r] = top
+            self.col[r] = cols[c]
+            self.exact[r] = True
+            for i, (row, sink, best) in enumerate(zip(r.tolist(), sinks[c].tolist(),
+                                                      top.tolist())):
+                runs[row] += 1
+                if best >= 0.0:  # walk the route back from the sink
+                    back, stamp = pred[i].item, (row, runs[row])
+                    x = back(sink)
+                    while x != row:
+                        watch[x].append(stamp)
+                        x = back(x)
+        self.rows_run += rows.size
 
-        if rows.size <= SMALL_SEARCH:
-            run(rows)
+    def _best(self, rows: np.ndarray) -> tuple[float, int]:
+        """(slope, row) of the first largest answer among the exact rows."""
+        kept = rows[self.exact[rows]]
+        if not kept.size:
+            return -1.0, -1
+        i = int(np.argmax(self.top[kept]))
+        return float(self.top[kept[i]]), int(kept[i])
+
+    def steepest(self) -> tuple[float, int, int] | None:
+        """(slope, a, b) of the first steepest pair, a < b vertex indices."""
+        exact, top, bound = self.exact, self.top, self.bound
+        cols = np.flatnonzero(self.labeled)
+        rows = cols[self.live[cols] > 0]
+        f = self.f[cols]
+        fresh = np.isinf(bound[rows])
+        old = rows[~fresh]
+        # an exact row's pair keeps its slope: a floor for the best one
+        floor = top[old[exact[old]]].max(initial=-1.0)
+        now = ~exact[old] & (bound[old] >= floor * (1.0 - BOUND_MARGIN))
+        first, rest = np.concatenate([rows[fresh], old[now]]), old[~now]
+        if rest.size and fresh.any():  # the new rows' pairs lift the rows left out
+            cross = np.full(cols.size, -1.0)
+            self._run(first, cols, f, cross)
+            lift = cross[np.searchsorted(cols, rest)] * (1.0 + BOUND_MARGIN)
+            exact[rest[lift >= top[rest]]] = False
+            bound[rest] = np.maximum(bound[rest], lift)
         else:
-            first = self.bound[rows] >= self.last
-            run(rows[first])
-            ran = np.zeros(self.labeled.size, dtype=bool)
-            ran[rows[first]] = True
-            old = ~ran[cols]
-            self.bound[cols[old]] = np.maximum(self.bound[cols[old]],
-                                               cross[old] * (1.0 + BOUND_MARGIN))
-            rest = rows[~first]
-            run(rest[self.bound[rest] >= best[0] * (1.0 - BOUND_MARGIN)])
-        self.last = best[0]
-        return None if best[0] < 0.0 else (best[1], best[2])
+            self._run(first, cols, f)
+        best, a = self._best(rows)
+        then = rest[~exact[rest]]
+        then = then[bound[then] >= best * (1.0 - BOUND_MARGIN)]
+        if then.size:
+            self._run(then, cols, f)
+            best, a = self._best(rows)
+        self.searches += 1
+        self.rows_reused += rest.size - then.size - int(np.count_nonzero(~exact[rest]))
+        return None if best < 0.0 else (best, a, int(self.col[a]))
 
-    def interior_path(self, g: Graph, state: SubgraphState) -> ConnectingPath | None:
-        """Steepest connecting path with at least one interior vertex."""
-        pair = self.steepest()
-        if pair is None:
+    def interior(self) -> ConnectingPath | None:
+        """Steepest connecting path with at least one interior vertex, by
+        vertex index, or None.  Of the shortest routes between the pair, the
+        one that `_lexicographic_path` gives: heap entries carry the path
+        itself, by true vertex index (a sink copy's index n + v would sort
+        after every vertex and change the tie order).  A used edge joins two
+        labeled vertices, which the search never steps between."""
+        found = self.steepest()
+        if found is None:
             return None
-        return _lexicographic_path(g, state, g.ids[pair[0]], g.ids[pair[1]])
+        _, a, b = found
+        lab, ptr, nbr, length = self._lab, self._ptr, self._nbr, self._len
+        closed = bytearray(self.n)
+        # the least entry pushed for each vertex: a greater one would pop
+        # after it, when the vertex is closed
+        least: dict[int, tuple] = {}
+        heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (a,))]
+        while heap:
+            dist, path = heapq.heappop(heap)
+            v = path[-1]
+            if closed[v]:
+                continue
+            closed[v] = 1
+            if v == b:
+                break
+            if v != a and lab[v]:
+                continue
+            for p in range(ptr[v], ptr[v + 1]):
+                w = nbr[p]
+                if not closed[w] and not (v == a and lab[w]):
+                    entry = (dist + length[p], path + (w,))
+                    if w not in least or entry < least[w]:
+                        least[w] = entry
+                        heapq.heappush(heap, entry)
+        else:
+            raise InvalidPath(f"no interior route from {self.ids[a]!r} to {self.ids[b]!r}")
+        at = np.array(path, dtype=np.intp)
+        arcs = np.searchsorted(self.key, at[:-1] * self.n + at[1:]).tolist()
+        return _oriented(path, tuple(length[p] for p in arcs), self.vals)
+
+    def flood(self) -> np.ndarray:
+        """The values of all vertices once no connecting path is left: each
+        unlabeled component takes the value of the one labeled vertex it
+        touches, as in `finalize_components`."""
+        f = self.f
+        lab = self.labeled.tolist()
+        seen = list(lab)
+        ptr, nbr = self._ptr, self._nbr
+        for start in np.flatnonzero(~self.labeled).tolist():
+            if seen[start]:
+                continue
+            seen[start] = True
+            comp, attachments = [start], set()
+            for v in comp:  # grows as the component is found
+                for w in nbr[ptr[v]:ptr[v + 1]]:
+                    if lab[w]:
+                        attachments.add(w)
+                    elif not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            if len(attachments) != 1:
+                raise MultipleAttachments(f"component of {self.ids[start]!r} attaches to "
+                                          f"{sorted(self.ids[w] for w in attachments)}")
+            f[comp] = f[attachments.pop()]
+        return f
 
 
 def _lexicographic_path(g: Graph, state: SubgraphState, a: str, b: str) -> ConnectingPath:
@@ -374,9 +520,9 @@ def _lexicographic_path(g: Graph, state: SubgraphState, a: str, b: str) -> Conne
 def find_max_slope_connecting_path(g: Graph, state: SubgraphState) -> ConnectingPath | None:
     """Steepest connecting path over all labeled pairs, or None."""
     cands = _single_edge_candidates(g, state, state.labeled)
-    interior = _PathSearch(g, state).interior_path(g, state)
-    if interior is not None:
-        cands.append(interior)
+    found = _PathSearch(g, state).steepest()
+    if found is not None:
+        cands.append(_lexicographic_path(g, state, g.ids[found[1]], g.ids[found[2]]))
     if not cands:
         return None
     return min(cands, key=_rank)
@@ -478,32 +624,32 @@ def _zero_phase(form: Indexed, labeled: np.ndarray,
     return new, hi[comp[new]] + 0.0
 
 
-def _finish_at_zero(g: Graph, state: SubgraphState, search: _PathSearch) -> bool:
+def _finish_at_zero(search: _PathSearch, stages: int) -> int | None:
     """End a solve whose steepest slope is 0 in one pass, if `_zero_phase`
-    can: label its vertices and append the zero stages that the stage loop
-    would have run.  Returns whether it did; on True, only state.labeled
-    and state.stage_slopes are current.
+    can: label its vertices in the search's mask and values.  Returns the
+    number of zero stages that the stage loop would have run after the
+    first `stages`, or None if it cannot; once it has, only the mask and
+    the values are current.
 
     Every edge with both ends in the final labeled set F is used once, by a
     single-edge stage or on a path, and a path with j interior vertices
     uses j + 1 edges.  So the solve runs E_F - (|F| - |omega|) stages, E_F
     the number of such edges, and every stage left has slope 0.
     """
-    found = _zero_phase(g.indexed, search.labeled, search.f)
+    form, labeled = search.form, search.labeled
+    found = _zero_phase(form, labeled, search.f)
     if found is None:
-        return False
+        return None
     new, vals = found
-    state.labeled.update(zip([g.ids[i] for i in new.tolist()], vals.tolist()))
-    final = search.labeled.copy()
-    final[new] = True
-    _, heads, tails, _ = g.indexed.edges
-    size = int(np.count_nonzero(final))
-    zeros = (int(np.count_nonzero(final[heads] & final[tails])) - (size - len(g.omega))
-             - len(state.stage_slopes))
-    state.stage_slopes.extend([0.0] * zeros)
+    labeled[new] = True
+    search.f[new] = vals
+    _, heads, tails, _ = form.edges
+    size = int(np.count_nonzero(labeled))
+    zeros = (int(np.count_nonzero(labeled[heads] & labeled[tails]))
+             - (size - int(np.count_nonzero(form.boundary))) - stages)
     log.debug("slope 0 from stage %d: %d vertices labeled, %d flooded, %d zero stages",
-              len(state.stage_slopes) - zeros + 1, new.size, len(g.ids) - size, zeros)
-    return True
+              stages + 1, new.size, labeled.size - size, zeros)
+    return zeros
 
 
 def finalize_components(g: Graph, state: SubgraphState) -> dict[str, float]:
@@ -540,39 +686,59 @@ def finalize_components(g: Graph, state: SubgraphState) -> dict[str, float]:
     return labeled
 
 
+def _stages(search: _PathSearch) -> Iterator[tuple[float, tuple[int, ...] | None]]:
+    """The stages of a solve in order, applied to the search as they are
+    taken: (slope, path), the path by vertex index and oriented so that the
+    value rises, or None for each zero stage that `_finish_at_zero`
+    appends."""
+    pending, vals = search.pending, search.vals
+    debug = log.isEnabledFor(logging.DEBUG)
+    done = 0
+    # single labeled-labeled edges neither move values nor relabel anything,
+    # so the steepest interior path stays valid while they are drained
+    path = search.interior()
+    while True:
+        if path is not None:  # `_rank`: at equal slope and ends, the edge goes first
+            a, b = path.vertices[0], path.vertices[-1]
+            rank = (-path.slope, min(a, b), max(a, b))
+        while pending and (path is None or pending[0] <= rank):
+            key, a, b = heapq.heappop(pending)
+            done += 1
+            yield -key, (a, b) if vals[a] <= vals[b] else (b, a)
+        if path is None:
+            return
+        if path.slope == 0.0:
+            zeros = _finish_at_zero(search, done)
+            if zeros is not None:
+                yield from [(0.0, None)] * zeros
+                return
+        if debug:
+            log.debug("stage %d: slope %.6g through %s", done + 1, path.slope,
+                      tuple(search.ids[v] for v in path.vertices))
+        done += 1
+        yield path.slope, path.vertices
+        for edge in search.label(path):
+            heapq.heappush(pending, edge)
+        path = search.interior()
+
+
 def solve_scalar(g: Graph) -> ExtensionResult:
-    """Exact extension of scalar boundary data on a connected graph."""
+    """Exact extension of scalar boundary data on a connected graph: the
+    stages of `_stages`, on the indexed form alone, then the flood.  The
+    values, their sign of zero and the slope log are those of the public
+    stage operations (`find_max_slope_connecting_path`, `apply_path` and
+    `finalize_components`) driven stage by stage."""
     require_valid(g)
     if g.value_dim() != 1:
         raise MethodUnavailable("the connecting-path solver requires scalar values")
-    state = initial_state(g)
-    search = _PathSearch(g, state)
-    # single labeled-labeled edges neither move values nor relabel anything,
-    # so the steepest interior path stays valid while they are drained
-    interior = search.interior_path(g, state)
-    # (rank, path) heap; ranks are unique, one edge each
-    pending = [(_rank(p), p) for p in _single_edge_candidates(g, state, state.labeled)]
-    heapq.heapify(pending)
-    while True:
-        top = _rank(interior) if interior is not None else None
-        while pending and (top is None or pending[0][0] < top):
-            path = heapq.heappop(pending)[1]
-            state.used_edges.update(path.edges)
-            state.stage_slopes.append(path.slope)
-        if interior is None or (interior.slope == 0.0 and _finish_at_zero(g, state, search)):
-            break
-        log.debug("stage %d: slope %.6g through %s",
-                  len(state.stage_slopes) + 1, interior.slope, interior.vertices)
-        state = apply_path(state, interior)
-        search.label(state, interior)
-        # only edges at the newly labeled vertices can have become single
-        for p in _single_edge_candidates(g, state, interior.vertices[1:-1]):
-            heapq.heappush(pending, (_rank(p), p))
-        interior = search.interior_path(g, state)
-    values = finalize_components(g, state)
-    vf: VertexFunction = {v: np.array([val]) for v, val in values.items()}
+    search = _PathSearch(g, initial_state(g))
+    slopes = [slope for slope, _ in _stages(search)]
+    values = search.flood().tolist()
+    log.debug("%d stages: %d searches, %d rows run, %d rows reused", len(slopes),
+              search.searches, search.rows_run, search.rows_reused)
+    vf: VertexFunction = {v: np.array([val]) for v, val in zip(g.ids, values)}
     report = verify_extension(g, vf)
-    return ExtensionResult(vf, report, list(state.stage_slopes))
+    return ExtensionResult(vf, report, slopes)
 
 
 def gauss_seidel_scalar(g: Graph, tol: float = 1e-10, max_iter: int = 100_000) -> ExtensionResult:

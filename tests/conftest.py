@@ -76,9 +76,31 @@ def random_graph(rng, max_vertices=60, m=1, extra_edge_factor=0.5):
                  boundary.keys(), boundary)
 
 
-def naive_stage_loop(g):
+def level_graph(seed):
+    """Connected graph on 6-24 vertices from a seed: a random spanning tree
+    plus up to 2n extra edges, integer lengths 1-3, and boundary values
+    drawn from (0.0, -0.0, 1.0) or (0, 1, 2), or the first two of them, on
+    up to n / 2 + 1 vertices.  Many paths tie, and many solves reach slope
+    0 with vertices left to label."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 25))
+    ids = [f"v{i:02d}" for i in range(n)]
+    edges = {(int(rng.integers(0, k)), k) for k in range(1, n)}
+    extra = rng.integers(0, n, (int(rng.integers(0, 2 * n + 1)), 2))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    omega = rng.choice(n, int(rng.integers(1, n // 2 + 2)), replace=False)
+    levels = [(0.0, -0.0, 1.0), (0.0, 1.0, 2.0)][int(rng.integers(0, 2))]
+    levels = levels[:int(rng.integers(2, 4))]
+    return Graph({v: [float(i)] for i, v in enumerate(ids)},
+                 [(ids[a], ids[b], float(rng.integers(1, 4))) for a, b in sorted(edges)],
+                 [ids[i] for i in omega],
+                 {ids[i]: levels[int(rng.integers(0, len(levels)))] for i in omega})
+
+
+def naive_stage_loop(g, paths=None):
     """The scalar solve driven stage by stage through the public
-    operations, one full search per stage: (values by id, stage slopes)."""
+    operations, one full search per stage: (values by id, stage slopes).
+    Each stage's `ConnectingPath` is appended to paths, if given."""
     from lipext.scalar import (apply_path, finalize_components,
                                find_max_slope_connecting_path, initial_state)
 
@@ -87,6 +109,8 @@ def naive_stage_loop(g):
         path = find_max_slope_connecting_path(g, state)
         if path is None:
             break
+        if paths is not None:
+            paths.append(path)
         if path.vertices[1:-1]:
             state = apply_path(state, path)
         else:

@@ -281,6 +281,13 @@ BAD_FIELDS = {
                     "'points' holds an integer too large for a float"),
     "values-huge": ("kpoint", {"points": [[0.0], [2.0]], "values": [[0.0], [10**400]]},
                     "'values' holds an integer too large for a float"),
+    # finite result values whose differences overflow: the bound that
+    # validate puts on boundary data, 2 max|u| over the shortest edge
+    "verify-overflow": ("verify", {"values": {"a": [0.0], "m": [1e308], "b": [1.0]}},
+                        "ValueOverflow: result values up to 1e+308 in size overflow against "
+                        "edge lengths in [1, 1]"),
+    "verify-overflow-bare": ("verify", {"values": {"a": [0.0], "m": -1e308, "b": [1.0]}},
+                             "ValueOverflow: result values up to 1e+308 in size"),
 }
 
 
@@ -700,6 +707,25 @@ def test_verify_names_mixed_dimensions_sorted(tmp_path, capsys):
     g, r = _path_result(tmp_path, lambda d: d.update(v1=[0.5, 0.5, 0.5], v2=[0.5, 0.5]))
     assert run("verify", g, r) == 1
     assert capsys.readouterr().err == "error: DimensionMismatch: result dimensions [1, 2, 3] vs boundary 1\n"
+
+
+@pytest.mark.parametrize("top", [1e308, 1e307])
+def test_verify_rejects_result_values_that_overflow(tmp_path, capsys, top):
+    # two adjacent interior values of +-top on the path of unit edges: at
+    # 1e308 their difference overflows, and verify rejects them as validate
+    # rejects such boundary data; at 1e307 every difference and ratio stays
+    # finite, and the result fails its checks
+    g, r = _path_result(tmp_path, lambda d: d.update(v1=[top], v2=[-top]))
+    status = run("verify", g, r)
+    captured = capsys.readouterr()
+    if top == 1e308:
+        assert status == 1 and captured.out == ""
+        assert captured.err == (f"error: ParseError: {r}: ValueOverflow: result values up to "
+                                "1e+308 in size overflow against edge lengths in [1, 1]\n")
+    else:
+        assert status == 3 and captured.err == ""
+        out = json.loads(captured.out)
+        assert out["interior_lip_ratio"] == 2e307 and not out["passed"]
 
 
 def test_verify_rejects_a_ragged_value(tmp_path, capsys):

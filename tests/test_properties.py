@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_simplex_paths_agree,
     assert_sweep_paths_agree,
+    level_graph,
     naive_stage_loop,
     random_graph,
 )
@@ -249,27 +250,6 @@ def test_scalar_solve_obeys_the_maximum_principle(g):
     lo, hi = min(fb), max(fb)
     res = solve_scalar(g)
     assert all(lo <= res.values[v][0] <= hi for v in g.ids)
-
-
-def level_graph(seed):
-    """Connected graph on 6-24 vertices from a seed: a random spanning tree
-    plus up to 2n extra edges, integer lengths 1-3, and boundary values
-    drawn from (0.0, -0.0, 1.0) or (0, 1, 2), or the first two of them, on
-    up to n / 2 + 1 vertices.  Many paths tie, and many solves reach slope
-    0 with vertices left to label."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(6, 25))
-    ids = [f"v{i:02d}" for i in range(n)]
-    edges = {(int(rng.integers(0, k)), k) for k in range(1, n)}
-    extra = rng.integers(0, n, (int(rng.integers(0, 2 * n + 1)), 2))
-    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
-    omega = rng.choice(n, int(rng.integers(1, n // 2 + 2)), replace=False)
-    levels = [(0.0, -0.0, 1.0), (0.0, 1.0, 2.0)][int(rng.integers(0, 2))]
-    levels = levels[:int(rng.integers(2, 4))]
-    return Graph({v: [float(i)] for i, v in enumerate(ids)},
-                 [(ids[a], ids[b], float(rng.integers(1, 4))) for a, b in sorted(edges)],
-                 [ids[i] for i in omega],
-                 {ids[i]: levels[int(rng.integers(0, len(levels)))] for i in omega})
 
 
 @settings(PROPERTY, max_examples=200)

@@ -14,6 +14,7 @@ from conftest import (
     assert_same_report,
     colour_order,
     grid_graph,
+    level_graph,
     naive_stage_loop,
     path_graph,
     random_graph,
@@ -26,6 +27,7 @@ from lipext import scalar, vector
 from lipext.kpoint import minimax_kernel, pairwise_optimum
 from lipext.scalar import (
     ConnectingPath,
+    SubgraphState,
     _edge_key,
     _oriented,
     _rank,
@@ -401,9 +403,10 @@ def test_underflowing_zero_slope_takes_the_stage_loop(monkeypatch):
     finish = scalar._finish_at_zero
     finished = []
 
-    def counted(g, state, search):
-        finished.append(finish(g, state, search))
-        return finished[-1]
+    def counted(search, stages):
+        zeros = finish(search, stages)
+        finished.append(zeros is not None)
+        return zeros
 
     monkeypatch.setattr(scalar, "_finish_at_zero", counted)
     res = solve_scalar(g)
@@ -592,30 +595,52 @@ def _tie_graphs(count, levels=3, seed=5, extra=1.0):
     return graphs
 
 
+def _state_of(search):
+    """The id-keyed state of a solve's search: its labeled values.  Used
+    edges join two labeled vertices, which no interior route steps between,
+    so the interior search needs none of them."""
+    return SubgraphState({search.ids[i]: search.vals[i] for i in np.flatnonzero(search.labeled)})
+
+
 @pytest.mark.parametrize("block", [3, None])
-@pytest.mark.parametrize("small", [0, None])
-def test_solver_search_matches_per_source_reference(monkeypatch, block, small):
-    # the bounded search inside solve_scalar, stage by stage; SMALL_SEARCH 0
-    # makes every search take the two bounded passes
+@pytest.mark.parametrize("kept", [0, None])
+def test_solver_search_matches_per_source_reference(monkeypatch, block, kept):
+    # the search inside solve_scalar, stage by stage; kept 0 drops every
+    # row's answer after each stage, so each search takes its rows from the
+    # bounds alone, None keeps the rows whose routes stay intact
     if block is not None:
         monkeypatch.setattr(scalar, "SOURCE_BLOCK", block)
-    if small is not None:
-        monkeypatch.setattr(scalar, "SMALL_SEARCH", small)
-    search = scalar._PathSearch.interior_path
+    if kept is not None:
+        label = scalar._PathSearch.label
+
+        def forgetting(self, path):
+            singles = label(self, path)
+            self.exact[:] = False
+            return singles
+
+        monkeypatch.setattr(scalar._PathSearch, "label", forgetting)
+    interior = scalar._PathSearch.interior
     finish = scalar._finish_at_zero
     calls, finished = [], []
 
-    def checked(self, g, state):
-        path = search(self, g, state)
-        assert path == _reference_interior_path(g, state)
+    def checked(self):
+        path = interior(self)
+        state = _state_of(self)
+        want = _reference_interior_path(g, state)
+        if path is None:
+            assert want is None
+        else:
+            assert tuple(g.ids[v] for v in path.vertices) == want.vertices
+            assert path.lengths == want.lengths and path.slope == want.slope
         calls.append(path)
         return path
 
-    def counted(g, state, search):
-        finished.append(finish(g, state, search))
-        return finished[-1]
+    def counted(search, stages):
+        zeros = finish(search, stages)
+        finished.append(zeros is not None)
+        return zeros
 
-    monkeypatch.setattr(scalar._PathSearch, "interior_path", checked)
+    monkeypatch.setattr(scalar._PathSearch, "interior", checked)
     monkeypatch.setattr(scalar, "_finish_at_zero", counted)
     graphs = (_fast_path_graphs() + _tie_graphs(8) + _tie_graphs(6, levels=2, seed=14, extra=0.5)
               + [grid_graph(9, boundary_fn=lambda x, y: x * x - y),
@@ -629,37 +654,38 @@ def test_solver_search_matches_per_source_reference(monkeypatch, block, small):
     assert finished == [True] * 8
 
 
-def _arc_rows(g, state):
-    """Sources of one unbounded search: labeled vertices with a free edge
-    to an unlabeled neighbour."""
-    labeled, used = state.labeled, state.used_edges
-    return sum(any(w not in labeled and _edge_key(v, w) not in used for w, _ in g.neighbors(v))
-               for v in labeled)
+def _split_rows(real, n, rows, when=lambda: True):
+    """A dijkstra wrapper that appends the number of source rows of each
+    call on the search's split graph (2n nodes, not the verifier's n)."""
+
+    def counting(graph, **kwargs):
+        if graph.shape[0] == 2 * n and when():
+            rows.append(len(kwargs["indices"]))
+        return real(graph, **kwargs)
+
+    return counting
 
 
 def test_bounds_skip_search_rows(monkeypatch):
     g = grid_graph(16, boundary_fn=lambda x, y: x * x - y)
-    n = len(g.ids)
     rows, unbounded = [], []
-    real = scalar.dijkstra
+    steepest = scalar._PathSearch.steepest
 
-    def counting(graph, directed, indices, limit):
-        if graph.shape[0] == 2 * n:  # the split graph, not the verifier's
-            rows.append(len(indices))
-        return real(graph, directed=directed, indices=indices, limit=limit)
+    def counted(self):
+        # sources of one unbounded search: labeled vertices with a free edge
+        # to an unlabeled neighbour
+        unbounded.append(int(np.count_nonzero(self.live[self.labeled] > 0)))
+        return steepest(self)
 
-    search = scalar._PathSearch.interior_path
-
-    def counted(self, g, state):
-        unbounded.append(_arc_rows(g, state))
-        return search(self, g, state)
-
-    monkeypatch.setattr(scalar, "dijkstra", counting)
-    monkeypatch.setattr(scalar._PathSearch, "interior_path", counted)
+    monkeypatch.setattr(scalar, "dijkstra", _split_rows(scalar.dijkstra, len(g.ids), rows))
+    monkeypatch.setattr(scalar._PathSearch, "steepest", counted)
     res = solve_scalar(g)
     assert res.report.passed
-    # the parent's per-stage search ran every row at every stage
-    assert 2 * sum(rows) < sum(unbounded)
+    # a search from every row at every stage runs 1423 rows here; the
+    # bounded search that kept no row from one search to the next ran 451,
+    # and the kept rows bring it to 349
+    assert sum(unbounded) == 1423
+    assert 3 * sum(rows) < sum(unbounded)
 
 
 @pytest.mark.parametrize("size", [12, 24])
@@ -668,23 +694,17 @@ def test_zero_slope_searches_run_few_rows(monkeypatch, size):
     # row runs after it (a search per zero-slope stage took 50 searches at
     # slope 0 at 12 x 12 and 242 at 24 x 24)
     g = generate("grid", size, None, "corners")
-    n = len(g.ids)
     rows, zero = [], []
-    real = scalar.dijkstra
     steepest = scalar._PathSearch.steepest
 
-    def counting(graph, directed, indices, limit):
-        if graph.shape[0] == 2 * n and zero:
-            rows.append(len(indices))
-        return real(graph, directed=directed, indices=indices, limit=limit)
-
     def flagged(self):
-        pair = steepest(self)
-        if self.last == 0.0:
-            zero.append(pair)
-        return pair
+        found = steepest(self)
+        if found is not None and found[0] == 0.0:
+            zero.append(found)
+        return found
 
-    monkeypatch.setattr(scalar, "dijkstra", counting)
+    monkeypatch.setattr(scalar, "dijkstra",
+                        _split_rows(scalar.dijkstra, len(g.ids), rows, lambda: bool(zero)))
     monkeypatch.setattr(scalar._PathSearch, "steepest", flagged)
     res = solve_scalar(g)
     assert res.report.passed
@@ -703,9 +723,114 @@ def test_zero_slope_finish_logs_one_line(caplog):
     with caplog.at_level(logging.DEBUG, logger="lipext.scalar"):
         res = solve_scalar(g)
     assert [r.getMessage() for r in caplog.records] == [
-        "slope 0 from stage 1: 1 vertices labeled, 1 flooded, 1 zero stages"]
+        "slope 0 from stage 1: 1 vertices labeled, 1 flooded, 1 zero stages",
+        "1 stages: 1 searches, 2 rows run, 0 rows reused"]
     assert res.stage_slopes == [0.0]
     assert [res.values[v][0] for v in "abpx"] == [1.0] * 4
+
+
+def test_solve_logs_its_searches_and_rows(monkeypatch, caplog):
+    # the solve's closing line counts its searches, the search rows it ran
+    # and the rows it kept from earlier searches; one line per interior
+    # stage comes before it
+    g = _scalar_path_graphs(1)[-1]  # the benchmark's random120-0
+    rows, searches = [], []
+    steepest = scalar._PathSearch.steepest
+
+    def counted(self):
+        searches.append(self)
+        return steepest(self)
+
+    monkeypatch.setattr(scalar, "dijkstra", _split_rows(scalar.dijkstra, len(g.ids), rows))
+    monkeypatch.setattr(scalar._PathSearch, "steepest", counted)
+    with caplog.at_level(logging.DEBUG, logger="lipext.scalar"):
+        res = solve_scalar(g)
+    lines = [r.getMessage() for r in caplog.records]
+    assert (len(res.stage_slopes), len(searches), sum(rows)) == (94, 50, 136)
+    assert lines[-1] == "94 stages: 50 searches, 136 rows run, 939 rows reused"
+    assert len(lines) == len(searches)  # a stage line per search but the last
+    assert all(line.startswith("stage ") for line in lines[:-1])
+
+
+def test_kept_rows_halve_the_search_rows(monkeypatch):
+    # on the benchmark's random120-0 the bounded search without kept rows
+    # ran 645 rows of the split graph, and the kept rows bring it to 136
+    g = _scalar_path_graphs(1)[-1]
+    rows = []
+    monkeypatch.setattr(scalar, "dijkstra", _split_rows(scalar.dijkstra, len(g.ids), rows))
+    assert solve_scalar(g).report.passed
+    assert 2 * sum(rows) < 645
+
+
+def _solve_stages(g):
+    """solve_scalar's stage loop on g: its stages as (slope, path by id, or
+    None for a zero stage of the one-pass finish), the values and the
+    search."""
+    search = scalar._PathSearch(g, initial_state(g))
+    stages = [(slope, path and tuple(g.ids[v] for v in path))
+              for slope, path in scalar._stages(search)]
+    return stages, search.flood(), search
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _assert_stages_match_the_stage_loop(g):
+    """The stage loop of solve_scalar against the public operations: values
+    bit for bit (the sign of zero included), the slope log and every stage's
+    path up to the one-pass finish.  Returns the search."""
+    paths = []
+    values, slopes = naive_stage_loop(g, paths)
+    stages, got, search = _solve_stages(g)
+    want = [values[v] for v in g.ids]
+    assert _bits(got) == _bits(want)
+    assert _bits([slope for slope, _ in stages]) == _bits(slopes)
+    walked = [path for _, path in stages if path is not None]
+    assert walked == [path.vertices for path in paths[:len(walked)]]
+    assert all(path is None for _, path in stages[len(walked):])
+    res = solve_scalar(g)
+    assert _bits([res.values[v][0] for v in g.ids]) == _bits(want)
+    assert res.stage_slopes == slopes
+    return search
+
+
+def test_stages_match_the_stage_loop_on_large_random_graphs():
+    # 80-200 vertices: many rows per search, and searches that keep rows
+    rng = np.random.default_rng(80)
+    graphs = []
+    while len(graphs) < 8:
+        g = random_graph(rng, max_vertices=200)
+        if len(g.ids) >= 80:
+            graphs.append(g)
+    kept = [_assert_stages_match_the_stage_loop(g).rows_reused for g in graphs]
+    assert min(kept) > 0
+
+
+def _integer_grid(n, seed):
+    """An n x n lattice with edge lengths in {1, 2} and perimeter values in
+    {0, 1, 2}: equally long routes and equally steep pairs everywhere."""
+    rng = np.random.default_rng(seed)
+    ids = [[f"g{i:02d}_{j:02d}" for j in range(n)] for i in range(n)]
+    edges = [(ids[i][j], ids[i + di][j + dj], float(rng.integers(1, 3)))
+             for i in range(n) for j in range(n) for di, dj in ((1, 0), (0, 1))
+             if i + di < n and j + dj < n]
+    rim = [ids[i][j] for i in range(n) for j in range(n) if i in (0, n - 1) or j in (0, n - 1)]
+    return Graph({v: [float(k)] for k, v in enumerate(sum(ids, []))}, edges, rim,
+                 {v: float(rng.integers(0, 3)) for v in rim})
+
+
+@pytest.mark.parametrize("n", [5, 8, 12])
+def test_stages_match_the_stage_loop_on_integer_grids(n):
+    for seed in range(3):
+        _assert_stages_match_the_stage_loop(_integer_grid(n, seed))
+
+
+def test_interior_routes_tie_on_true_vertex_indices():
+    # heap entries that named a labeled vertex b by its sink copy n + b
+    # would sort b after every vertex and take another route at a tie;
+    # level_graph(171) moves a stage that way
+    _assert_stages_match_the_stage_loop(level_graph(171))
 
 
 def _all_pairs_ratios(g, u, pairs_in=None):
